@@ -16,20 +16,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConsistencyError, RankDeficient
-from .solution import ConvergenceTrace, FilterSolution, TracePoint
+from .solution import FilterSolution, SolverConfig, TracePoint, finish
 from .spectra import (
     CorrectionMatrix,
     OrthoBasis,
     SensorSet,
     SpectralCurve,
     WavelengthGrid,
+    full_rank,
     orthonormalize,
-    rank_ratio,
-    require_rank3,
     require_same_grid,
-    RANK_TOLERANCE,
 )
-from .vora import vora_value
 
 # Rows of QM with squared norm below this contribute nothing; their filter
 # entry is pinned to 0 for reproducibility.
@@ -45,65 +42,61 @@ POLISH_MAX_SWEEPS = 5000
 
 
 @dataclass(frozen=True)
-class AlsConfig:
+class AlsConfig(SolverConfig):
     """Stopping rule and starting point for the ALS solver.
 
-    ``initial_filter`` is either the name ``"ones"`` (neutral filter) or an
-    explicit curve.  ``epsilon`` is the minimum Vora-Value increase per sweep;
-    the generous defaults make hitting ``max_iterations`` a signal, not a
-    nuisance.
+    ``epsilon`` is the minimum Vora-Value increase per sweep.
     """
 
-    epsilon: float = 1e-9
-    max_iterations: int = 10_000
-    initial_filter: SpectralCurve | str = "ones"
 
-    def __post_init__(self):
-        if not (self.epsilon > 0):
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
+def _transform(
+    f: np.ndarray, qc: np.ndarray, vb: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Transform half-step: (M, Vora-Value, full rank) for the filtered camera A = diag(f) Q.
 
-    def resolve_initial(self, grid: WavelengthGrid) -> SpectralCurve:
-        if isinstance(self.initial_filter, SpectralCurve):
-            require_same_grid(self.initial_filter.grid, grid)
-            return self.initial_filter
-        if self.initial_filter == "ones":
-            return SpectralCurve.constant(grid, 1.0)
-        raise ValueError(f"unknown initial filter preset {self.initial_filter!r}")
+    M = G^-1 W with G = A^T A and W = A^T V minimizes ||A M - V||^2_F, and
+    trace(M^T W) / 3 is the Vora-Value of A.  ``f`` is one filter or a stack
+    of them, one per row; results gain the same leading axis.  A rank-
+    deficient A is solved against the identity instead of its Gram matrix,
+    so its M and score are meaningless and only the rank flag counts.
+    """
+    fq = f[..., None] * qc
+    fq_t = np.swapaxes(fq, -1, -2)
+    gram = fq_t @ fq
+    full = full_rank(fq, gram)
+    gram[~full] = np.eye(3)
+    w = fq_t @ vb
+    m = np.linalg.solve(gram, w)
+    return m, np.sum(m * w, axis=(-2, -1)) / 3.0, full
+
+
+def _filter(qc: np.ndarray, m: np.ndarray, vb: np.ndarray) -> np.ndarray:
+    """Filter half-step: per-row entries minimizing ||diag(f) (Q M) - V||^2_F.
+
+    Each row is an independent scalar least-squares problem with solution
+    (QM)_i . V_i / (QM)_i . (QM)_i; rows with vanishing source norm get 0.
+    ``m`` is one transform or a stack of them.
+    """
+    qm = qc @ m
+    numerator = np.sum(qm * vb, axis=-1)
+    denominator = np.sum(qm * qm, axis=-1)
+    degenerate = denominator < DEGENERATE_ROW_NORM
+    return np.where(degenerate, 0.0, numerator / np.where(degenerate, 1.0, denominator))
 
 
 def solve_m(f: SpectralCurve, q: SensorSet, v: OrthoBasis) -> CorrectionMatrix:
     """Least-squares 3x3 transform M minimizing ||diag(f) Q M - V||^2_F."""
     require_same_grid(f.grid, q.grid, v.grid)
-    fq = f.values[:, None] * q.channels
-    require_rank3(fq, "filtered camera")
-    return CorrectionMatrix(np.linalg.solve(fq.T @ fq, fq.T @ v.basis))
+    m, _, full = _transform(f.values, q.channels, v.basis)
+    if not full:
+        raise RankDeficient("filtered camera is rank deficient (columns are numerically dependent)")
+    return CorrectionMatrix(m)
 
 
 def solve_f(q: SensorSet, m: CorrectionMatrix, v: OrthoBasis) -> SpectralCurve:
-    """Per-row filter entries minimizing ||diag(f) (Q M) - V||^2_F.
-
-    Each row is an independent scalar least-squares problem with solution
-    (QM)_i . V_i / (QM)_i . (QM)_i; rows with vanishing source norm get 0.
-    """
+    """Per-row filter entries minimizing ||diag(f) (Q M) - V||^2_F; see ``_filter``."""
     require_same_grid(q.grid, v.grid)
-    qm = q.channels @ m.m
-    numerator = np.sum(qm * v.basis, axis=1)
-    denominator = np.sum(qm * qm, axis=1)
-    degenerate = denominator < DEGENERATE_ROW_NORM
-    values = np.where(degenerate, 0.0, numerator / np.where(degenerate, 1.0, denominator))
-    return SpectralCurve(q.grid, values)
-
-
-def _normalized(f: np.ndarray) -> tuple[np.ndarray, float]:
-    """Scale a filter so its maximum entry is 1; returns (scaled, scale factor)."""
-    peak = float(np.max(f))
-    if peak <= 0.0:
-        peak = float(np.max(np.abs(f)))
-    if peak == 0.0:
-        return f, 1.0
-    return f / peak, peak
+    return SpectralCurve(q.grid, _filter(q.channels, m.m, v.basis))
 
 
 def optimize_als(q: SensorSet, x: SensorSet, config: AlsConfig | None = None) -> FilterSolution:
@@ -116,37 +109,28 @@ def optimize_als(q: SensorSet, x: SensorSet, config: AlsConfig | None = None) ->
     config = config or AlsConfig()
     require_same_grid(q.grid, x.grid)
     qc = q.channels
-    vb = orthonormalize(x).basis
+    v = orthonormalize(x)
+    vb = v.basis
 
+    # The transform half-step also scores its filter: both need G^-1 W, so
+    # each sweep costs one 3x3 solve plus one rank check.
     f = config.resolve_initial(q.grid).values
-    fq = f[:, None] * qc
-    if rank_ratio(fq) <= RANK_TOLERANCE:
+    m, score_prev, full = _transform(f, qc, vb)
+    if not full:
         raise RankDeficient("initial filter leaves the camera rank deficient (iteration 0)")
-
-    # basis_score shares its solve with the transform update: both need
-    # G^-1 W, so each sweep costs one 3x3 solve plus one rank check.
-    w = fq.T @ vb
-    m = np.linalg.solve(fq.T @ fq, w)
-    score_prev = float(np.sum(m * w) / 3.0)
-    points = [TracePoint(0, score_prev, _residual_arrays(fq, m, vb), f)]
+    score_prev = float(score_prev)
+    points = [TracePoint(0, score_prev, _residual(f, qc, m, vb), f)]
 
     converged = False
     iterations = 0
     for i in range(1, config.max_iterations + 1):
         # m currently holds this sweep's transform (solved for the previous filter).
-        qm = qc @ m
-        numerator = np.sum(qm * vb, axis=1)
-        denominator = np.sum(qm * qm, axis=1)
-        degenerate = denominator < DEGENERATE_ROW_NORM
-        f = np.where(degenerate, 0.0, numerator / np.where(degenerate, 1.0, denominator))
-
-        fq = f[:, None] * qc
-        if rank_ratio(fq) <= RANK_TOLERANCE:
+        f = _filter(qc, m, vb)
+        m_next, score, full = _transform(f, qc, vb)
+        if not full:
             raise RankDeficient(f"filter zeroed a camera channel at iteration {i}")
-        w = fq.T @ vb
-        m_next = np.linalg.solve(fq.T @ fq, w)
-        score = float(np.sum(m_next * w) / 3.0)
-        points.append(TracePoint(i, score, _residual_arrays(fq, m, vb), f))
+        score = float(score)
+        points.append(TracePoint(i, score, _residual(f, qc, m, vb), f))
         iterations = i
 
         delta = score - score_prev
@@ -162,35 +146,17 @@ def optimize_als(q: SensorSet, x: SensorSet, config: AlsConfig | None = None) ->
 
     if converged:
         f = _polish_to_fixed_point(f, qc, vb)
-
-    f_out, _ = _normalized(f)
-    fq_out = f_out[:, None] * qc
-    filter_curve = SpectralCurve(q.grid, f_out)
-    final_score = vora_value(SensorSet(q.grid, fq_out, require_full_rank=False), x)
-    correction = CorrectionMatrix(np.linalg.solve(fq_out.T @ fq_out, fq_out.T @ vb))
-    return FilterSolution(
-        filter=filter_curve,
-        correction=correction,
-        score=final_score,
-        trace=ConvergenceTrace(tuple(points)),
-        iterations=iterations,
-        converged=converged,
-    )
+    return finish(f, q, x, v, points, iterations, converged)
 
 
 def _polish_to_fixed_point(f: np.ndarray, qc: np.ndarray, vb: np.ndarray) -> np.ndarray:
     """Contract a converged iterate to the ALS fixed point with unrecorded sweeps."""
     scale = float(np.max(np.abs(f))) or 1.0
     for _ in range(POLISH_MAX_SWEEPS):
-        fq = f[:, None] * qc
-        if rank_ratio(fq) <= RANK_TOLERANCE:
+        m, _, full = _transform(f, qc, vb)
+        if not full:
             break
-        m = np.linalg.solve(fq.T @ fq, fq.T @ vb)
-        qm = qc @ m
-        numerator = np.sum(qm * vb, axis=1)
-        denominator = np.sum(qm * qm, axis=1)
-        degenerate = denominator < DEGENERATE_ROW_NORM
-        f_next = np.where(degenerate, 0.0, numerator / np.where(degenerate, 1.0, denominator))
+        f_next = _filter(qc, m, vb)
         step = float(np.max(np.abs(f_next - f)))
         f = f_next
         if step < POLISH_STEP_TOL * scale:
@@ -208,50 +174,26 @@ def _batched_final_scores(
 ) -> np.ndarray:
     """Final Vora-Value of an ALS run from each row of ``initial``, in lockstep.
 
-    All starts advance together with stacked 3x3 solves; a start freezes once
-    its per-sweep gain drops below ``epsilon`` and is scored -inf if it hits
-    rank deficiency or a beyond-round-off decrease (the sequential runner
-    would raise for those; here the start is simply discarded).
+    All starts advance together through the stacked half-steps; a start
+    freezes once its per-sweep gain drops below ``epsilon`` and is scored
+    -inf if it hits rank deficiency or a beyond-round-off decrease (the
+    sequential runner would raise for those; here the start is simply
+    discarded).
     """
-    f = initial.copy()
-    fq = f[:, :, None] * qc[None, :, :]
-    singular = np.linalg.svd(fq, compute_uv=False)
-    dead = singular[:, -1] <= RANK_TOLERANCE * singular[:, 0]
-    active = ~dead
-
-    gram = fq.transpose(0, 2, 1) @ fq
-    gram[dead] = np.eye(3)
-    w = fq.transpose(0, 2, 1) @ vb
-    m = np.linalg.solve(gram, w)
-    scores = np.einsum("kij,kij->k", m, w) / 3.0
+    f = initial
+    m, scores, active = _transform(f, qc, vb)
+    dead = ~active
     scores[dead] = -np.inf
 
     for _ in range(max_iterations):
         if not np.any(active):
             break
-        qm = qc[None, :, :] @ m
-        numerator = np.einsum("knj,nj->kn", qm, vb)
-        denominator = np.einsum("knj,knj->kn", qm, qm)
-        degenerate = denominator < DEGENERATE_ROW_NORM
-        f_new = np.where(degenerate, 0.0, numerator / np.where(degenerate, 1.0, denominator))
-        f = np.where(active[:, None], f_new, f)
-
-        fq = f[:, :, None] * qc[None, :, :]
-        singular = np.linalg.svd(fq, compute_uv=False)
-        lost_rank = active & (singular[:, -1] <= RANK_TOLERANCE * singular[:, 0])
-        dead |= lost_rank
-        active &= ~lost_rank
-
-        gram = fq.transpose(0, 2, 1) @ fq
-        gram[~active] = np.eye(3)
-        w = fq.transpose(0, 2, 1) @ vb
-        m_new = np.linalg.solve(gram, w)
-        new_scores = np.einsum("kij,kij->k", m_new, w) / 3.0
-
+        f = np.where(active[:, None], _filter(qc, m, vb), f)
+        m_new, new_scores, full = _transform(f, qc, vb)
         delta = new_scores - scores
-        inconsistent = active & (delta < -1e-12)
-        dead |= inconsistent
-        active &= ~inconsistent
+        dropped = active & (~full | (delta < -1e-12))
+        dead |= dropped
+        active &= ~dropped
 
         scores = np.where(active, new_scores, scores)
         scores[dead] = -np.inf
@@ -284,7 +226,7 @@ def optimize_als_multistart(
     initial = np.empty((starts, q.grid.count))
     initial[0] = config.resolve_initial(q.grid).values
     for row in range(1, starts):
-        initial[row] = 1.0 - rng.random(q.grid.count)
+        initial[row] = random_filter(q.grid, rng).values
 
     vb = orthonormalize(x).basis
     scores = _batched_final_scores(
@@ -293,12 +235,11 @@ def optimize_als_multistart(
     if not np.any(np.isfinite(scores)):
         raise RankDeficient("every start hit rank deficiency before converging")
     winner = int(np.argmax(scores))
-    if winner == 0:
-        return optimize_als(q, x, config)
-    winning_config = replace(config, initial_filter=SpectralCurve(q.grid, initial[winner]))
-    return optimize_als(q, x, winning_config)
+    if winner > 0:
+        config = replace(config, initial_filter=SpectralCurve(q.grid, initial[winner]))
+    return optimize_als(q, x, config)
 
 
-def _residual_arrays(fq: np.ndarray, m: np.ndarray, basis: np.ndarray) -> float:
-    deviation = fq @ m - basis
+def _residual(f: np.ndarray, qc: np.ndarray, m: np.ndarray, basis: np.ndarray) -> float:
+    deviation = (f[:, None] * qc) @ m - basis
     return float(np.sum(deviation * deviation))

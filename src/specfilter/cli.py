@@ -122,6 +122,8 @@ def _evaluation_payload(report: EvaluationReport) -> dict:
 
 
 def cmd_optimize(args) -> int:
+    if args.starts < 1:
+        raise ValueError(f"--starts must be at least 1, got {args.starts}")
     camera = _load_camera(args.camera)
     cmf = load_cmf(args.cmf)
     rng = np.random.default_rng(args.seed)
@@ -130,24 +132,17 @@ def cmd_optimize(args) -> int:
     )
 
     started = time.perf_counter()
+    stopping = dict(epsilon=args.epsilon, max_iterations=args.max_iters, initial_filter=initial)
     if args.optimizer == "als":
-        config = AlsConfig(epsilon=args.epsilon, max_iterations=args.max_iters, initial_filter=initial)
-        if args.starts > 1:
-            solution = optimize_als_multistart(camera, cmf, config, starts=args.starts, seed=args.seed)
-        else:
-            solution = optimize_als(camera, cmf, config)
+        config = AlsConfig(**stopping)
+        single, multistart = optimize_als, optimize_als_multistart
     else:
-        config = GaConfig(
-            step_rule=args.step_rule,
-            fixed_step=args.fixed_step,
-            epsilon=args.epsilon,
-            max_iterations=args.max_iters,
-            initial_filter=initial,
-        )
-        if args.starts > 1:
-            solution = optimize_ga_multistart(camera, cmf, config, starts=args.starts, seed=args.seed)
-        else:
-            solution = optimize_ga(camera, cmf, config)
+        config = GaConfig(step_rule=args.step_rule, fixed_step=args.fixed_step, **stopping)
+        single, multistart = optimize_ga, optimize_ga_multistart
+    if args.starts > 1:
+        solution = multistart(camera, cmf, config, starts=args.starts, seed=args.seed)
+    else:
+        solution = single(camera, cmf, config)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
 
     os.makedirs(args.out, exist_ok=True)
@@ -290,9 +285,9 @@ def _read_trace(path: str) -> list[tuple[int, float, float]]:
     return rows
 
 
-def _read_iteration_filters(path: str) -> list[np.ndarray]:
-    table = read_spectral_csv(path)
-    return [table.resampled_columns(DEFAULT_GRID)[:, j] for j in range(table.columns.shape[1])]
+def _read_iteration_filters(path: str) -> np.ndarray:
+    """One row per recorded iteration, resampled onto the working grid."""
+    return read_spectral_csv(path).resampled_columns(DEFAULT_GRID).T
 
 
 def cmd_trace_compare(args) -> int:

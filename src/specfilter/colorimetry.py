@@ -21,9 +21,8 @@ from .spectra import (
     SpectralCurve,
     WavelengthGrid,
     apply_filter,
-    rank_ratio,
+    full_rank,
     require_same_grid,
-    RANK_TOLERANCE,
 )
 from .vora import VoraScore, vora_value
 
@@ -145,7 +144,7 @@ def fit_correction(
 
 
 def _fit_matrix(responses: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    if responses.shape[0] < 3 or rank_ratio(responses) <= RANK_TOLERANCE:
+    if responses.shape[0] < 3 or not full_rank(responses, responses.T @ responses):
         raise RankDeficient("camera response matrix is rank deficient (need >= 3 independent pairs)")
     solution, _, _, _ = np.linalg.lstsq(responses, targets, rcond=None)
     return solution

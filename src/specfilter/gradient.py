@@ -19,19 +19,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .als import random_filter, solve_m
+from .als import random_filter
 from .errors import RankDeficient
-from .solution import ConvergenceTrace, FilterSolution, TracePoint
-from .spectra import (
-    RANK_TOLERANCE,
-    SensorSet,
-    SpectralCurve,
-    WavelengthGrid,
-    orthonormalize,
-    rank_ratio,
-    require_same_grid,
-)
-from .vora import basis_score, vora_value
+from .solution import FilterSolution, SolverConfig, TracePoint, finish
+from .spectra import SensorSet, SpectralCurve, full_rank, orthonormalize, require_same_grid
+from .vora import basis_score
 
 # Line search gives up once the step underflows this; the iterate is then
 # numerically stationary.
@@ -39,7 +31,7 @@ MIN_STEP = 1e-14
 
 
 @dataclass(frozen=True)
-class GaConfig:
+class GaConfig(SolverConfig):
     """Step rule and stopping rule for gradient ascent.
 
     ``step_rule="backtracking"`` (default) starts each iteration at
@@ -56,53 +48,38 @@ class GaConfig:
     shrink: float = 0.5
     sufficient_increase: float = 1e-4
     fixed_step: float = 0.1
-    epsilon: float = 1e-9
-    max_iterations: int = 10_000
-    initial_filter: SpectralCurve | str = "ones"
 
     def __post_init__(self):
+        super().__post_init__()
         if self.step_rule not in ("backtracking", "fixed"):
             raise ValueError(f"unknown step rule {self.step_rule!r}")
         if not (self.initial_step > 0 and self.fixed_step > 0 and self.sufficient_increase > 0):
             raise ValueError("step parameters must be positive")
         if not (0.0 < self.shrink < 1.0):
             raise ValueError(f"shrink factor must be in (0, 1), got {self.shrink}")
-        if not (self.epsilon > 0):
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
-
-    def resolve_initial(self, grid: WavelengthGrid) -> SpectralCurve:
-        if isinstance(self.initial_filter, SpectralCurve):
-            require_same_grid(self.initial_filter.grid, grid)
-            return self.initial_filter
-        if self.initial_filter == "ones":
-            return SpectralCurve.constant(grid, 1.0)
-        raise ValueError(f"unknown initial filter preset {self.initial_filter!r}")
 
 
-def _gradient_arrays(f: np.ndarray, qc: np.ndarray, vb: np.ndarray) -> tuple[np.ndarray, float]:
-    """(gradient, score) sharing one 3x3 solve; assumes rank already checked."""
+def _gradient_arrays(f: np.ndarray, qc: np.ndarray, vb: np.ndarray) -> np.ndarray:
+    """Gradient of the Vora-Value at filter ``f``; assumes rank already checked."""
     a = f[:, None] * qc
-    w = a.T @ vb
-    s = np.linalg.solve(a.T @ a, w)
+    s = np.linalg.solve(a.T @ a, a.T @ vb)
     c = (vb - a @ s) @ s.T
-    return (2.0 / 3.0) * np.sum(qc * c, axis=1), float(np.sum(s * w) / 3.0)
+    return (2.0 / 3.0) * np.sum(qc * c, axis=1)
 
 
 def vora_gradient(f: SpectralCurve, q: SensorSet, x: SensorSet) -> np.ndarray:
     """Partial derivatives of the Vora-Value with respect to each filter entry."""
     require_same_grid(f.grid, q.grid, x.grid)
-    if rank_ratio(f.values[:, None] * q.channels) <= RANK_TOLERANCE:
+    a = f.values[:, None] * q.channels
+    if not full_rank(a, a.T @ a):
         raise RankDeficient("filtered camera is rank deficient")
-    gradient, _ = _gradient_arrays(f.values, q.channels, orthonormalize(x).basis)
-    return gradient
+    return _gradient_arrays(f.values, q.channels, orthonormalize(x).basis)
 
 
 def _score(f: np.ndarray, qc: np.ndarray, vb: np.ndarray) -> float | None:
     """Vora-Value of the filtered camera, or None when the filter kills rank."""
     fq = f[:, None] * qc
-    if rank_ratio(fq) <= RANK_TOLERANCE:
+    if not full_rank(fq, fq.T @ fq):
         return None
     return basis_score(fq, vb)
 
@@ -124,7 +101,7 @@ def optimize_ga(q: SensorSet, x: SensorSet, config: GaConfig | None = None) -> F
     converged = False
     iterations = 0
     for i in range(1, config.max_iterations + 1):
-        grad, _ = _gradient_arrays(f, qc, vb)
+        grad = _gradient_arrays(f, qc, vb)
         grad_norm_sq = float(grad @ grad)
 
         if config.step_rule == "fixed":
@@ -163,21 +140,7 @@ def optimize_ga(q: SensorSet, x: SensorSet, config: GaConfig | None = None) -> F
             converged = True
             break
 
-    peak = float(np.max(f))
-    if peak <= 0.0:
-        peak = float(np.max(np.abs(f))) or 1.0
-    f_out = f / peak
-    filter_curve = SpectralCurve(q.grid, f_out)
-    correction = solve_m(filter_curve, q, v)
-    final_score = vora_value(SensorSet(q.grid, f_out[:, None] * qc, require_full_rank=False), x)
-    return FilterSolution(
-        filter=filter_curve,
-        correction=correction,
-        score=final_score,
-        trace=ConvergenceTrace(tuple(points)),
-        iterations=iterations,
-        converged=converged,
-    )
+    return finish(f, q, x, v, points, iterations, converged)
 
 
 def optimize_ga_multistart(
@@ -189,6 +152,8 @@ def optimize_ga_multistart(
 ) -> FilterSolution:
     """Best gradient-ascent solution over the configured start plus random restarts."""
     config = config or GaConfig()
+    if starts < 1:
+        raise ValueError(f"need at least one start, got {starts}")
     rng = np.random.default_rng(seed)
     best = optimize_ga(q, x, config)
     for _ in range(starts - 1):

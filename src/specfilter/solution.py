@@ -1,4 +1,5 @@
-"""Optimizer result types shared by the ALS and gradient-ascent solvers."""
+"""Configuration base, result types and result finisher shared by the ALS and
+gradient-ascent solvers."""
 
 from __future__ import annotations
 
@@ -8,12 +9,49 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ConsistencyError
-from .spectra import CorrectionMatrix, SpectralCurve
-from .vora import VoraScore
+from .spectra import (
+    CorrectionMatrix,
+    OrthoBasis,
+    SensorSet,
+    SpectralCurve,
+    WavelengthGrid,
+    apply_filter,
+    require_same_grid,
+)
+from .vora import VoraScore, vora_value
 
 # A Vora-Value trace may dip by at most this much between iterations before
 # we call it a bug rather than round-off.
 MONOTONE_SLACK = 1e-12
+
+
+@dataclass(frozen=True)
+class SolverConfig:
+    """Stopping rule and starting point common to both solvers.
+
+    ``initial_filter`` is either the name ``"ones"`` (neutral filter) or an
+    explicit curve.  ``epsilon`` is the minimum Vora-Value increase per
+    iteration; the generous defaults make hitting ``max_iterations`` a signal,
+    not a nuisance.
+    """
+
+    epsilon: float = 1e-9
+    max_iterations: int = 10_000
+    initial_filter: SpectralCurve | str = "ones"
+
+    def __post_init__(self):
+        if not (self.epsilon > 0):
+            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if self.max_iterations < 1:
+            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
+
+    def resolve_initial(self, grid: WavelengthGrid) -> SpectralCurve:
+        if isinstance(self.initial_filter, SpectralCurve):
+            require_same_grid(self.initial_filter.grid, grid)
+            return self.initial_filter
+        if self.initial_filter == "ones":
+            return SpectralCurve.constant(grid, 1.0)
+        raise ValueError(f"unknown initial filter preset {self.initial_filter!r}")
 
 
 @dataclass(frozen=True)
@@ -72,9 +110,10 @@ class ConvergenceTrace:
 class FilterSolution:
     """An optimized filter, its least-squares correction partner and history.
 
-    The reported filter is rescaled so its maximum entry is 1 (the correction
-    matrix absorbs the scale, and the Vora-Value is unchanged).  ``converged``
-    is False when the iteration cap was reached first.
+    The reported filter is rescaled so its maximum entry is 1, or its largest
+    magnitude when no entry is positive (the correction matrix absorbs the
+    scale, and the Vora-Value is unchanged).  ``converged`` is False when the
+    iteration cap was reached first.
     """
 
     filter: SpectralCurve
@@ -89,3 +128,28 @@ class FilterSolution:
             raise ConsistencyError(
                 f"trace has {len(self.trace)} points for {self.iterations} iterations"
             )
+
+
+def finish(
+    f: np.ndarray, q: SensorSet, x: SensorSet, v: OrthoBasis,
+    points: list[TracePoint], iterations: int, converged: bool,
+) -> FilterSolution:
+    """Package a solver's last filter iterate ``f`` as a ``FilterSolution``.
+
+    ``v`` is the orthonormal basis of ``x`` the correction matrix maps onto.
+    """
+    from .als import solve_m  # als builds on this module's types
+
+    peak = float(np.max(f))
+    if peak <= 0.0:
+        peak = float(np.max(np.abs(f))) or 1.0
+    filter_curve = SpectralCurve(q.grid, f / peak)
+    score = vora_value(apply_filter(filter_curve, q), x)
+    return FilterSolution(
+        filter=filter_curve,
+        correction=solve_m(filter_curve, q, v),
+        score=score,
+        trace=ConvergenceTrace(tuple(points)),
+        iterations=iterations,
+        converged=converged,
+    )

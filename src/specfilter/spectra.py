@@ -156,9 +156,33 @@ def rank_ratio(matrix: np.ndarray) -> float:
     return float(singular[-1] / singular[0])
 
 
+def full_rank(a: np.ndarray, gram: np.ndarray) -> np.bool_ | np.ndarray:
+    """``rank_ratio(a) > RANK_TOLERANCE`` for an n-by-3 matrix or each of a stack of them.
+
+    ``gram`` is G = a^T a, which callers form anyway for their 3x3 solve.  With
+    G's eigenvalues l1 >= l2 >= l3, 4 det(G / tr G) = 4 l1 l2 l3 / (l1 + l2 + l3)^3
+    <= l3 / l1 = rank_ratio(a)^2, so a bound above 1e-8 (far enough above
+    RANK_TOLERANCE^2 to dwarf round-off) settles full rank without an SVD.
+    ``rank_ratio`` decides the rest, and any G with tr G below 1e-290, whose
+    subnormal entries may have lost digits.  Returns a numpy bool or bool array.
+    """
+    trace = gram.trace(axis1=-2, axis2=-1)
+    # A zero or overflowed trace gives a nan bound, which rank_ratio then decides.
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        bound = 4.0 * np.linalg.det(gram / trace[..., None, None])
+    decided = (trace > 1e-290) & (bound > 1e-8)
+    if decided.all():
+        return decided
+    full = np.array(decided)
+    for index in np.ndindex(full.shape):
+        if not full[index]:
+            full[index] = rank_ratio(a[index]) > RANK_TOLERANCE
+    return full[()]
+
+
 def require_rank3(matrix: np.ndarray, name: str) -> None:
     """Raise ``RankDeficient`` naming ``name`` unless the n-by-3 matrix has full column rank."""
-    if rank_ratio(matrix) <= RANK_TOLERANCE:
+    if not full_rank(matrix, matrix.T @ matrix):
         raise RankDeficient(f"{name} is rank deficient (columns are numerically dependent)")
 
 

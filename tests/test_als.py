@@ -1,7 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from specfilter.als import AlsConfig, optimize_als, optimize_als_multistart, solve_f, solve_m
+from specfilter.als import (
+    AlsConfig,
+    _filter,
+    _transform,
+    optimize_als,
+    optimize_als_multistart,
+    solve_f,
+    solve_m,
+)
 from specfilter.errors import ConsistencyError, RankDeficient
 from specfilter.ingest import builtin_cmf
 from specfilter.solution import ConvergenceTrace, TracePoint
@@ -15,7 +25,7 @@ from specfilter.spectra import (
 )
 from specfilter.vora import vora_value
 
-from conftest import TOY_GRID, solvable_toy_pair
+from conftest import TOY_GRID, bump_camera_matrix, solvable_toy_pair
 from oracles import cofactor_inverse_3x3
 
 
@@ -88,6 +98,27 @@ class TestSolveF:
         q = SensorSet(DEFAULT_GRID, channels)
         f = solve_f(q, CorrectionMatrix.identity(), v)
         assert f.values[7] == 0.0
+
+
+class TestStackedHalfSteps:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), starts=st.integers(1, 12))
+    def test_each_row_equals_the_single_filter_call(self, seed, starts):
+        rng = np.random.default_rng(seed)
+        qc = bump_camera_matrix(rng)
+        qc[rng.integers(31)] = 0.0  # a degenerate row for the filter pin
+        vb = orthonormalize(builtin_cmf()).basis
+        filters = 1.0 - rng.random((starts, 31))
+        filters[0, 2:] = 0.0  # a rank-deficient start
+        m, scores, full = _transform(filters, qc, vb)
+        stepped = _filter(qc, m, vb)
+        for k in range(starts):
+            m_k, score_k, full_k = _transform(filters[k], qc, vb)
+            assert np.array_equal(m[k], m_k)
+            assert scores[k] == score_k
+            assert full[k] == full_k
+            assert np.array_equal(stepped[k], _filter(qc, m_k, vb))
+        assert not full[0]
 
 
 class TestOptimizeAls:

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import specfilter.ingest
 from specfilter.cli import main
 from specfilter.ingest import builtin_cmf, read_spectral_csv
 from specfilter.spectra import DEFAULT_GRID, SensorSet, SpectralCurve, apply_filter
@@ -133,6 +134,17 @@ class TestOptimizeCommand:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("optimizer", ["als", "ga"])
+    @pytest.mark.parametrize("starts", ["0", "-3"])
+    def test_starts_below_one_exits_1(self, tmp_path, camera_csv, capsys, optimizer, starts):
+        out = str(tmp_path / "out")
+        code = main(
+            ["optimize", "--camera", camera_csv, "--optimizer", optimizer, "--starts", starts, "--out", out]
+        )
+        assert code == 1
+        assert "--starts" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
 
 class TestEvaluateCommand:
     def test_baseline_row_matches_library(self, tmp_path, camera_csv, scene_manifest):
@@ -245,6 +257,30 @@ class TestTraceCompareCommand:
         assert float(a_rows[-1][3]) <= float(a_rows[0][3])
         b_rows = [l.split(",") for l in lines[1:] if l.split(",")[1] == "b"]
         assert all(not r[3] for r in b_rows)
+
+    def test_iteration_filters_resampled_once_per_file(self, tmp_path, camera_csv, scene_manifest, monkeypatch):
+        out_a = str(tmp_path / "als")
+        assert main(["optimize", "--camera", camera_csv, "--optimizer", "als", "--out", out_a]) == 0
+        recorded = len(read_spectral_csv(os.path.join(out_a, "iteration_filters.csv")).column_names)
+        resampled = []
+        interp_columns = specfilter.ingest.interp_columns
+
+        def counting(wavelengths, columns, target):
+            resampled.append(columns.shape[1])
+            return interp_columns(wavelengths, columns, target)
+
+        monkeypatch.setattr(specfilter.ingest, "interp_columns", counting)
+        filters = os.path.join(out_a, "iteration_filters.csv")
+        trace = os.path.join(out_a, "trace.csv")
+        code = main(
+            [
+                "trace-compare", trace, trace, "--filters-a", filters, "--filters-b", filters,
+                "--camera", camera_csv, "--scenes", scene_manifest, "--out", str(tmp_path / "cmp"),
+            ]
+        )
+        assert code == 0
+        # Camera, illuminants and reflectances once each, then each filters file once.
+        assert sorted(resampled) == sorted([3, 3, 12, recorded, recorded])
 
     def test_malformed_trace_exits_1(self, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -121,6 +121,11 @@ class TestOptimizeGa:
         best = optimize_ga_multistart(q, x, config, starts=4, seed=1)
         assert float(best.score) >= float(single.score) - 1e-12
 
+    @pytest.mark.parametrize("starts", [0, -1])
+    def test_multistart_requires_a_start(self, bump_camera, starts):
+        with pytest.raises(ValueError):
+            optimize_ga_multistart(bump_camera, builtin_cmf(), starts=starts)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             GaConfig(step_rule="newton")

@@ -1,16 +1,23 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specfilter.errors import GridMismatch, OutOfRange, RankDeficient, ShapeError
 from specfilter.ingest import builtin_cmf
 from specfilter.spectra import (
     DEFAULT_GRID,
+    RANK_TOLERANCE,
     SensorSet,
     SpectralCurve,
     WavelengthGrid,
     apply_filter,
+    full_rank,
     orthonormalize,
     projector,
+    rank_ratio,
     resample,
 )
 
@@ -197,3 +204,48 @@ class TestResample:
         once = resample(curve, DEFAULT_GRID)
         twice = resample(once, DEFAULT_GRID)
         assert np.array_equal(once.values, twice.values)
+
+
+def _rank_test_matrix(seed: int, kind: str, scale: float) -> np.ndarray:
+    """A 31x3 matrix of the named kind; the dependent kinds straddle RANK_TOLERANCE."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((31, 3))
+    if kind == "nearly dependent":
+        mix = rng.standard_normal(2)
+        a[:, 2] = a[:, :2] @ mix + 10.0 ** rng.uniform(-14.0, -6.0) * rng.standard_normal(31)
+    elif kind == "single column scaled":
+        a[:, rng.integers(3)] *= 10.0 ** rng.uniform(-14.0, 0.0)
+    elif kind == "mostly zero rows":
+        a[rng.permutation(31)[rng.integers(0, 5):]] = 0.0
+    elif kind == "all zero":
+        a[:] = 0.0
+    return a * scale
+
+
+_RANK_KINDS = st.sampled_from(
+    ["random", "nearly dependent", "single column scaled", "mostly zero rows", "all zero"]
+)
+_RANK_SCALES = st.sampled_from([1.0, 1e150, 1e-150])
+
+
+class TestFullRank:
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), kind=_RANK_KINDS, scale=_RANK_SCALES)
+    def test_agrees_with_svd_decision(self, seed, kind, scale):
+        a = _rank_test_matrix(seed, kind, scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            decision = full_rank(a, a.T @ a)
+        assert decision == (rank_ratio(a) > RANK_TOLERANCE)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        rows=st.lists(st.tuples(st.integers(0, 2**32 - 1), _RANK_KINDS, _RANK_SCALES), min_size=1, max_size=12)
+    )
+    def test_stack_matches_each_matrix(self, rows):
+        stack = np.stack([_rank_test_matrix(*row) for row in rows])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            decisions = full_rank(stack, np.swapaxes(stack, -1, -2) @ stack)
+        assert decisions.shape == (len(rows),)
+        assert decisions.tolist() == [rank_ratio(a) > RANK_TOLERANCE for a in stack]
