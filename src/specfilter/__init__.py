@@ -9,15 +9,11 @@ collections.
 
 from .als import AlsConfig, optimize_als, optimize_als_multistart, random_filter, solve_f, solve_m
 from .colorimetry import (
-    ColorTriple,
     DeltaEStats,
     EvaluationReport,
     SceneSet,
-    Space,
-    delta_e,
     evaluate,
     fit_correction,
-    sensor_response,
     xyz_to_lab,
 )
 from .errors import (
@@ -28,7 +24,6 @@ from .errors import (
     ParseError,
     RankDeficient,
     ShapeError,
-    SpaceMismatch,
     SpecFilterError,
 )
 from .gradient import GaConfig, optimize_ga, optimize_ga_multistart, vora_gradient
@@ -64,7 +59,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlsConfig",
-    "ColorTriple",
     "ConsistencyError",
     "ConvergenceTrace",
     "CorrectionMatrix",
@@ -83,8 +77,6 @@ __all__ = [
     "SceneSet",
     "SensorSet",
     "ShapeError",
-    "Space",
-    "SpaceMismatch",
     "SpecFilterError",
     "SpectralCurve",
     "SpectralTable",
@@ -93,7 +85,6 @@ __all__ = [
     "WavelengthGrid",
     "apply_filter",
     "builtin_cmf",
-    "delta_e",
     "evaluate",
     "fit_correction",
     "load_cmf",
@@ -113,7 +104,6 @@ __all__ = [
     "read_spectral_csv",
     "resample",
     "residual_identity_check",
-    "sensor_response",
     "serialize_spectral_csv",
     "solve_f",
     "solve_m",

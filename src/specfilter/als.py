@@ -23,10 +23,10 @@ from .spectra import (
     SensorSet,
     SpectralCurve,
     WavelengthGrid,
-    full_rank,
     orthonormalize,
     require_same_grid,
 )
+from .vora import basis_score
 
 # Rows of QM with squared norm below this contribute nothing; their filter
 # entry is pinned to 0 for reproducibility.
@@ -49,27 +49,6 @@ class AlsConfig(SolverConfig):
     """
 
 
-def _transform(
-    f: np.ndarray, qc: np.ndarray, vb: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Transform half-step: (M, Vora-Value, full rank) for the filtered camera A = diag(f) Q.
-
-    M = G^-1 W with G = A^T A and W = A^T V minimizes ||A M - V||^2_F, and
-    trace(M^T W) / 3 is the Vora-Value of A.  ``f`` is one filter or a stack
-    of them, one per row; results gain the same leading axis.  A rank-
-    deficient A is solved against the identity instead of its Gram matrix,
-    so its M and score are meaningless and only the rank flag counts.
-    """
-    fq = f[..., None] * qc
-    fq_t = np.swapaxes(fq, -1, -2)
-    gram = fq_t @ fq
-    full = full_rank(fq, gram)
-    gram[~full] = np.eye(3)
-    w = fq_t @ vb
-    m = np.linalg.solve(gram, w)
-    return m, np.sum(m * w, axis=(-2, -1)) / 3.0, full
-
-
 def _filter(qc: np.ndarray, m: np.ndarray, vb: np.ndarray) -> np.ndarray:
     """Filter half-step: per-row entries minimizing ||diag(f) (Q M) - V||^2_F.
 
@@ -87,7 +66,7 @@ def _filter(qc: np.ndarray, m: np.ndarray, vb: np.ndarray) -> np.ndarray:
 def solve_m(f: SpectralCurve, q: SensorSet, v: OrthoBasis) -> CorrectionMatrix:
     """Least-squares 3x3 transform M minimizing ||diag(f) Q M - V||^2_F."""
     require_same_grid(f.grid, q.grid, v.grid)
-    m, _, full = _transform(f.values, q.channels, v.basis)
+    m, _, full = basis_score(f.values, q.channels, v.basis)
     if not full:
         raise RankDeficient("filtered camera is rank deficient (columns are numerically dependent)")
     return CorrectionMatrix(m)
@@ -112,10 +91,10 @@ def optimize_als(q: SensorSet, x: SensorSet, config: AlsConfig | None = None) ->
     v = orthonormalize(x)
     vb = v.basis
 
-    # The transform half-step also scores its filter: both need G^-1 W, so
-    # each sweep costs one 3x3 solve plus one rank check.
+    # The transform half-step (``basis_score``) also scores its filter: both
+    # need G^-1 W, so each sweep costs one 3x3 solve plus one rank check.
     f = config.resolve_initial(q.grid).values
-    m, score_prev, full = _transform(f, qc, vb)
+    m, score_prev, full = basis_score(f, qc, vb)
     if not full:
         raise RankDeficient("initial filter leaves the camera rank deficient (iteration 0)")
     score_prev = float(score_prev)
@@ -126,7 +105,7 @@ def optimize_als(q: SensorSet, x: SensorSet, config: AlsConfig | None = None) ->
     for i in range(1, config.max_iterations + 1):
         # m currently holds this sweep's transform (solved for the previous filter).
         f = _filter(qc, m, vb)
-        m_next, score, full = _transform(f, qc, vb)
+        m_next, score, full = basis_score(f, qc, vb)
         if not full:
             raise RankDeficient(f"filter zeroed a camera channel at iteration {i}")
         score = float(score)
@@ -153,7 +132,7 @@ def _polish_to_fixed_point(f: np.ndarray, qc: np.ndarray, vb: np.ndarray) -> np.
     """Contract a converged iterate to the ALS fixed point with unrecorded sweeps."""
     scale = float(np.max(np.abs(f))) or 1.0
     for _ in range(POLISH_MAX_SWEEPS):
-        m, _, full = _transform(f, qc, vb)
+        m, _, full = basis_score(f, qc, vb)
         if not full:
             break
         f_next = _filter(qc, m, vb)
@@ -181,7 +160,7 @@ def _batched_final_scores(
     discarded).
     """
     f = initial
-    m, scores, active = _transform(f, qc, vb)
+    m, scores, active = basis_score(f, qc, vb)
     dead = ~active
     scores[dead] = -np.inf
 
@@ -189,7 +168,7 @@ def _batched_final_scores(
         if not np.any(active):
             break
         f = np.where(active[:, None], _filter(qc, m, vb), f)
-        m_new, new_scores, full = _transform(f, qc, vb)
+        m_new, new_scores, full = basis_score(f, qc, vb)
         delta = new_scores - scores
         dropped = active & (~full | (delta < -1e-12))
         dead |= dropped

@@ -9,14 +9,12 @@ the per-pair color differences into summary statistics.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidWhitePoint, RankDeficient, ShapeError, SpaceMismatch
+from .errors import InvalidWhitePoint, RankDeficient, ShapeError
 from .spectra import (
-    CorrectionMatrix,
     SensorSet,
     SpectralCurve,
     WavelengthGrid,
@@ -25,29 +23,6 @@ from .spectra import (
     require_same_grid,
 )
 from .vora import VoraScore, vora_value
-
-
-class Space(enum.Enum):
-    CAMERA_RGB = "camera_rgb"
-    XYZ = "xyz"
-    CIELAB = "cielab"
-
-
-@dataclass(frozen=True)
-class ColorTriple:
-    """A three-component color in a named space."""
-
-    space: Space
-    components: tuple[float, float, float]
-
-    def __post_init__(self):
-        components = tuple(float(c) for c in self.components)
-        if len(components) != 3 or not all(np.isfinite(c) for c in components):
-            raise ValueError(f"color needs 3 finite components, got {self.components!r}")
-        object.__setattr__(self, "components", components)
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.components)
 
 
 @dataclass(frozen=True)
@@ -115,35 +90,13 @@ class EvaluationReport:
     provenance: tuple[tuple[str, str], ...] = ()
 
 
-def sensor_response(
-    sensors: SensorSet,
-    illuminant: SpectralCurve,
-    reflectance: SpectralCurve,
-    space: Space = Space.CAMERA_RGB,
-) -> ColorTriple:
-    """Tristimulus response of a sensor set to illuminant times reflectance."""
-    require_same_grid(sensors.grid, illuminant.grid, reflectance.grid)
-    signal = illuminant.values * reflectance.values
-    return ColorTriple(space, tuple(sensors.channels.T @ signal))
-
-
-def fit_correction(
-    camera_responses: list[ColorTriple], xyz_targets: list[ColorTriple]
-) -> CorrectionMatrix:
-    """Least-squares 3x3 map from camera responses to XYZ targets.
+def fit_correction(responses: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Least-squares 3x3 map from m-by-3 camera responses to m-by-3 XYZ targets.
 
     Needs at least three pairs with a full-rank response matrix.
     """
-    if len(camera_responses) != len(xyz_targets):
-        raise ShapeError(
-            f"{len(camera_responses)} responses vs {len(xyz_targets)} targets"
-        )
-    responses = np.array([t.components for t in camera_responses])
-    targets = np.array([t.components for t in xyz_targets])
-    return CorrectionMatrix(_fit_matrix(responses, targets))
-
-
-def _fit_matrix(responses: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    if responses.shape[0] != targets.shape[0]:
+        raise ShapeError(f"{responses.shape[0]} responses vs {targets.shape[0]} targets")
     if responses.shape[0] < 3 or not full_rank(responses, responses.T @ responses):
         raise RankDeficient("camera response matrix is rank deficient (need >= 3 independent pairs)")
     solution, _, _, _ = np.linalg.lstsq(responses, targets, rcond=None)
@@ -163,27 +116,13 @@ def _lab_f(t: np.ndarray) -> np.ndarray:
     return np.where(t > _LAB_THRESHOLD, np.cbrt(t), _LAB_SLOPE * t + _LAB_OFFSET)
 
 
-def _lab_from_xyz(xyz: np.ndarray, white: np.ndarray) -> np.ndarray:
+def xyz_to_lab(xyz: np.ndarray, white: np.ndarray) -> np.ndarray:
+    """CIE 1976 L*a*b* of XYZ rows (last axis of length 3) relative to a white point."""
+    if np.any(white <= 0):
+        raise InvalidWhitePoint("perfect-diffuser white point has a non-positive component")
     ratios = xyz / white
     fx, fy, fz = _lab_f(ratios[..., 0]), _lab_f(ratios[..., 1]), _lab_f(ratios[..., 2])
     return np.stack([116.0 * fy - 16.0, 500.0 * (fx - fy), 200.0 * (fy - fz)], axis=-1)
-
-
-def xyz_to_lab(xyz: ColorTriple, white: ColorTriple) -> ColorTriple:
-    """CIE 1976 L*a*b* of an XYZ triple relative to a white point."""
-    if xyz.space is not Space.XYZ or white.space is not Space.XYZ:
-        raise SpaceMismatch("xyz_to_lab needs XYZ inputs")
-    white_arr = white.as_array()
-    if np.any(white_arr <= 0):
-        raise InvalidWhitePoint(f"white point must be strictly positive, got {white.components}")
-    return ColorTriple(Space.CIELAB, tuple(_lab_from_xyz(xyz.as_array(), white_arr)))
-
-
-def delta_e(a: ColorTriple, b: ColorTriple) -> float:
-    """Euclidean distance between two CIELAB triples (Delta E*ab, 1976)."""
-    if a.space is not Space.CIELAB or b.space is not Space.CIELAB:
-        raise SpaceMismatch("delta_e compares CIELAB triples")
-    return float(np.linalg.norm(a.as_array() - b.as_array()))
 
 
 def evaluate(
@@ -209,32 +148,28 @@ def evaluate(
     effective = camera if filter is None else apply_filter(filter, camera)
 
     reflectances = scenes.reflectance_matrix()               # n x m
-    per_illuminant: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    # Truth Lab is converted in this first pass so a bad white point is
+    # reported before any correction fit can fail.
+    per_illuminant: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
     for illuminant in scenes.illuminants:
         signal = illuminant.values[:, None] * reflectances   # n x m
         responses = signal.T @ effective.channels            # m x 3
         truths = signal.T @ observer.channels                # m x 3
         white = observer.channels.T @ illuminant.values
-        if np.any(white <= 0):
-            raise InvalidWhitePoint(
-                "perfect-diffuser white point has a non-positive component"
-            )
-        per_illuminant.append((responses, truths, white))
+        per_illuminant.append((responses, truths, white, xyz_to_lab(truths, white)))
 
     if correction_mode == "global":
-        pooled_responses = np.concatenate([r for r, _, _ in per_illuminant])
-        pooled_truths = np.concatenate([t for _, t, _ in per_illuminant])
-        global_m = _fit_matrix(pooled_responses, pooled_truths)
+        pooled_responses = np.concatenate([r for r, _, _, _ in per_illuminant])
+        pooled_truths = np.concatenate([t for _, t, _, _ in per_illuminant])
+        global_m = fit_correction(pooled_responses, pooled_truths)
 
     errors = []
     negative = 0
-    for responses, truths, white in per_illuminant:
-        m = global_m if correction_mode == "global" else _fit_matrix(responses, truths)
+    for responses, truths, white, lab_truth in per_illuminant:
+        m = global_m if correction_mode == "global" else fit_correction(responses, truths)
         corrected = responses @ m
         negative += int(np.sum(corrected < 0))
-        lab_corrected = _lab_from_xyz(corrected, white)
-        lab_truth = _lab_from_xyz(truths, white)
-        errors.append(np.linalg.norm(lab_corrected - lab_truth, axis=1))
+        errors.append(np.linalg.norm(xyz_to_lab(corrected, white) - lab_truth, axis=1))
 
     pooled = np.concatenate(errors)
     return EvaluationReport(

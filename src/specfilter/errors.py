@@ -34,10 +34,6 @@ class ParseError(SpecFilterError):
         self.line = line
 
 
-class SpaceMismatch(SpecFilterError):
-    """Color triples are not in the color space an operation requires."""
-
-
 class InvalidWhitePoint(SpecFilterError):
     """A CIELAB white point has a non-positive component."""
 

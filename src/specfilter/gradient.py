@@ -22,7 +22,7 @@ import numpy as np
 from .als import random_filter
 from .errors import RankDeficient
 from .solution import FilterSolution, SolverConfig, TracePoint, finish
-from .spectra import SensorSet, SpectralCurve, full_rank, orthonormalize, require_same_grid
+from .spectra import SensorSet, SpectralCurve, orthonormalize, require_same_grid
 from .vora import basis_score
 
 # Line search gives up once the step underflows this; the iterate is then
@@ -59,29 +59,20 @@ class GaConfig(SolverConfig):
             raise ValueError(f"shrink factor must be in (0, 1), got {self.shrink}")
 
 
-def _gradient_arrays(f: np.ndarray, qc: np.ndarray, vb: np.ndarray) -> np.ndarray:
-    """Gradient of the Vora-Value at filter ``f``; assumes rank already checked."""
-    a = f[:, None] * qc
-    s = np.linalg.solve(a.T @ a, a.T @ vb)
-    c = (vb - a @ s) @ s.T
+def _gradient_arrays(f: np.ndarray, qc: np.ndarray, vb: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Gradient of the Vora-Value at filter ``f``, given its full-rank ``basis_score`` transform ``m``."""
+    c = (vb - (f[:, None] * qc) @ m) @ m.T
     return (2.0 / 3.0) * np.sum(qc * c, axis=1)
 
 
 def vora_gradient(f: SpectralCurve, q: SensorSet, x: SensorSet) -> np.ndarray:
     """Partial derivatives of the Vora-Value with respect to each filter entry."""
     require_same_grid(f.grid, q.grid, x.grid)
-    a = f.values[:, None] * q.channels
-    if not full_rank(a, a.T @ a):
+    vb = orthonormalize(x).basis
+    m, _, full = basis_score(f.values, q.channels, vb)
+    if not full:
         raise RankDeficient("filtered camera is rank deficient")
-    return _gradient_arrays(f.values, q.channels, orthonormalize(x).basis)
-
-
-def _score(f: np.ndarray, qc: np.ndarray, vb: np.ndarray) -> float | None:
-    """Vora-Value of the filtered camera, or None when the filter kills rank."""
-    fq = f[:, None] * qc
-    if not full_rank(fq, fq.T @ fq):
-        return None
-    return basis_score(fq, vb)
+    return _gradient_arrays(f.values, q.channels, vb, m)
 
 
 def optimize_ga(q: SensorSet, x: SensorSet, config: GaConfig | None = None) -> FilterSolution:
@@ -93,37 +84,37 @@ def optimize_ga(q: SensorSet, x: SensorSet, config: GaConfig | None = None) -> F
     vb = v.basis
 
     f = config.resolve_initial(q.grid).values
-    score = _score(f, qc, vb)
-    if score is None:
+    m, score, full = basis_score(f, qc, vb)
+    if not full:
         raise RankDeficient("initial filter leaves the camera rank deficient (iteration 0)")
+    score = float(score)
     points = [TracePoint(0, score, 3.0 - 3.0 * score, f)]
 
     converged = False
     iterations = 0
     for i in range(1, config.max_iterations + 1):
-        grad = _gradient_arrays(f, qc, vb)
+        grad = _gradient_arrays(f, qc, vb, m)
         grad_norm_sq = float(grad @ grad)
 
         if config.step_rule == "fixed":
             candidate = f + config.fixed_step * grad
-            new_score = _score(candidate, qc, vb)
-            if new_score is None:
+            new_m, new_score, full = basis_score(candidate, qc, vb)
+            if not full:
                 raise RankDeficient(f"filter lost a camera channel at iteration {i}")
+            new_score = float(new_score)
             if new_score < score:
-                # Fixed step overshot: keep the better iterate and stop.
-                converged = True
+                # Fixed step overshot: keep the better iterate and stop.  An
+                # overshoot on the very first step has reached nothing.
+                converged = iterations > 0
                 break
         else:
             step = config.initial_step
-            candidate, new_score = None, None
+            candidate = None
             while step >= MIN_STEP:
                 trial = f + step * grad
-                trial_score = _score(trial, qc, vb)
-                if (
-                    trial_score is not None
-                    and trial_score >= score + config.sufficient_increase * step * grad_norm_sq
-                ):
-                    candidate, new_score = trial, trial_score
+                trial_m, trial_score, full = basis_score(trial, qc, vb)
+                if full and trial_score >= score + config.sufficient_increase * step * grad_norm_sq:
+                    candidate, new_m, new_score = trial, trial_m, float(trial_score)
                     break
                 step *= config.shrink
             if candidate is None:
@@ -131,7 +122,7 @@ def optimize_ga(q: SensorSet, x: SensorSet, config: GaConfig | None = None) -> F
                 converged = True
                 break
 
-        f = candidate
+        f, m = candidate, new_m
         iterations = i
         points.append(TracePoint(i, new_score, 3.0 - 3.0 * new_score, f))
         delta = new_score - score

@@ -78,7 +78,8 @@ def parse_spectral_csv(data: bytes | str) -> SpectralTable:
     """Parse a wavelength-first CSV into a validated table.
 
     Raises ``ParseError`` with the offending line number for ragged rows,
-    non-numeric cells, non-increasing wavelengths, or an empty table.
+    non-numeric or non-finite cells, non-increasing wavelengths, or an empty
+    table.  A leading UTF-8 byte-order mark is ignored.
     """
     if isinstance(data, bytes):
         try:
@@ -87,6 +88,7 @@ def parse_spectral_csv(data: bytes | str) -> SpectralTable:
             raise ParseError(f"not valid UTF-8: {exc}") from None
     else:
         text = data
+    text = text.removeprefix("\ufeff")
 
     header: tuple[str, ...] | None = None
     rows: list[list[float]] = []
@@ -118,6 +120,9 @@ def parse_spectral_csv(data: bytes | str) -> SpectralTable:
     if not rows:
         raise ParseError("no data rows")
     table = np.array(rows)
+    finite = np.isfinite(table).all(axis=1)
+    if not finite.all():
+        raise ParseError("non-finite cell (nan or inf)", row_lines[int(np.argmin(finite))])
     wavelengths = table[:, 0]
     for i in range(1, len(wavelengths)):
         if wavelengths[i] <= wavelengths[i - 1]:

@@ -21,6 +21,7 @@ from .spectra import (
     SensorSet,
     SpectralCurve,
     apply_filter,
+    full_rank,
     orthonormalize,
     projector,
     require_same_grid,
@@ -50,16 +51,27 @@ def vora_value(q: SensorSet, x: SensorSet) -> VoraScore:
     return VoraScore(np.trace(projector(q.channels) @ projector(x.channels)) / 3.0)
 
 
-def basis_score(a: np.ndarray, basis: np.ndarray) -> float:
-    """Raw Vora-Value of an n-by-3 matrix against an orthonormal basis.
+def basis_score(
+    f: np.ndarray, qc: np.ndarray, basis: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(M, Vora-Value, full rank) of the filtered camera A = diag(f) Q against an orthonormal basis.
 
-    Uses the algebraically identical 3x3 form trace(G^-1 W W^T) / 3 with
-    G = A^T A and W = A^T V, which avoids the n-by-n projectors; optimizer
-    hot loops call this thousands of times.  No rank or range validation:
-    callers check rank themselves.
+    M = G^-1 W with G = A^T A and W = A^T V minimizes ||A M - V||^2_F, and
+    trace(M^T W) / 3 is the Vora-Value of A: the 3x3 form of the projector
+    trace, which optimizer hot loops call thousands of times.  ``f`` is one
+    filter or a stack of them, one per row; results gain the same leading
+    axis.  A rank-deficient A is solved against the identity instead of its
+    Gram matrix, so its M and score are meaningless and only the rank flag
+    counts.
     """
-    w = a.T @ basis
-    return float(np.sum(np.linalg.solve(a.T @ a, w) * w) / 3.0)
+    fq = f[..., None] * qc
+    fq_t = np.swapaxes(fq, -1, -2)
+    gram = fq_t @ fq
+    full = full_rank(fq, gram)
+    gram[~full] = np.eye(3)
+    w = fq_t @ basis
+    m = np.linalg.solve(gram, w)
+    return m, np.sum(m * w, axis=(-2, -1)) / 3.0, full
 
 
 def luther_residual(

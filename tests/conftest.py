@@ -39,7 +39,7 @@ def solvable_toy_pair(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]
         mix = np.eye(3) + rng.uniform(-0.25, 0.25, size=(3, 3))
         qm = (xm @ mix) / f_star[:, None]
         vx, _ = np.linalg.qr(xm)
-        if basis_score(qm, vx) <= 0.99:
+        if basis_score(np.ones(4), qm, vx)[1] <= 0.99:
             return qm, xm
 
 

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from specfilter.als import (
     AlsConfig,
     _filter,
-    _transform,
     optimize_als,
     optimize_als_multistart,
     solve_f,
@@ -23,7 +22,7 @@ from specfilter.spectra import (
     apply_filter,
     orthonormalize,
 )
-from specfilter.vora import vora_value
+from specfilter.vora import basis_score, vora_value
 
 from conftest import TOY_GRID, bump_camera_matrix, solvable_toy_pair
 from oracles import cofactor_inverse_3x3
@@ -110,10 +109,10 @@ class TestStackedHalfSteps:
         vb = orthonormalize(builtin_cmf()).basis
         filters = 1.0 - rng.random((starts, 31))
         filters[0, 2:] = 0.0  # a rank-deficient start
-        m, scores, full = _transform(filters, qc, vb)
+        m, scores, full = basis_score(filters, qc, vb)
         stepped = _filter(qc, m, vb)
         for k in range(starts):
-            m_k, score_k, full_k = _transform(filters[k], qc, vb)
+            m_k, score_k, full_k = basis_score(filters[k], qc, vb)
             assert np.array_equal(m[k], m_k)
             assert scores[k] == score_k
             assert full[k] == full_k

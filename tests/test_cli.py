@@ -48,6 +48,9 @@ def read(path):
 
 
 def test_module_entry_point_runs(tmp_path, camera_csv):
+    # The child imports the same package as this process, installed or not.
+    package_root = os.path.dirname(os.path.dirname(specfilter.__file__))
+    search_path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [
             sys.executable, "-m", "specfilter", "optimize",
@@ -55,6 +58,7 @@ def test_module_entry_point_runs(tmp_path, camera_csv):
         ],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": search_path},
     )
     assert result.returncode == 0, result.stderr
     assert os.path.exists(tmp_path / "out" / "filter.csv")

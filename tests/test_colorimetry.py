@@ -4,21 +4,17 @@ import numpy as np
 import pytest
 
 from specfilter.colorimetry import (
-    ColorTriple,
     DeltaEStats,
     SceneSet,
-    Space,
-    delta_e,
     evaluate,
     fit_correction,
-    sensor_response,
     xyz_to_lab,
 )
 from specfilter.errors import (
     GridMismatch,
     InvalidWhitePoint,
     RankDeficient,
-    SpaceMismatch,
+    ShapeError,
 )
 from specfilter.ingest import builtin_cmf
 from specfilter.spectra import DEFAULT_GRID, SensorSet, SpectralCurve, WavelengthGrid
@@ -26,159 +22,200 @@ from specfilter.spectra import DEFAULT_GRID, SensorSet, SpectralCurve, Wavelengt
 from conftest import bump_camera_matrix
 
 
-def triple(space, values):
-    return ColorTriple(space, tuple(values))
+def rendered(channels, illuminant, reflectances):
+    """Sensor responses by direct summation over wavelengths, one row per reflectance."""
+    return np.array(
+        [
+            [sum(channels[i, j] * illuminant[i] * r[i] for i in range(len(illuminant))) for j in range(3)]
+            for r in reflectances
+        ]
+    )
+
+
+def composed_delta_es(camera, observer, illuminants, reflectances, correction_mode="per-illuminant"):
+    """Per-pair Delta E from directly summed responses and the public array functions."""
+    responses = [rendered(camera, light, reflectances) for light in illuminants]
+    truths = [rendered(observer, light, reflectances) for light in illuminants]
+    if correction_mode == "global":
+        pooled = fit_correction(np.concatenate(responses), np.concatenate(truths))
+    errors = []
+    for light, response, truth in zip(illuminants, responses, truths):
+        m = pooled if correction_mode == "global" else fit_correction(response, truth)
+        white = rendered(observer, light, [np.ones(len(light))])[0]
+        difference = xyz_to_lab(response @ m, white) - xyz_to_lab(truth, white)
+        errors.append(np.sqrt(np.sum(difference**2, axis=1)))
+    return np.concatenate(errors)
+
+
+def assert_stats_match(report, delta_es, tol=1e-10):
+    expected = DeltaEStats.from_samples(delta_es)
+    assert report.pair_count == delta_es.size
+    for name in ("mean", "median", "p95", "p99", "max"):
+        assert abs(getattr(report.delta_e, name) - getattr(expected, name)) < tol
+
+
+def scene_of(illuminants, reflectances, grid=DEFAULT_GRID):
+    return SceneSet(
+        tuple(SpectralCurve(grid, light) for light in illuminants),
+        tuple(SpectralCurve(grid, r) for r in reflectances),
+        grid,
+    )
 
 
 class TestSensorResponse:
-    def test_equal_energy_unit_reflectance_gives_column_sums(self):
-        x = builtin_cmf()
-        ones = SpectralCurve.constant(DEFAULT_GRID, 1.0)
-        response = sensor_response(x, ones, ones, space=Space.XYZ)
-        assert np.allclose(response.as_array(), x.channels.sum(axis=0), atol=1e-12)
+    """Responses and white points as ``evaluate`` renders them."""
 
-    def test_zero_reflectance_gives_zero(self):
+    def test_equal_energy_unit_reflectance_gives_column_sums(self, rng):
+        # Under equal-energy light the perfect diffuser renders the observer's
+        # column sums, which evaluate must use as the Lab white point.
         x = builtin_cmf()
-        ones = SpectralCurve.constant(DEFAULT_GRID, 1.0)
-        zero = SpectralCurve.constant(DEFAULT_GRID, 0.0)
-        assert sensor_response(x, ones, zero).components == (0.0, 0.0, 0.0)
+        camera = bump_camera_matrix(rng)
+        reflectances = [rng.uniform(0.0, 1.0, 31) for _ in range(8)]
+        white = x.channels.sum(axis=0)
+        response = rendered(camera, np.ones(31), reflectances)
+        truth = rendered(x.channels, np.ones(31), reflectances)
+        corrected = response @ fit_correction(response, truth)
+        expected = np.linalg.norm(xyz_to_lab(corrected, white) - xyz_to_lab(truth, white), axis=1)
+        report = evaluate(SensorSet(DEFAULT_GRID, camera), None, x, scene_of([np.ones(31)], reflectances))
+        assert_stats_match(report, expected)
+
+    def test_zero_reflectance_gives_zero(self, rng):
+        # A black reflectance renders zero on both sides: one more pair at
+        # Delta E 0, and the correction fit does not move.
+        x = builtin_cmf()
+        camera = SensorSet(DEFAULT_GRID, bump_camera_matrix(rng))
+        illuminant = rng.uniform(0.5, 2.0, 31)
+        reflectances = [rng.uniform(0.0, 1.0, 31) for _ in range(6)]
+        base = evaluate(camera, None, x, scene_of([illuminant], reflectances))
+        with_black = evaluate(camera, None, x, scene_of([illuminant], reflectances + [np.zeros(31)]))
+        assert with_black.pair_count == 7
+        assert with_black.delta_e.mean == pytest.approx(base.delta_e.mean * 6.0 / 7.0, rel=1e-9)
+        assert with_black.delta_e.max == pytest.approx(base.delta_e.max, rel=1e-9)
 
     def test_matches_direct_summation(self, rng):
-        q = SensorSet(DEFAULT_GRID, bump_camera_matrix(rng))
-        illuminant = SpectralCurve(DEFAULT_GRID, rng.uniform(0.1, 2.0, 31))
-        reflectance = SpectralCurve(DEFAULT_GRID, rng.uniform(0.0, 1.0, 31))
-        response = sensor_response(q, illuminant, reflectance)
-        for j in range(3):
-            direct = sum(
-                q.channels[i, j] * illuminant.values[i] * reflectance.values[i]
-                for i in range(31)
-            )
-            assert abs(response.components[j] - direct) < 1e-12
+        x = builtin_cmf()
+        camera = bump_camera_matrix(rng)
+        f = rng.uniform(0.2, 1.0, 31)
+        illuminants = [rng.uniform(0.1, 2.0, 31), np.linspace(0.5, 1.5, 31)]
+        reflectances = [rng.uniform(0.0, 1.0, 31) for _ in range(6)]
+        report = evaluate(
+            SensorSet(DEFAULT_GRID, camera),
+            SpectralCurve(DEFAULT_GRID, f),
+            x,
+            scene_of(illuminants, reflectances),
+        )
+        assert_stats_match(report, composed_delta_es(f[:, None] * camera, x.channels, illuminants, reflectances))
 
     def test_grid_mismatch(self):
         x = builtin_cmf()
         other = WavelengthGrid(400.0, 5.0, 61)
+        scene = scene_of([np.ones(61)], [np.ones(61)] * 4, grid=other)
         with pytest.raises(GridMismatch):
-            sensor_response(x, SpectralCurve.constant(other, 1.0), SpectralCurve.constant(other, 1.0))
+            evaluate(x, None, x, scene)
 
 
 class TestFitCorrection:
     def test_identity_when_already_matching(self, rng):
-        responses = [triple(Space.CAMERA_RGB, rng.uniform(0.1, 1.0, 3)) for _ in range(8)]
-        targets = [triple(Space.XYZ, r.components) for r in responses]
-        m = fit_correction(responses, targets)
-        assert np.max(np.abs(m.m - np.eye(3))) < 1e-10
+        responses = rng.uniform(0.1, 1.0, size=(8, 3))
+        m = fit_correction(responses, responses.copy())
+        assert np.max(np.abs(m - np.eye(3))) < 1e-10
 
     def test_recovers_exact_linear_relation(self, rng):
         a = np.array([[0.9, 0.1, 0.0], [0.2, 1.1, 0.1], [0.0, 0.3, 0.8]])
         raw = rng.uniform(0.1, 1.0, size=(10, 3))
-        responses = [triple(Space.CAMERA_RGB, row) for row in raw]
-        targets = [triple(Space.XYZ, row) for row in raw @ a]
-        m = fit_correction(responses, targets)
-        assert np.max(np.abs(m.m - a)) < 1e-9
+        m = fit_correction(raw, raw @ a)
+        assert np.max(np.abs(m - a)) < 1e-9
 
     def test_beats_random_perturbations(self, rng):
         raw = rng.uniform(0.1, 1.0, size=(20, 3))
         noisy = raw @ np.array([[1.0, 0.2, 0.0], [0.1, 0.9, 0.1], [0.0, 0.1, 1.1]])
         noisy = noisy + 0.01 * rng.standard_normal(noisy.shape)
-        responses = [triple(Space.CAMERA_RGB, row) for row in raw]
-        targets = [triple(Space.XYZ, row) for row in noisy]
-        m = fit_correction(responses, targets)
-        best = float(np.sum((raw @ m.m - noisy) ** 2))
+        m = fit_correction(raw, noisy)
+        best = float(np.sum((raw @ m - noisy) ** 2))
         for _ in range(100):
-            perturbed = m.m + rng.uniform(-1e-3, 1e-3, size=(3, 3))
+            perturbed = m + rng.uniform(-1e-3, 1e-3, size=(3, 3))
             assert best < float(np.sum((raw @ perturbed - noisy) ** 2))
 
     def test_residual_orthogonal_to_responses(self, rng):
         raw = rng.uniform(0.1, 1.0, size=(25, 3))
-        targets_block = raw @ np.eye(3) + 0.05 * rng.standard_normal((25, 3))
-        responses = [triple(Space.CAMERA_RGB, row) for row in raw]
-        targets = [triple(Space.XYZ, row) for row in targets_block]
-        m = fit_correction(responses, targets)
-        assert np.max(np.abs(raw.T @ (raw @ m.m - targets_block))) < 1e-8
+        targets = raw @ np.eye(3) + 0.05 * rng.standard_normal((25, 3))
+        m = fit_correction(raw, targets)
+        assert np.max(np.abs(raw.T @ (raw @ m - targets))) < 1e-8
 
     def test_two_pairs_rejected(self):
-        responses = [triple(Space.CAMERA_RGB, (1.0, 0.5, 0.2)), triple(Space.CAMERA_RGB, (0.2, 0.8, 0.4))]
-        targets = [triple(Space.XYZ, (1.0, 0.5, 0.2)), triple(Space.XYZ, (0.2, 0.8, 0.4))]
+        pairs = np.array([[1.0, 0.5, 0.2], [0.2, 0.8, 0.4]])
         with pytest.raises(RankDeficient):
-            fit_correction(responses, targets)
+            fit_correction(pairs, pairs.copy())
+
+    def test_row_count_mismatch_rejected(self, rng):
+        with pytest.raises(ShapeError):
+            fit_correction(rng.uniform(0.1, 1.0, size=(5, 3)), rng.uniform(0.1, 1.0, size=(4, 3)))
 
 
 class TestXyzToLab:
     def test_white_maps_to_lab_origin(self):
-        white = triple(Space.XYZ, (0.9, 1.0, 1.1))
-        lab = xyz_to_lab(white, white)
-        assert lab.space is Space.CIELAB
-        assert np.allclose(lab.as_array(), (100.0, 0.0, 0.0), atol=1e-12)
+        white = np.array([0.9, 1.0, 1.1])
+        assert np.allclose(xyz_to_lab(white, white), (100.0, 0.0, 0.0), atol=1e-12)
 
     def test_black_maps_to_zero(self):
-        white = triple(Space.XYZ, (0.9, 1.0, 1.1))
-        lab = xyz_to_lab(triple(Space.XYZ, (0.0, 0.0, 0.0)), white)
-        assert np.allclose(lab.as_array(), (0.0, 0.0, 0.0), atol=1e-12)
+        white = np.array([0.9, 1.0, 1.1])
+        assert np.allclose(xyz_to_lab(np.zeros(3), white), (0.0, 0.0, 0.0), atol=1e-12)
 
     def test_eighth_white_hits_the_cube_root_exactly(self):
-        white = triple(Space.XYZ, (0.8, 1.0, 1.2))
-        xyz = triple(Space.XYZ, (0.1, 0.125, 0.15))
-        lab = xyz_to_lab(xyz, white)
-        assert abs(lab.components[0] - 42.0) < 1e-12
-        assert abs(lab.components[1]) < 1e-12
-        assert abs(lab.components[2]) < 1e-12
+        white = np.array([0.8, 1.0, 1.2])
+        lab = xyz_to_lab(np.array([0.1, 0.125, 0.15]), white)
+        assert abs(lab[0] - 42.0) < 1e-12
+        assert abs(lab[1]) < 1e-12
+        assert abs(lab[2]) < 1e-12
 
     def test_lightness_nonnegative_for_physical_input(self, rng):
-        white = triple(Space.XYZ, (0.95, 1.0, 1.09))
-        for _ in range(200):
-            xyz = triple(Space.XYZ, rng.uniform(0.0, 1.5, 3))
-            assert xyz_to_lab(xyz, white).components[0] >= 0.0
+        white = np.array([0.95, 1.0, 1.09])
+        xyz = rng.uniform(0.0, 1.5, size=(200, 3))
+        lab = xyz_to_lab(xyz, white)
+        assert lab.shape == (200, 3)
+        assert np.all(lab[:, 0] >= 0.0)
+        for row in range(0, 200, 40):
+            assert np.array_equal(lab[row], xyz_to_lab(xyz[row], white))
 
     def test_negative_components_use_linear_segment(self):
-        white = triple(Space.XYZ, (1.0, 1.0, 1.0))
-        lab = xyz_to_lab(triple(Space.XYZ, (-0.01, 0.5, 0.5)), white)
-        assert np.isfinite(lab.as_array()).all()
+        white = np.ones(3)
+        lab = xyz_to_lab(np.array([-0.01, 0.5, 0.5]), white)
+        assert np.isfinite(lab).all()
         # Linear segment: f(-0.01) = (841/108) * -0.01 + 4/29.
         expected_fx = (841.0 / 108.0) * -0.01 + 4.0 / 29.0
         fy = 0.5 ** (1.0 / 3.0)
-        assert abs(lab.components[1] - 500.0 * (expected_fx - fy)) < 1e-12
+        assert abs(lab[1] - 500.0 * (expected_fx - fy)) < 1e-12
 
     def test_invalid_white_rejected(self):
-        xyz = triple(Space.XYZ, (0.5, 0.5, 0.5))
         with pytest.raises(InvalidWhitePoint):
-            xyz_to_lab(xyz, triple(Space.XYZ, (1.0, 0.0, 1.0)))
-
-    def test_space_checked(self):
-        lab = triple(Space.CIELAB, (50.0, 0.0, 0.0))
-        white = triple(Space.XYZ, (1.0, 1.0, 1.0))
-        with pytest.raises(SpaceMismatch):
-            xyz_to_lab(lab, white)
+            xyz_to_lab(np.full(3, 0.5), np.array([1.0, 0.0, 1.0]))
 
 
 class TestDeltaE:
-    def test_identical_triples(self):
-        a = triple(Space.CIELAB, (50.0, 10.0, -10.0))
-        assert delta_e(a, a) == 0.0
+    """Delta E as ``evaluate`` pools it: Euclidean distance between corrected and true Lab."""
 
-    def test_three_four_five_triangle(self):
-        a = triple(Space.CIELAB, (50.0, 0.0, 0.0))
-        b = triple(Space.CIELAB, (53.0, 4.0, 0.0))
-        assert delta_e(a, b) == 5.0
+    def test_identical_triples(self, rng):
+        # Three reflectances per illuminant make the fit interpolate, so every
+        # corrected color equals its true color whatever the camera.
+        x = builtin_cmf()
+        camera = SensorSet(DEFAULT_GRID, bump_camera_matrix(rng))
+        scene = scene_of(
+            [rng.uniform(0.5, 2.0, 31), rng.uniform(0.5, 2.0, 31)],
+            [rng.uniform(0.0, 1.0, 31) for _ in range(3)],
+        )
+        report = evaluate(camera, None, x, scene)
+        assert report.pair_count == 6
+        assert report.delta_e.max < 1e-9
 
     def test_matches_sqrt_of_squares(self, rng):
-        for _ in range(50):
-            u = rng.uniform(-50.0, 100.0, 3)
-            v = rng.uniform(-50.0, 100.0, 3)
-            expected = float(np.sqrt(np.sum((u - v) ** 2)))
-            assert abs(delta_e(triple(Space.CIELAB, u), triple(Space.CIELAB, v)) - expected) < 1e-12
-
-    def test_metric_properties(self, rng):
-        a = triple(Space.CIELAB, rng.uniform(0.0, 100.0, 3))
-        b = triple(Space.CIELAB, rng.uniform(0.0, 100.0, 3))
-        assert delta_e(a, b) >= 0.0
-        assert delta_e(a, b) == delta_e(b, a)
-
-    def test_space_mismatch(self):
-        a = triple(Space.XYZ, (0.5, 0.5, 0.5))
-        b = triple(Space.CIELAB, (50.0, 0.0, 0.0))
-        with pytest.raises(SpaceMismatch):
-            delta_e(a, b)
+        x = builtin_cmf()
+        camera = bump_camera_matrix(rng)
+        illuminants = [rng.uniform(0.5, 2.0, 31), rng.uniform(0.2, 1.0, 31) * np.linspace(0.5, 1.5, 31)]
+        reflectances = [rng.uniform(0.0, 1.0, 31) for _ in range(7)]
+        report = evaluate(
+            SensorSet(DEFAULT_GRID, camera), None, x, scene_of(illuminants, reflectances), correction_mode="global"
+        )
+        assert_stats_match(report, composed_delta_es(camera, x.channels, illuminants, reflectances, "global"))
 
 
 class TestDeltaEStats:
@@ -193,18 +230,11 @@ class TestDeltaEStats:
             assert stats.mean <= stats.max
 
 
-def toy_scene(grid, illuminant_values, reflectance_rows):
-    illuminants = (SpectralCurve(grid, illuminant_values),)
-    reflectances = tuple(SpectralCurve(grid, row) for row in reflectance_rows)
-    return SceneSet(illuminants, reflectances, grid)
-
-
 class TestEvaluate:
     def test_camera_equals_observer_is_exact(self, rng):
         x = builtin_cmf()
-        scene = toy_scene(
-            DEFAULT_GRID,
-            rng.uniform(0.5, 2.0, 31),
+        scene = scene_of(
+            [rng.uniform(0.5, 2.0, 31)],
             [rng.uniform(0.0, 1.0, 31) for _ in range(10)],
         )
         report = evaluate(x, None, x, scene)
@@ -216,9 +246,8 @@ class TestEvaluate:
         x = builtin_cmf()
         t = np.array([[0.7, 0.2, 0.0], [0.1, 1.1, 0.2], [0.0, 0.3, 0.9]])
         camera = SensorSet(DEFAULT_GRID, x.channels @ t)
-        scene = toy_scene(
-            DEFAULT_GRID,
-            rng.uniform(0.5, 2.0, 31),
+        scene = scene_of(
+            [rng.uniform(0.5, 2.0, 31)],
             [rng.uniform(0.0, 1.0, 31) for _ in range(12)],
         )
         report = evaluate(camera, None, x, scene)
@@ -227,9 +256,8 @@ class TestEvaluate:
     def test_two_reflectances_cannot_fit_a_correction(self, rng):
         x = builtin_cmf()
         camera = SensorSet(DEFAULT_GRID, bump_camera_matrix(rng))
-        scene = toy_scene(
-            DEFAULT_GRID,
-            rng.uniform(0.5, 2.0, 31),
+        scene = scene_of(
+            [rng.uniform(0.5, 2.0, 31)],
             [rng.uniform(0.0, 1.0, 31) for _ in range(2)],
         )
         with pytest.raises(RankDeficient):
@@ -241,11 +269,7 @@ class TestEvaluate:
         reflectances = [rng.uniform(0.0, 1.0, 31) for _ in range(20)]
         illuminant_a = rng.uniform(0.5, 2.0, 31)
         illuminant_b = rng.uniform(0.2, 1.0, 31) * np.linspace(0.5, 1.5, 31)
-        scene = SceneSet(
-            (SpectralCurve(DEFAULT_GRID, illuminant_a), SpectralCurve(DEFAULT_GRID, illuminant_b)),
-            tuple(SpectralCurve(DEFAULT_GRID, r) for r in reflectances),
-            DEFAULT_GRID,
-        )
+        scene = scene_of([illuminant_a, illuminant_b], reflectances)
         per = evaluate(camera, None, x, scene, correction_mode="per-illuminant")
         pooled = evaluate(camera, None, x, scene, correction_mode="global")
         assert per.correction_mode == "per-illuminant"
@@ -253,9 +277,18 @@ class TestEvaluate:
         # The per-illuminant fit can only do better on its own illuminant.
         assert per.delta_e.mean <= pooled.delta_e.mean + 1e-12
 
+    @pytest.mark.parametrize("mode", ["per-illuminant", "global"])
+    def test_white_point_checked_before_correction_fit(self, mode):
+        # A dark illuminant has a zero white point and rank-0 responses; the
+        # white point error comes first.
+        x = builtin_cmf()
+        scene = scene_of([np.ones(31), np.zeros(31)], [np.ones(31) * 0.5] * 4)
+        with pytest.raises(InvalidWhitePoint):
+            evaluate(x, None, x, scene, correction_mode=mode)
+
     def test_unknown_mode_rejected(self, rng):
         x = builtin_cmf()
-        scene = toy_scene(DEFAULT_GRID, np.ones(31), [np.ones(31) * 0.5] * 4)
+        scene = scene_of([np.ones(31)], [np.ones(31) * 0.5] * 4)
         with pytest.raises(ValueError):
             evaluate(x, None, x, scene, correction_mode="weird")
 

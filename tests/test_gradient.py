@@ -94,6 +94,16 @@ class TestOptimizeGa:
         assert float(solution.score) > solution.trace[0].vora_value
         assert np.all(np.diff(solution.trace.vora_values()) >= -1e-12)
 
+    def test_first_step_overshoot_is_not_convergence(self, bump_camera):
+        x = builtin_cmf()
+        overshot = optimize_ga(bump_camera, x, GaConfig(step_rule="fixed", fixed_step=1000.0))
+        assert overshot.iterations == 0
+        assert not overshot.converged
+        # An overshoot after accepted steps still ends the run as converged.
+        later = optimize_ga(bump_camera, x, GaConfig(step_rule="fixed", fixed_step=50.0))
+        assert later.iterations > 0
+        assert later.converged
+
     def test_score_recomputable_from_filter(self, bump_camera):
         x = builtin_cmf()
         solution = optimize_ga(bump_camera, x)

@@ -2,6 +2,9 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from specfilter.errors import OutOfRange, ParseError, RankDeficient, ShapeError
 from specfilter.ingest import (
@@ -75,6 +78,26 @@ class TestParseSpectralCsv:
         with pytest.raises(ParseError):
             parse_spectral_csv(b"\xff\xfe400,1\n")
 
+    def test_leading_byte_order_mark_ignored(self):
+        for data in ("\ufeff400,1\n410,2\n420,3\n", b"\xef\xbb\xbf400,1\n410,2\n420,3\n"):
+            table = parse_spectral_csv(data)
+            assert np.array_equal(table.wavelengths, [400.0, 410.0, 420.0])
+            assert table.column_names == ("col1",)
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("400,1\nnan,2\n420,3\n", 2),
+            ("wavelength,a,b\n400,1,2\n410,inf,2\n420,3,4\n", 3),
+            ("400,1\n410,2\n420,-Infinity\n", 3),
+        ],
+        ids=["nan wavelength", "inf value", "negative infinity"],
+    )
+    def test_non_finite_cell_names_the_line(self, text, line):
+        with pytest.raises(ParseError, match=f"line {line}") as caught:
+            parse_spectral_csv(text)
+        assert caught.value.line == line
+
     def test_non_uniform_spacing_flagged_not_fatal(self):
         table = parse_spectral_csv("400,1\n405,2\n420,3\n")
         assert not table.is_uniform
@@ -92,6 +115,28 @@ class TestParseSpectralCsv:
         assert parsed.column_names == table.column_names
         assert np.array_equal(parsed.wavelengths, table.wavelengths)
         assert np.array_equal(parsed.columns, table.columns)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def finite_tables(draw):
+    wavelengths = sorted(draw(st.lists(_FINITE, min_size=1, max_size=12, unique=True)))
+    width = draw(st.integers(1, 4))
+    names = draw(st.lists(st.text("abcxyz_019", min_size=1, max_size=6), min_size=width, max_size=width))
+    columns = draw(arrays(np.float64, (len(wavelengths), width), elements=_FINITE))
+    return SpectralTable(np.array(wavelengths), tuple(names), columns)
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(table=finite_tables())
+    def test_serialize_then_parse_is_bit_exact(self, table):
+        parsed = parse_spectral_csv(serialize_spectral_csv(table))
+        assert parsed.column_names == table.column_names
+        assert parsed.wavelengths.tobytes() == table.wavelengths.tobytes()
+        assert parsed.columns.tobytes() == table.columns.tobytes()
 
 
 class TestLoadSensorSet:

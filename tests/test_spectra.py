@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from specfilter.errors import GridMismatch, OutOfRange, RankDeficient, ShapeError
@@ -15,6 +15,7 @@ from specfilter.spectra import (
     WavelengthGrid,
     apply_filter,
     full_rank,
+    interp_columns,
     orthonormalize,
     projector,
     rank_ratio,
@@ -204,6 +205,40 @@ class TestResample:
         once = resample(curve, DEFAULT_GRID)
         twice = resample(once, DEFAULT_GRID)
         assert np.array_equal(once.values, twice.values)
+
+
+@st.composite
+def grid_pairs(draw):
+    """A source grid and a target grid inside its wavelength range."""
+    source = WavelengthGrid(draw(st.floats(300.0, 500.0)), draw(st.floats(1.0, 20.0)), draw(st.integers(3, 60)))
+    start = draw(st.floats(source.start, source.stop))
+    step = draw(st.floats(0.5, 30.0))
+    count = int((source.stop - start) / step) + 1
+    assume(count >= 3)
+    target = WavelengthGrid(start, step, draw(st.integers(3, count)))
+    assume(target.stop <= source.stop)
+    return source, target
+
+
+class TestResampleProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(grids=grid_pairs(), seed=st.integers(0, 2**32 - 1))
+    def test_idempotent(self, grids, seed):
+        source, target = grids
+        curve = SpectralCurve(source, np.random.default_rng(seed).uniform(-1.0, 1.0, source.count))
+        once = resample(curve, target)
+        # Through the interpolation itself, not resample's same-grid shortcut.
+        again = interp_columns(target.wavelengths(), once.values[:, None], target)[:, 0]
+        assert again.tobytes() == once.values.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(grids=grid_pairs(), slope=st.floats(-10.0, 10.0), offset=st.floats(-10.0, 10.0))
+    def test_exact_for_linear_data(self, grids, slope, offset):
+        source, target = grids
+        curve = SpectralCurve(source, slope * source.wavelengths() + offset)
+        expected = slope * target.wavelengths() + offset
+        scale = abs(slope) * target.stop + abs(offset) + 1.0
+        assert np.max(np.abs(resample(curve, target).values - expected)) <= 1e-12 * scale
 
 
 def _rank_test_matrix(seed: int, kind: str, scale: float) -> np.ndarray:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specfilter.errors import ConsistencyError, GridMismatch, RankDeficient
 from specfilter.ingest import builtin_cmf
@@ -61,6 +63,23 @@ class TestVoraValue:
             x2 = SensorSet(DEFAULT_GRID, x.channels @ t2)
             assert abs(float(vora_value(q2, x2)) - reference) < 1e-10
 
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-6.0, 6.0))
+    def test_invariant_under_invertible_transforms_property(self, seed, log_scale):
+        # Transforms with condition number at most 100, any sign of
+        # determinant, scaled over twelve orders of magnitude.
+        gen = np.random.default_rng(seed)
+
+        def transform():
+            rotation, _ = np.linalg.qr(gen.standard_normal((3, 3)))
+            return 10.0**log_scale * rotation @ np.diag(10.0 ** gen.uniform(-1.0, 1.0, 3))
+
+        x = builtin_cmf()
+        q = SensorSet(DEFAULT_GRID, bump_camera_matrix(gen))
+        q2 = SensorSet(DEFAULT_GRID, q.channels @ transform())
+        x2 = SensorSet(DEFAULT_GRID, x.channels @ transform())
+        assert abs(float(vora_value(q2, x2)) - float(vora_value(q, x))) < 1e-10
+
     def test_filter_scale_invariance(self, rng, bump_camera):
         x = builtin_cmf()
         f = SpectralCurve(DEFAULT_GRID, rng.uniform(0.2, 1.0, 31))
@@ -93,7 +112,8 @@ class TestVoraValue:
         basis = orthonormalize(x).basis
         for _ in range(20):
             q = SensorSet(DEFAULT_GRID, rng.uniform(0.05, 1.0, size=(31, 3)))
-            assert abs(basis_score(q.channels, basis) - float(vora_value(q, x))) < 1e-12
+            score = basis_score(np.ones(31), q.channels, basis)[1]
+            assert abs(score - float(vora_value(q, x))) < 1e-12
 
 
 class TestLutherResidual:
