@@ -11,7 +11,7 @@ decreases.  Iteration stops once a sweep improves the Vora-Value by less than
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,6 +39,9 @@ DEGENERATE_ROW_NORM = 1e-20
 # instances cannot spin.
 POLISH_STEP_TOL = 1e-9
 POLISH_MAX_SWEEPS = 5000
+
+# Why a row of the lockstep sweep stopped; converged and capped rows have a solution.
+CONVERGED, CAPPED, RANK_LOSS, DROPPED = range(4)
 
 
 @dataclass(frozen=True)
@@ -87,45 +90,72 @@ def optimize_als(q: SensorSet, x: SensorSet, config: AlsConfig | None = None) ->
     """
     config = config or AlsConfig()
     require_same_grid(q.grid, x.grid)
-    qc = q.channels
     v = orthonormalize(x)
-    vb = v.basis
-
-    # The transform half-step (``basis_score``) also scores its filter: both
-    # need G^-1 W, so each sweep costs one 3x3 solve plus one rank check.
-    f = config.resolve_initial(q.grid).values
-    m, score_prev, full = basis_score(f, qc, vb)
-    if not full:
+    initial = config.resolve_initial(q.grid).values[None]
+    run = _sweep(initial, q.channels, v.basis, config.epsilon, config.max_iterations)
+    _, scores, stop, outcome = run
+    i = int(stop[0])
+    if outcome[0] == RANK_LOSS and i == 0:
         raise RankDeficient("initial filter leaves the camera rank deficient (iteration 0)")
-    score_prev = float(score_prev)
-    points = [TracePoint(0, score_prev, _residual(f, qc, m, vb), f)]
+    if outcome[0] == RANK_LOSS:
+        raise RankDeficient(f"filter zeroed a camera channel at iteration {i}")
+    if outcome[0] == DROPPED:
+        drop = scores[i - 1][0] - scores[i][0]
+        raise ConsistencyError(f"ALS Vora-Value dropped by {drop:.3e} at iteration {i}")
+    return _solution(0, initial, run, q, x, v)
 
-    converged = False
-    iterations = 0
-    for i in range(1, config.max_iterations + 1):
-        # m currently holds this sweep's transform (solved for the previous filter).
-        f = _filter(qc, m, vb)
-        m_next, score, full = basis_score(f, qc, vb)
-        if not full:
-            raise RankDeficient(f"filter zeroed a camera channel at iteration {i}")
-        score = float(score)
-        points.append(TracePoint(i, score, _residual(f, qc, m, vb), f))
-        iterations = i
 
-        delta = score - score_prev
-        if delta < -1e-12:
-            raise ConsistencyError(
-                f"ALS Vora-Value dropped by {-delta:.3e} at iteration {i}"
-            )
-        if delta < config.epsilon:
-            converged = True
+def _sweep(initial: np.ndarray, qc: np.ndarray, vb: np.ndarray, epsilon: float, max_iterations: int):
+    """ALS from each row of ``initial`` in lockstep: the solver's one sweep loop.
+
+    A row stops once a sweep gains less than ``epsilon`` (converged), at
+    ``max_iterations`` (capped), on rank loss, or on a Vora-Value drop beyond
+    round-off.  Returns ``(transforms, scores, stop, outcome)``: per sweep i
+    (0 is the start) each row's transform and Vora-Value for its sweep-i
+    filter, and per row the sweep it stopped at and why.  Only these K x 10
+    floats are kept per sweep; ``_solution`` rebuilds a row's filters.
+    """
+    m, score, full = basis_score(initial, qc, vb)
+    transforms, scores = [m.copy()], [score.copy()]
+    stop = np.zeros(len(initial), dtype=int)
+    outcome = np.where(full, CAPPED, RANK_LOSS)
+    live = np.flatnonzero(full)
+    for i in range(1, max_iterations + 1):
+        if not live.size:
             break
-        score_prev = score
-        m = m_next
+        m_live, score_live, full = basis_score(_filter(qc, m[live], vb), qc, vb)
+        delta = score_live - score[live]
+        m[live], score[live], stop[live] = m_live, score_live, i
+        transforms.append(m.copy())
+        scores.append(score.copy())
+        going = full & ~(delta < epsilon)
+        if not going.all():
+            outcome[live] = np.select(
+                [~full, delta < -1e-12, delta < epsilon], [RANK_LOSS, DROPPED, CONVERGED], CAPPED
+            )
+            live = live[going]
+    return transforms, scores, stop, outcome
 
+
+def _solution(row: int, initial: np.ndarray, run: tuple, q: SensorSet, x: SensorSet,
+              v: OrthoBasis) -> FilterSolution:
+    """Solution of a converged or capped ``_sweep`` row, polished if converged.
+
+    Its filters are rebuilt with the single-row filter half-step from each
+    previous sweep's transform: the trace a sequential run records.
+    """
+    transforms, scores, stop, outcome = run
+    qc, vb = q.channels, v.basis
+    f, m = initial[row], transforms[0][row]
+    points = [TracePoint(0, float(scores[0][row]), _residual(f, qc, m, vb), f)]
+    for i in range(1, int(stop[row]) + 1):
+        m = transforms[i - 1][row]
+        f = _filter(qc, m, vb)
+        points.append(TracePoint(i, float(scores[i][row]), _residual(f, qc, m, vb), f))
+    converged = bool(outcome[row] == CONVERGED)
     if converged:
         f = _polish_to_fixed_point(f, qc, vb)
-    return finish(f, q, x, v, points, iterations, converged)
+    return finish(f, q, x, v, points, int(stop[row]), converged)
 
 
 def _polish_to_fixed_point(f: np.ndarray, qc: np.ndarray, vb: np.ndarray) -> np.ndarray:
@@ -148,40 +178,6 @@ def random_filter(grid: WavelengthGrid, rng: np.random.Generator) -> SpectralCur
     return SpectralCurve(grid, 1.0 - rng.random(grid.count))
 
 
-def _batched_final_scores(
-    initial: np.ndarray, qc: np.ndarray, vb: np.ndarray, epsilon: float, max_iterations: int
-) -> np.ndarray:
-    """Final Vora-Value of an ALS run from each row of ``initial``, in lockstep.
-
-    All starts advance together through the stacked half-steps; a start
-    freezes once its per-sweep gain drops below ``epsilon`` and is scored
-    -inf if it hits rank deficiency or a beyond-round-off decrease (the
-    sequential runner would raise for those; here the start is simply
-    discarded).
-    """
-    f = initial
-    m, scores, active = basis_score(f, qc, vb)
-    dead = ~active
-    scores[dead] = -np.inf
-
-    for _ in range(max_iterations):
-        if not np.any(active):
-            break
-        f = np.where(active[:, None], _filter(qc, m, vb), f)
-        m_new, new_scores, full = basis_score(f, qc, vb)
-        delta = new_scores - scores
-        dropped = active & (~full | (delta < -1e-12))
-        dead |= dropped
-        active &= ~dropped
-
-        scores = np.where(active, new_scores, scores)
-        scores[dead] = -np.inf
-        active &= delta >= epsilon
-        m = np.where(active[:, None, None], m_new, m)
-
-    return scores
-
-
 def optimize_als_multistart(
     q: SensorSet,
     x: SensorSet,
@@ -193,9 +189,9 @@ def optimize_als_multistart(
 
     ALS converges to a fixed point but not necessarily the global optimum, so
     restarting from seeded random filters (entries uniform in (0, 1]) guards
-    against bad basins.  All starts are screened in one vectorized sweep and
-    the winner is re-run sequentially, so the returned solution is exactly
-    what ``optimize_als`` produces from the winning start.
+    against bad basins.  All starts run in one lockstep sweep, and the
+    solution is rebuilt from the winning row, so it is exactly what
+    ``optimize_als`` produces from the winning start.
     """
     config = config or AlsConfig()
     require_same_grid(q.grid, x.grid)
@@ -207,16 +203,13 @@ def optimize_als_multistart(
     for row in range(1, starts):
         initial[row] = random_filter(q.grid, rng).values
 
-    vb = orthonormalize(x).basis
-    scores = _batched_final_scores(
-        initial, q.channels, vb, config.epsilon, config.max_iterations
-    )
-    if not np.any(np.isfinite(scores)):
+    v = orthonormalize(x)
+    run = _sweep(initial, q.channels, v.basis, config.epsilon, config.max_iterations)
+    _, scores, _, outcome = run
+    final = np.where(outcome <= CAPPED, scores[-1], -np.inf)
+    if not np.any(np.isfinite(final)):
         raise RankDeficient("every start hit rank deficiency before converging")
-    winner = int(np.argmax(scores))
-    if winner > 0:
-        config = replace(config, initial_filter=SpectralCurve(q.grid, initial[winner]))
-    return optimize_als(q, x, config)
+    return _solution(int(np.argmax(final)), initial, run, q, x, v)
 
 
 def _residual(f: np.ndarray, qc: np.ndarray, m: np.ndarray, basis: np.ndarray) -> float:

@@ -183,9 +183,11 @@ def cmd_optimize(args) -> int:
     _write(os.path.join(args.out, "report.json"), _report_json(payload))
 
     if not solution.converged:
-        print(
-            f"warning: did not converge within {args.max_iters} iterations", file=sys.stderr
-        )
+        # Only a fixed step that overshoots at once stops unconverged before the cap.
+        if solution.iterations < args.max_iters:
+            print("warning: first fixed step overshot; stopped at iteration 0", file=sys.stderr)
+        else:
+            print(f"warning: did not converge within {args.max_iters} iterations", file=sys.stderr)
         return 2
     print(
         f"{args.optimizer}: vora_value {float(solution.score):.6f} "

@@ -8,7 +8,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ConsistencyError
+from .errors import ConsistencyError, RankDeficient
 from .spectra import (
     CorrectionMatrix,
     OrthoBasis,
@@ -18,7 +18,7 @@ from .spectra import (
     apply_filter,
     require_same_grid,
 )
-from .vora import VoraScore, vora_value
+from .vora import VoraScore, basis_score, vora_value
 
 # A Vora-Value trace may dip by at most this much between iterations before
 # we call it a bug rather than round-off.
@@ -138,16 +138,17 @@ def finish(
 
     ``v`` is the orthonormal basis of ``x`` the correction matrix maps onto.
     """
-    from .als import solve_m  # als builds on this module's types
-
     peak = float(np.max(f))
     if peak <= 0.0:
         peak = float(np.max(np.abs(f))) or 1.0
     filter_curve = SpectralCurve(q.grid, f / peak)
     score = vora_value(apply_filter(filter_curve, q), x)
+    m, _, full = basis_score(filter_curve.values, q.channels, v.basis)
+    if not full:
+        raise RankDeficient("filtered camera is rank deficient (columns are numerically dependent)")
     return FilterSolution(
         filter=filter_curve,
-        correction=solve_m(filter_curve, q, v),
+        correction=CorrectionMatrix(m),
         score=score,
         trace=ConvergenceTrace(tuple(points)),
         iterations=iterations,

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from specfilter.als import (
     _filter,
     optimize_als,
     optimize_als_multistart,
+    random_filter,
     solve_f,
     solve_m,
 )
@@ -205,14 +208,65 @@ class TestOptimizeAls:
 
 
 class TestMultistart:
+    @staticmethod
+    def sequential_runs(q, x, config, starts, seed):
+        """``optimize_als`` from each multistart start, or None where it loses rank."""
+        rng = np.random.default_rng(seed)
+        runs = []
+        for k in range(starts):
+            start = config if k == 0 else replace(config, initial_filter=random_filter(q.grid, rng))
+            try:
+                runs.append(optimize_als(q, x, start))
+            except RankDeficient:
+                runs.append(None)
+        return runs
+
+    def assert_equals_best_sequential_run(self, q, x, config, starts, seed):
+        """Multistart must be bit for bit the sequential run it picks, and return the runs."""
+        runs = self.sequential_runs(q, x, config, starts, seed)
+        # The winner has the highest last trace score, the first such start on ties.
+        best = max((r for r in runs if r is not None), key=lambda r: r.trace.final().vora_value)
+        got = optimize_als_multistart(q, x, config, starts=starts, seed=seed)
+        assert np.array_equal(got.filter.values, best.filter.values)
+        assert np.array_equal(got.correction.m, best.correction.m)
+        assert float(got.score) == float(best.score)
+        assert (got.iterations, got.converged) == (best.iterations, best.converged)
+        assert len(got.trace) == len(best.trace)
+        for p, r in zip(got.trace, best.trace):
+            assert (p.iteration, p.vora_value, p.residual) == (r.iteration, r.vora_value, r.residual)
+            assert np.array_equal(p.filter_values, r.filter_values)
+        return runs, best
+
     def test_matches_best_sequential_run(self, rng):
-        qm, xm = solvable_toy_pair(rng)
-        q = SensorSet(TOY_GRID, qm)
-        x = SensorSet(TOY_GRID, xm)
-        config = AlsConfig(max_iterations=2000)
-        best = optimize_als_multistart(q, x, config, starts=8, seed=5)
-        single = optimize_als(q, x, config)
-        assert float(best.score) >= float(single.score) - 1e-12
+        cases = []
+        for pair_rng, seed in ((rng, 5), (np.random.default_rng(4), 4)):
+            qm, xm = solvable_toy_pair(pair_rng)
+            toy = SensorSet(TOY_GRID, qm), SensorSet(TOY_GRID, xm)
+            cases.append((*toy, AlsConfig(max_iterations=2000), 4, seed))
+        for seed in (1, 2, 3):
+            camera = SensorSet(DEFAULT_GRID, bump_camera_matrix(np.random.default_rng(seed)))
+            cases.append((camera, builtin_cmf(), AlsConfig(), 8, seed))
+        for q, x, config, starts, seed in cases:
+            runs, best = self.assert_equals_best_sequential_run(q, x, config, starts, seed)
+            assert best.converged
+            assert float(best.score) >= float(runs[0].score) - 1e-12
+
+    def test_capped_winner_matches_best_sequential_run(self, bump_camera):
+        _, best = self.assert_equals_best_sequential_run(
+            bump_camera, builtin_cmf(), AlsConfig(max_iterations=3), 8, 11
+        )
+        assert not best.converged
+        assert best.iterations == 3
+        # A capped run is not polished: its filter is the last traced one, scaled.
+        last = best.trace.final().filter_values
+        assert np.array_equal(best.filter.values, last / np.max(last))
+
+    def test_rank_deficient_starts_are_skipped(self, bump_camera):
+        dead = SpectralCurve.constant(DEFAULT_GRID, 0.0)
+        runs, _ = self.assert_equals_best_sequential_run(
+            bump_camera, builtin_cmf(), AlsConfig(initial_filter=dead), 6, 12
+        )
+        assert runs[0] is None
 
     def test_deterministic_for_fixed_seed(self, rng):
         qm, xm = solvable_toy_pair(rng)

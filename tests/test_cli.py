@@ -115,13 +115,31 @@ class TestOptimizeCommand:
         score_ga = json.loads(read(os.path.join(out_ga, "report.json")))["solution"]["vora_value"]
         assert abs(score_als - score_ga) < 1e-4
 
-    def test_nonconvergence_exits_2(self, tmp_path, camera_csv):
+    def test_nonconvergence_exits_2(self, tmp_path, camera_csv, capsys):
         out = str(tmp_path / "out")
         code = main(
             ["optimize", "--camera", camera_csv, "--optimizer", "als", "--max-iters", "2", "--out", out]
         )
         assert code == 2
+        assert "did not converge within 2 iterations" in capsys.readouterr().err
         report = json.loads(read(os.path.join(out, "report.json")))
+        assert report["solution"]["converged"] is False
+
+    def test_first_step_overshoot_warning_names_the_overshoot(self, tmp_path, capsys):
+        camera = os.path.join(os.path.dirname(__file__), "..", "fixtures", "synthetic_camera.csv")
+        out = str(tmp_path / "out")
+        code = main(
+            [
+                "optimize", "--camera", camera, "--optimizer", "ga",
+                "--step-rule", "fixed", "--fixed-step", "50", "--out", out,
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "overshot" in err
+        assert "within" not in err
+        report = json.loads(read(os.path.join(out, "report.json")))
+        assert report["solution"]["iterations"] == 0
         assert report["solution"]["converged"] is False
 
     def test_missing_camera_exits_1(self, tmp_path):
