@@ -11,6 +11,7 @@ from .als import AlsConfig, optimize_als, optimize_als_multistart, random_filter
 from .colorimetry import (
     DeltaEStats,
     EvaluationReport,
+    SceneEngine,
     SceneSet,
     evaluate,
     fit_correction,
@@ -74,6 +75,7 @@ __all__ = [
     "OutOfRange",
     "ParseError",
     "RankDeficient",
+    "SceneEngine",
     "SceneSet",
     "SensorSet",
     "ShapeError",

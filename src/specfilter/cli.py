@@ -17,12 +17,12 @@ import time
 import numpy as np
 
 from .als import AlsConfig, optimize_als, optimize_als_multistart, random_filter
-from .colorimetry import EvaluationReport, evaluate
+from .colorimetry import EvaluationReport, SceneEngine, evaluate
 from .errors import SpecFilterError
 from .gradient import GaConfig, optimize_ga, optimize_ga_multistart
 from .ingest import load_cmf, load_scene_set, load_sensor_set, read_manifest, read_spectral_csv
 from .solution import FilterSolution
-from .spectra import DEFAULT_GRID, SensorSet, SpectralCurve
+from .spectra import DEFAULT_GRID, SensorSet, SpectralCurve, apply_filter
 from .vora import vora_value
 
 
@@ -294,32 +294,36 @@ def _read_iteration_filters(path: str) -> np.ndarray:
 
 def cmd_trace_compare(args) -> int:
     traces = [
-        (args.label_a, _read_trace(args.trace_a), args.filters_a),
-        (args.label_b, _read_trace(args.trace_b), args.filters_b),
+        (args.label_a, args.trace_a, _read_trace(args.trace_a), args.filters_a),
+        (args.label_b, args.trace_b, _read_trace(args.trace_b), args.filters_b),
     ]
 
-    evaluator = None
-    if args.scenes and args.camera:
+    scoring = bool(args.scenes and args.camera)
+    if scoring:
         manifest = read_manifest(args.scenes)
         camera = _load_camera(args.camera)
         cmf = load_cmf(args.cmf or manifest.cmf)
         scenes = load_scene_set(manifest, DEFAULT_GRID)
-
-        def evaluator(filter_values: np.ndarray) -> float:
-            curve = SpectralCurve(DEFAULT_GRID, filter_values)
-            report = evaluate(camera, curve, cmf, scenes, correction_mode=args.correction)
-            return report.delta_e.mean
+    # Built on the first filters file only: without one, nothing is scored and
+    # a scene set the engine would reject does not fail the run.
+    engine = None
 
     lines = ["iteration,method,vora_value,mean_delta_e"]
-    for label, rows, filters_path in traces:
-        iteration_filters = (
-            _read_iteration_filters(filters_path) if filters_path and evaluator else None
-        )
-        for idx, (iteration, vora, _) in enumerate(rows):
-            if iteration_filters is not None and idx < len(iteration_filters):
-                mean_de = _fmt(evaluator(iteration_filters[idx]))
-            else:
-                mean_de = ""
+    for label, trace_path, rows, filters_path in traces:
+        mean_des = [""] * len(rows)
+        if filters_path and scoring:
+            iteration_filters = _read_iteration_filters(filters_path)
+            if len(iteration_filters) != len(rows):
+                raise SpecFilterError(
+                    f"{filters_path} has {len(iteration_filters)} iteration filters "
+                    f"but {trace_path} has {len(rows)} trace rows"
+                )
+            if engine is None:
+                engine = SceneEngine(cmf, scenes, args.correction)
+            for idx, values in enumerate(iteration_filters):
+                effective = apply_filter(SpectralCurve(DEFAULT_GRID, values), camera)
+                mean_des[idx] = _fmt(np.mean(engine.delta_e(effective.channels)[0]))
+        for (iteration, vora, _), mean_de in zip(rows, mean_des):
             lines.append(f"{iteration},{label},{_fmt(vora)},{mean_de}")
 
     os.makedirs(args.out, exist_ok=True)

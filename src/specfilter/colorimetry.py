@@ -4,7 +4,9 @@ The harness mirrors the usual filter-evaluation protocol: for every illuminant
 in a scene collection, render camera responses and ground-truth XYZ for every
 reflectance, fit a linear correction from camera space to XYZ, convert both
 sides to CIELAB against the perfect-reflecting-diffuser white point, and pool
-the per-pair color differences into summary statistics.
+the per-pair color differences into summary statistics.  ``SceneEngine``
+holds the filter-independent half (signals, truths, white points, truth Lab)
+so that scoring many filters against one scene set renders it once.
 """
 
 from __future__ import annotations
@@ -69,11 +71,12 @@ class DeltaEStats:
 
     @classmethod
     def from_samples(cls, delta_e: np.ndarray) -> "DeltaEStats":
+        median, p95, p99 = np.percentile(delta_e, (50, 95, 99))
         return cls(
             mean=float(np.mean(delta_e)),
-            median=float(np.percentile(delta_e, 50)),
-            p95=float(np.percentile(delta_e, 95)),
-            p99=float(np.percentile(delta_e, 99)),
+            median=float(median),
+            p95=float(p95),
+            p99=float(p99),
             max=float(np.max(delta_e)),
         )
 
@@ -125,6 +128,45 @@ def xyz_to_lab(xyz: np.ndarray, white: np.ndarray) -> np.ndarray:
     return np.stack([116.0 * fy - 16.0, 500.0 * (fx - fy), 200.0 * (fy - fz)], axis=-1)
 
 
+class SceneEngine:
+    """The filter-independent half of an evaluation, computed once per scene set.
+
+    Construction renders the L x n x m signal stack (each illuminant times
+    every reflectance), the ground-truth XYZ and its Lab, and each
+    illuminant's perfect-diffuser white point, which must be positive.
+    ``delta_e`` then scores one camera against it; the stack costs L*n*m
+    floats of memory.
+    """
+
+    def __init__(self, observer: SensorSet, scenes: SceneSet, correction_mode: str = "per-illuminant"):
+        if correction_mode not in ("per-illuminant", "global"):
+            raise ValueError(f"unknown correction mode {correction_mode!r}")
+        require_same_grid(observer.grid, scenes.grid)
+        self.grid = scenes.grid
+        self.correction_mode = correction_mode
+        illuminants = np.stack([c.values for c in scenes.illuminants])       # L x n
+        signals = illuminants[:, :, None] * scenes.reflectance_matrix()     # L x n x m
+        self._signals_t = signals.transpose(0, 2, 1)                         # L x m x n
+        self._truths = self._signals_t @ observer.channels                   # L x m x 3
+        # Each white point from its own contiguous curve: a strided column of
+        # the illuminant stack would change the last bits.
+        self._whites = np.stack([observer.channels.T @ c.values for c in scenes.illuminants])[:, None, :]
+        self._truth_lab = xyz_to_lab(self._truths, self._whites)
+
+    def delta_e(self, channels: np.ndarray) -> tuple[np.ndarray, int]:
+        """Pooled per-pair Delta E of an n-by-3 camera and its count of negative corrected XYZ."""
+        if channels.shape != (self.grid.count, 3):
+            raise ShapeError(f"camera must be {self.grid.count}x3, got {channels.shape}")
+        responses = self._signals_t @ channels                               # L x m x 3
+        if self.correction_mode == "global":
+            corrections = fit_correction(responses.reshape(-1, 3), self._truths.reshape(-1, 3))
+        else:
+            corrections = np.stack([fit_correction(r, t) for r, t in zip(responses, self._truths)])
+        corrected = responses @ corrections
+        errors = np.linalg.norm(xyz_to_lab(corrected, self._whites) - self._truth_lab, axis=-1)
+        return errors.reshape(-1), int(np.sum(corrected < 0))
+
+
 def evaluate(
     camera: SensorSet,
     filter: SpectralCurve | None,
@@ -139,39 +181,14 @@ def evaluate(
     reflectances, fit the correction matrix (per illuminant, or one global fit
     over all pairs when ``correction_mode="global"``), convert both sides to
     CIELAB against that illuminant's perfect-diffuser white point, and pool
-    the color differences.  Negative corrected XYZ components pass through the
-    linear Lab segment and are tallied in the report.
+    the color differences.  A bad white point is reported before any
+    correction fit can fail.  Negative corrected XYZ components pass through
+    the linear Lab segment and are tallied in the report.  Scoring many
+    filters against one scene set is cheaper through one ``SceneEngine``.
     """
-    if correction_mode not in ("per-illuminant", "global"):
-        raise ValueError(f"unknown correction mode {correction_mode!r}")
     require_same_grid(camera.grid, observer.grid, scenes.grid)
     effective = camera if filter is None else apply_filter(filter, camera)
-
-    reflectances = scenes.reflectance_matrix()               # n x m
-    # Truth Lab is converted in this first pass so a bad white point is
-    # reported before any correction fit can fail.
-    per_illuminant: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
-    for illuminant in scenes.illuminants:
-        signal = illuminant.values[:, None] * reflectances   # n x m
-        responses = signal.T @ effective.channels            # m x 3
-        truths = signal.T @ observer.channels                # m x 3
-        white = observer.channels.T @ illuminant.values
-        per_illuminant.append((responses, truths, white, xyz_to_lab(truths, white)))
-
-    if correction_mode == "global":
-        pooled_responses = np.concatenate([r for r, _, _, _ in per_illuminant])
-        pooled_truths = np.concatenate([t for _, t, _, _ in per_illuminant])
-        global_m = fit_correction(pooled_responses, pooled_truths)
-
-    errors = []
-    negative = 0
-    for responses, truths, white, lab_truth in per_illuminant:
-        m = global_m if correction_mode == "global" else fit_correction(responses, truths)
-        corrected = responses @ m
-        negative += int(np.sum(corrected < 0))
-        errors.append(np.linalg.norm(xyz_to_lab(corrected, white) - lab_truth, axis=1))
-
-    pooled = np.concatenate(errors)
+    pooled, negative = SceneEngine(observer, scenes, correction_mode).delta_e(effective.channels)
     return EvaluationReport(
         vora=vora_value(effective, observer),
         delta_e=DeltaEStats.from_samples(pooled),

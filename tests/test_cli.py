@@ -5,9 +5,11 @@ import sys
 
 import pytest
 
+import specfilter.cli
 import specfilter.ingest
 from specfilter.cli import main
-from specfilter.ingest import builtin_cmf, read_spectral_csv
+from specfilter.colorimetry import evaluate
+from specfilter.ingest import builtin_cmf, load_scene_set, load_sensor_set, read_manifest, read_spectral_csv
 from specfilter.spectra import DEFAULT_GRID, SensorSet, SpectralCurve, apply_filter
 from specfilter.vora import vora_value
 
@@ -303,6 +305,108 @@ class TestTraceCompareCommand:
         assert code == 0
         # Camera, illuminants and reflectances once each, then each filters file once.
         assert sorted(resampled) == sorted([3, 3, 12, recorded, recorded])
+
+    @pytest.mark.parametrize("mode", ["per-illuminant", "global"])
+    def test_mean_delta_e_cells_equal_evaluate(self, tmp_path, camera_csv, scene_manifest, mode):
+        outs = {}
+        for optimizer in ("als", "ga"):
+            outs[optimizer] = str(tmp_path / optimizer)
+            argv = ["optimize", "--camera", camera_csv, "--optimizer", optimizer,
+                    "--max-iters", "40", "--out", outs[optimizer]]
+            assert main(argv) in (0, 2)
+        out = str(tmp_path / "cmp")
+        code = main(
+            [
+                "trace-compare",
+                os.path.join(outs["als"], "trace.csv"), os.path.join(outs["ga"], "trace.csv"),
+                "--label-a", "als", "--label-b", "ga",
+                "--filters-a", os.path.join(outs["als"], "iteration_filters.csv"),
+                "--filters-b", os.path.join(outs["ga"], "iteration_filters.csv"),
+                "--camera", camera_csv, "--scenes", scene_manifest, "--correction", mode, "--out", out,
+            ]
+        )
+        assert code == 0
+        camera = load_sensor_set(read_spectral_csv(camera_csv), DEFAULT_GRID)
+        scenes = load_scene_set(read_manifest(scene_manifest), DEFAULT_GRID)
+        rows = [line.split(",") for line in read(os.path.join(out, "compare.csv")).decode().splitlines()[1:]]
+        for optimizer in ("als", "ga"):
+            filters = read_spectral_csv(os.path.join(outs[optimizer], "iteration_filters.csv")).columns.T
+            cells = [r[3] for r in rows if r[1] == optimizer]
+            assert len(cells) == len(filters)
+            for cell, values in zip(cells, filters):
+                report = evaluate(camera, SpectralCurve(DEFAULT_GRID, values), builtin_cmf(), scenes, mode)
+                assert cell == repr(report.delta_e.mean)
+
+    def test_one_scene_engine_per_op(self, tmp_path, camera_csv, scene_manifest, monkeypatch):
+        out_a = str(tmp_path / "als")
+        assert main(["optimize", "--camera", camera_csv, "--optimizer", "als", "--out", out_a]) == 0
+        built = []
+
+        class CountingEngine(specfilter.cli.SceneEngine):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(specfilter.cli, "SceneEngine", CountingEngine)
+        filters = os.path.join(out_a, "iteration_filters.csv")
+        trace = os.path.join(out_a, "trace.csv")
+        scoring = ["--camera", camera_csv, "--scenes", scene_manifest]
+        argv = ["trace-compare", trace, trace, *scoring, "--out", str(tmp_path / "cmp")]
+        assert main(argv + ["--filters-a", filters, "--filters-b", filters]) == 0
+        assert len(built) == 1
+        assert main(argv + ["--filters-b", filters]) == 0
+        assert len(built) == 2
+        # Nothing to score: no engine.
+        assert main(argv) == 0
+        assert len(built) == 2
+
+    def test_dark_illuminant_fails_only_when_scored(self, tmp_path, camera_csv, capsys):
+        out_a = str(tmp_path / "als")
+        assert main(["optimize", "--camera", camera_csv, "--optimizer", "als", "--out", out_a]) == 0
+        lines = ["wavelength,bright,dark"]
+        lines += [f"{float(wl)!r},1.0,0.0" for wl in DEFAULT_GRID.wavelengths()]
+        (tmp_path / "lights.csv").write_text("\n".join(lines) + "\n")
+        lines = ["wavelength," + ",".join(f"c{j}" for j in range(4))]
+        lines += [f"{float(wl)!r},0.2,0.4,0.6,0.8" for wl in DEFAULT_GRID.wavelengths()]
+        (tmp_path / "surfaces.csv").write_text("\n".join(lines) + "\n")
+        manifest = tmp_path / "dark.txt"
+        manifest.write_text("illuminants = lights.csv\nreflectances = surfaces.csv\n")
+        trace = os.path.join(out_a, "trace.csv")
+        argv = ["trace-compare", trace, trace, "--camera", camera_csv, "--scenes", str(manifest),
+                "--out", str(tmp_path / "cmp")]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(argv + ["--filters-a", os.path.join(out_a, "iteration_filters.csv")]) == 1
+        assert "perfect-diffuser white point has a non-positive component" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("drop", ["trace row", "filter column"])
+    def test_mismatched_filters_file_exits_1(self, tmp_path, camera_csv, scene_manifest, capsys, drop):
+        out_a = str(tmp_path / "als")
+        assert main(["optimize", "--camera", camera_csv, "--optimizer", "als", "--out", out_a]) == 0
+        trace = os.path.join(out_a, "trace.csv")
+        filters = os.path.join(out_a, "iteration_filters.csv")
+        recorded = len(read_spectral_csv(filters).column_names)
+        if drop == "trace row":
+            lines = read(trace).decode().splitlines()[:-1]
+            trace = str(tmp_path / "short_trace.csv")
+            rows, columns = recorded - 1, recorded
+        else:
+            lines = [line.rsplit(",", 1)[0] for line in read(filters).decode().splitlines()]
+            filters = str(tmp_path / "short_filters.csv")
+            rows, columns = recorded, recorded - 1
+        with open(trace if drop == "trace row" else filters, "w", encoding="utf-8") as handle:
+            handle.write("\n".join(lines) + "\n")
+        out = tmp_path / "cmp"
+        code = main(
+            [
+                "trace-compare", trace, trace, "--filters-b", filters,
+                "--camera", camera_csv, "--scenes", scene_manifest, "--out", str(out),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{filters} has {columns} iteration filters but {trace} has {rows} trace rows" in err
+        assert not (out / "compare.csv").exists()
 
     def test_malformed_trace_exits_1(self, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -1,10 +1,13 @@
+import os
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from specfilter.als import random_filter
 from specfilter.colorimetry import (
     DeltaEStats,
+    SceneEngine,
     SceneSet,
     evaluate,
     fit_correction,
@@ -16,8 +19,8 @@ from specfilter.errors import (
     RankDeficient,
     ShapeError,
 )
-from specfilter.ingest import builtin_cmf
-from specfilter.spectra import DEFAULT_GRID, SensorSet, SpectralCurve, WavelengthGrid
+from specfilter.ingest import builtin_cmf, load_scene_set, load_sensor_set, read_manifest, read_spectral_csv
+from specfilter.spectra import DEFAULT_GRID, SensorSet, SpectralCurve, WavelengthGrid, apply_filter
 
 from conftest import bump_camera_matrix
 
@@ -229,6 +232,14 @@ class TestDeltaEStats:
             assert stats.median <= stats.p95 <= stats.p99 <= stats.max
             assert stats.mean <= stats.max
 
+    def test_from_samples_matches_one_percentile_per_call(self, rng):
+        for size in (3, 4, 36, 501, 20_000):
+            samples = rng.gamma(2.0, 2.0, size)
+            stats = DeltaEStats.from_samples(samples)
+            assert stats.median == float(np.percentile(samples, 50))
+            assert stats.p95 == float(np.percentile(samples, 95))
+            assert stats.p99 == float(np.percentile(samples, 99))
+
 
 class TestEvaluate:
     def test_camera_equals_observer_is_exact(self, rng):
@@ -291,6 +302,98 @@ class TestEvaluate:
         scene = scene_of([np.ones(31)], [np.ones(31) * 0.5] * 4)
         with pytest.raises(ValueError):
             evaluate(x, None, x, scene, correction_mode="weird")
+
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+
+
+def fixture_camera_and_scenes():
+    manifest = read_manifest(os.path.join(FIXTURES, "scenes.txt"))
+    camera = load_sensor_set(read_spectral_csv(manifest.camera), DEFAULT_GRID)
+    return camera, load_scene_set(manifest, DEFAULT_GRID)
+
+
+def loop_delta_es(channels, observer, scenes, correction_mode):
+    """Per-pair Delta E and negative-XYZ count, one illuminant at a time with its own products."""
+    reflectances = scenes.reflectance_matrix()
+    rendered_scenes = []
+    for light in scenes.illuminants:
+        signal = light.values[:, None] * reflectances
+        white = observer.channels.T @ light.values
+        rendered_scenes.append((signal.T @ channels, signal.T @ observer.channels, white))
+    if correction_mode == "global":
+        pooled = fit_correction(
+            np.concatenate([r for r, _, _ in rendered_scenes]),
+            np.concatenate([t for _, t, _ in rendered_scenes]),
+        )
+    errors, negative = [], 0
+    for responses, truths, white in rendered_scenes:
+        m = pooled if correction_mode == "global" else fit_correction(responses, truths)
+        corrected = responses @ m
+        negative += int(np.sum(corrected < 0))
+        errors.append(np.linalg.norm(xyz_to_lab(corrected, white) - xyz_to_lab(truths, white), axis=1))
+    return np.concatenate(errors), negative
+
+
+def engine_cases(rng):
+    """(camera, scenes, filters): the fixtures, then a bump camera under four random illuminants."""
+    camera, scenes = fixture_camera_and_scenes()
+    yield camera, scenes, [None] + [random_filter(DEFAULT_GRID, rng) for _ in range(4)]
+    bump = SensorSet(DEFAULT_GRID, bump_camera_matrix(rng))
+    random_scenes = scene_of(
+        [rng.uniform(0.2, 2.0, 31) for _ in range(4)],
+        [rng.uniform(0.0, 1.0, 31) for _ in range(9)],
+    )
+    yield bump, random_scenes, [None] + [random_filter(DEFAULT_GRID, rng) for _ in range(4)]
+
+
+@pytest.mark.parametrize("mode", ["per-illuminant", "global"])
+class TestSceneEngine:
+    def test_matches_per_illuminant_loop_bit_for_bit(self, rng, mode):
+        x = builtin_cmf()
+        for camera, scenes, filters in engine_cases(rng):
+            engine = SceneEngine(x, scenes, mode)
+            for f in filters:
+                channels = camera.channels if f is None else apply_filter(f, camera).channels
+                pooled, negative = engine.delta_e(channels)
+                want, want_negative = loop_delta_es(channels, x, scenes, mode)
+                assert pooled.tobytes() == want.tobytes()
+                assert negative == want_negative
+
+    def test_statistics_equal_evaluate_bit_for_bit(self, rng, mode):
+        x = builtin_cmf()
+        for camera, scenes, filters in engine_cases(rng):
+            engine = SceneEngine(x, scenes, mode)
+            for f in filters:
+                report = evaluate(camera, f, x, scenes, correction_mode=mode)
+                channels = camera.channels if f is None else apply_filter(f, camera).channels
+                pooled, negative = engine.delta_e(channels)
+                assert DeltaEStats.from_samples(pooled) == report.delta_e
+                assert pooled.size == report.pair_count
+                assert negative == report.negative_xyz_count
+
+    def test_dark_illuminant_rejected_at_construction(self, mode):
+        scene = scene_of([np.ones(31), np.zeros(31)], [np.ones(31) * 0.5] * 4)
+        with pytest.raises(InvalidWhitePoint, match="non-positive component"):
+            SceneEngine(builtin_cmf(), scene, mode)
+
+    def test_camera_shape_checked(self, mode):
+        scene = scene_of([np.ones(31)], [np.ones(31) * 0.5] * 4)
+        engine = SceneEngine(builtin_cmf(), scene, mode)
+        with pytest.raises(ShapeError):
+            engine.delta_e(np.ones((30, 3)))
+
+    def test_grid_mismatch_rejected(self, mode):
+        grid = WavelengthGrid(400.0, 10.0, 4)
+        scene = scene_of([np.ones(4)], [np.ones(4) * 0.5] * 4, grid)
+        with pytest.raises(GridMismatch):
+            SceneEngine(builtin_cmf(), scene, mode)
+
+
+def test_scene_engine_rejects_unknown_mode():
+    scene = scene_of([np.ones(31)], [np.ones(31) * 0.5] * 4)
+    with pytest.raises(ValueError, match="unknown correction mode"):
+        SceneEngine(builtin_cmf(), scene, "weird")
 
 
 class TestEvaluateAgainstHandComputation:
