@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, RankDeficient
-from .solution import FilterSolution, SolverConfig, TracePoint, finish
+from .solution import FilterSolution, Polish, SolverConfig, TracePoint, finish
 from .spectra import (
     CorrectionMatrix,
     OrthoBasis,
@@ -32,13 +32,15 @@ from .vora import basis_score
 # entry is pinned to 0 for reproducibility.
 DEGENERATE_ROW_NORM = 1e-20
 
-# After the Vora-Value stopping rule fires, extra unrecorded sweeps contract
-# the filter the rest of the way to the ALS fixed point: the Vora-Value locates
-# the optimum to round-off long before the iterate stops moving, so a
-# fixed-point-quality filter needs this polish.  Bounded so pathological
-# instances cannot spin.
+# After the Vora-Value stopping rule fires, unrecorded sweeps take the filter
+# the rest of the way to the ALS fixed point: the Vora-Value locates the
+# optimum to round-off long before the iterate stops moving, so a
+# fixed-point-quality filter needs this polish.  It is Anderson-accelerated
+# over the last POLISH_DEPTH steps and bounded so pathological instances
+# cannot spin.
 POLISH_STEP_TOL = 1e-9
 POLISH_MAX_SWEEPS = 5000
+POLISH_DEPTH = 5
 
 # Why a row of the lockstep sweep stopped; converged and capped rows have a solution.
 CONVERGED, CAPPED, RANK_LOSS, DROPPED = range(4)
@@ -60,8 +62,12 @@ def _filter(qc: np.ndarray, m: np.ndarray, vb: np.ndarray) -> np.ndarray:
     ``m`` is one transform or a stack of them.
     """
     qm = qc @ m
-    numerator = np.sum(qm * vb, axis=-1)
-    denominator = np.sum(qm * qm, axis=-1)
+    q0, q1, q2 = qm[..., 0], qm[..., 1], qm[..., 2]
+    # The additions np.sum makes over the length-3 axis, in its order and from
+    # its 0.0 start (so an all -0.0 row still sums to +0.0), without the
+    # reduction's overhead.  A sum of squares has no -0.0 to lose.
+    numerator = 0.0 + q0 * vb[:, 0] + q1 * vb[:, 1] + q2 * vb[:, 2]
+    denominator = q0 * q0 + q1 * q1 + q2 * q2
     degenerate = denominator < DEGENERATE_ROW_NORM
     return np.where(degenerate, 0.0, numerator / np.where(degenerate, 1.0, denominator))
 
@@ -139,38 +145,67 @@ def _sweep(initial: np.ndarray, qc: np.ndarray, vb: np.ndarray, epsilon: float, 
 
 def _solution(row: int, initial: np.ndarray, run: tuple, q: SensorSet, x: SensorSet,
               v: OrthoBasis) -> FilterSolution:
-    """Solution of a converged or capped ``_sweep`` row, polished if converged.
-
-    Its filters are rebuilt with the single-row filter half-step from each
-    previous sweep's transform: the trace a sequential run records.
-    """
-    transforms, scores, stop, outcome = run
-    qc, vb = q.channels, v.basis
-    f, m = initial[row], transforms[0][row]
-    points = [TracePoint(0, float(scores[0][row]), _residual(f, qc, m, vb), f)]
-    for i in range(1, int(stop[row]) + 1):
-        m = transforms[i - 1][row]
-        f = _filter(qc, m, vb)
-        points.append(TracePoint(i, float(scores[i][row]), _residual(f, qc, m, vb), f))
+    """Solution of a converged or capped ``_sweep`` row, polished if converged."""
+    _, _, stop, outcome = run
+    points = _trace(row, initial, run, q.channels, v.basis)
     converged = bool(outcome[row] == CONVERGED)
+    f, polish = points[-1].filter_values, None
     if converged:
-        f = _polish_to_fixed_point(f, qc, vb)
-    return finish(f, q, x, v, points, int(stop[row]), converged)
+        f, polish = _polish_to_fixed_point(f, q.channels, v.basis)
+    return finish(f, q, x, v, points, int(stop[row]), converged, polish)
 
 
-def _polish_to_fixed_point(f: np.ndarray, qc: np.ndarray, vb: np.ndarray) -> np.ndarray:
-    """Contract a converged iterate to the ALS fixed point with unrecorded sweeps."""
+def _trace(row: int, initial: np.ndarray, run: tuple, qc: np.ndarray, vb: np.ndarray) -> list[TracePoint]:
+    """The trace a run from ``initial[row]`` records, rebuilt from ``_sweep``'s transforms.
+
+    Sweep i's filter is the filter half-step from sweep i - 1's transform; its
+    residual is taken against that transform (the start's against its own).
+    All sweeps are rebuilt with one stacked half-step and one stacked residual.
+    """
+    transforms, scores, stop, _ = run
+    count = int(stop[row])
+    m = np.stack([transforms[max(i - 1, 0)][row] for i in range(count + 1)])
+    f = np.concatenate([initial[row][None], _filter(qc, m[1:], vb)])
+    deviation = (f[..., None] * qc) @ m - vb
+    residuals = np.sum(deviation * deviation, axis=(-2, -1))
+    return [
+        TracePoint(i, float(scores[i][row]), float(residuals[i]), f[i]) for i in range(count + 1)
+    ]
+
+
+def _polish_to_fixed_point(f: np.ndarray, qc: np.ndarray, vb: np.ndarray) -> tuple[np.ndarray, Polish]:
+    """Take a converged iterate to the ALS fixed point with unrecorded sweeps.
+
+    Type-II Anderson mixing (Walker & Ni, SIAM J. Numer. Anal. 49(4), 2011)
+    on the sweep map G(f) = ``_filter(qc, basis_score(f)[0], vb)`` over the
+    last ``POLISH_DEPTH`` steps.  The extrapolated iterate is taken only when
+    its filtered camera is full rank and it scores at least as high as the
+    plain sweep G(f), which is taken otherwise, so the Vora-Value cannot
+    fall.  Stops once max|G(f) - f| < ``POLISH_STEP_TOL`` times the input's
+    largest entry, after ``POLISH_MAX_SWEEPS`` sweeps, or on rank loss.
+    Returns the last G(f) and how the polish ended.
+    """
     scale = float(np.max(np.abs(f))) or 1.0
-    for _ in range(POLISH_MAX_SWEEPS):
-        m, _, full = basis_score(f, qc, vb)
-        if not full:
-            break
-        f_next = _filter(qc, m, vb)
-        step = float(np.max(np.abs(f_next - f)))
-        f = f_next
-        if step < POLISH_STEP_TOL * scale:
-            break
-    return f
+    m = basis_score(f, qc, vb)[0]
+    images, steps = [], []
+    for sweep in range(1, POLISH_MAX_SWEEPS + 1):
+        g = _filter(qc, m, vb)
+        step = g - f
+        if float(np.max(np.abs(step))) < POLISH_STEP_TOL * scale:
+            return g, Polish(sweep, True)
+        images.append(g)
+        steps.append(step)
+        del images[:-POLISH_DEPTH - 1], steps[:-POLISH_DEPTH - 1]
+        candidates = g[None]
+        if len(steps) > 1:
+            gamma = np.linalg.lstsq(np.diff(steps, axis=0).T, step, rcond=None)[0]
+            candidates = np.stack([g, g - gamma @ np.diff(images, axis=0)])
+        ms, scores, full = basis_score(candidates, qc, vb)
+        take = int(len(candidates) > 1 and full[1] and scores[1] >= scores[0])
+        if not full[take]:
+            return g, Polish(sweep, False)
+        f, m = candidates[take], ms[take]
+    return g, Polish(POLISH_MAX_SWEEPS, False)
 
 
 def random_filter(grid: WavelengthGrid, rng: np.random.Generator) -> SpectralCurve:
@@ -211,7 +246,3 @@ def optimize_als_multistart(
         raise RankDeficient("every start hit rank deficiency before converging")
     return _solution(int(np.argmax(final)), initial, run, q, x, v)
 
-
-def _residual(f: np.ndarray, qc: np.ndarray, m: np.ndarray, basis: np.ndarray) -> float:
-    deviation = (f[:, None] * qc) @ m - basis
-    return float(np.sum(deviation * deviation))

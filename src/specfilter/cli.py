@@ -8,6 +8,7 @@ produce byte-identical filter and trace files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -71,11 +72,12 @@ def _trace_csv(solution: FilterSolution) -> str:
 
 def _iteration_filters_csv(solution: FilterSolution) -> str:
     header = "wavelength," + ",".join(f"iter{p.iteration}" for p in solution.trace)
-    lines = [header]
-    wavelengths = solution.filter.grid.wavelengths()
-    for i, wl in enumerate(wavelengths):
-        cells = [_fmt(wl)] + [_fmt(p.filter_values[i]) for p in solution.trace]
-        lines.append(",".join(cells))
+    table = np.column_stack(
+        [solution.filter.grid.wavelengths()] + [p.filter_values for p in solution.trace]
+    )
+    # tolist() gives Python floats, whose repr is _fmt's shortest round trip.
+    # One row at a time: a 10k-iteration table as Python floats costs ~10 MB.
+    lines = [header] + [",".join(map(repr, row.tolist())) for row in table]
     return "\n".join(lines) + "\n"
 
 
@@ -171,6 +173,7 @@ def cmd_optimize(args) -> int:
             "initial_vora_value": float(solution.trace[0].vora_value),
             "iterations": solution.iterations,
             "converged": solution.converged,
+            "polish": dataclasses.asdict(solution.polish) if solution.polish else None,
             "correction_matrix": [[float(v) for v in row] for row in solution.correction.m],
         },
         "outputs": {
@@ -293,6 +296,13 @@ def _read_iteration_filters(path: str) -> np.ndarray:
 
 
 def cmd_trace_compare(args) -> int:
+    if args.filters_a or args.filters_b:
+        missing = [flag for flag, value in (("--camera", args.camera), ("--scenes", args.scenes))
+                   if not value]
+        if missing:
+            raise SpecFilterError(
+                f"--filters-a/--filters-b need --camera and --scenes; missing {' and '.join(missing)}"
+            )
     traces = [
         (args.label_a, args.trace_a, _read_trace(args.trace_a), args.filters_a),
         (args.label_b, args.trace_b, _read_trace(args.trace_b), args.filters_b),
@@ -311,7 +321,7 @@ def cmd_trace_compare(args) -> int:
     lines = ["iteration,method,vora_value,mean_delta_e"]
     for label, trace_path, rows, filters_path in traces:
         mean_des = [""] * len(rows)
-        if filters_path and scoring:
+        if filters_path:
             iteration_filters = _read_iteration_filters(filters_path)
             if len(iteration_filters) != len(rows):
                 raise SpecFilterError(

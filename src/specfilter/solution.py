@@ -107,13 +107,22 @@ class ConvergenceTrace:
 
 
 @dataclass(frozen=True)
+class Polish:
+    """How an ALS fixed-point polish ended: its sweeps and whether it met its step tolerance."""
+
+    iterations: int
+    met_tolerance: bool
+
+
+@dataclass(frozen=True)
 class FilterSolution:
     """An optimized filter, its least-squares correction partner and history.
 
     The reported filter is rescaled so its maximum entry is 1, or its largest
     magnitude when no entry is positive (the correction matrix absorbs the
     scale, and the Vora-Value is unchanged).  ``converged`` is False when the
-    iteration cap was reached first.
+    iteration cap was reached first.  ``polish`` is set for converged ALS runs
+    only, which are polished to the fixed point after their last recorded sweep.
     """
 
     filter: SpectralCurve
@@ -122,6 +131,7 @@ class FilterSolution:
     trace: ConvergenceTrace
     iterations: int
     converged: bool
+    polish: Polish | None = None
 
     def __post_init__(self):
         if len(self.trace) != self.iterations + 1:
@@ -132,7 +142,7 @@ class FilterSolution:
 
 def finish(
     f: np.ndarray, q: SensorSet, x: SensorSet, v: OrthoBasis,
-    points: list[TracePoint], iterations: int, converged: bool,
+    points: list[TracePoint], iterations: int, converged: bool, polish: Polish | None = None,
 ) -> FilterSolution:
     """Package a solver's last filter iterate ``f`` as a ``FilterSolution``.
 
@@ -153,4 +163,5 @@ def finish(
         trace=ConvergenceTrace(tuple(points)),
         iterations=iterations,
         converged=converged,
+        polish=polish,
     )

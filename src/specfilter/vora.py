@@ -68,7 +68,8 @@ def basis_score(
     fq_t = np.swapaxes(fq, -1, -2)
     gram = fq_t @ fq
     full = full_rank(fq, gram)
-    gram[~full] = np.eye(3)
+    if not full.all():
+        gram[~full] = np.eye(3)
     w = fq_t @ basis
     m = np.linalg.solve(gram, w)
     return m, np.sum(m * w, axis=(-2, -1)) / 3.0, full

@@ -5,9 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import specfilter.als as als
 from specfilter.als import (
+    CAPPED,
+    CONVERGED,
+    DEGENERATE_ROW_NORM,
     AlsConfig,
     _filter,
+    _polish_to_fixed_point,
+    _sweep,
+    _trace,
     optimize_als,
     optimize_als_multistart,
     random_filter,
@@ -29,6 +36,16 @@ from specfilter.vora import basis_score, vora_value
 
 from conftest import TOY_GRID, bump_camera_matrix, solvable_toy_pair
 from oracles import cofactor_inverse_3x3
+from test_acceptance import make_toys
+
+
+def sum_form_filter(qc, m, vb):
+    """The filter half-step with its row sums taken by np.sum over the length-3 axis."""
+    qm = qc @ m
+    numerator = np.sum(qm * vb, axis=-1)
+    denominator = np.sum(qm * qm, axis=-1)
+    degenerate = denominator < DEGENERATE_ROW_NORM
+    return np.where(degenerate, 0.0, numerator / np.where(degenerate, 1.0, denominator))
 
 
 class TestSolveM:
@@ -121,6 +138,111 @@ class TestStackedHalfSteps:
             assert full[k] == full_k
             assert np.array_equal(stepped[k], _filter(qc, m_k, vb))
         assert not full[0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        stack=st.one_of(st.none(), st.integers(1, 40)),
+        exponent=st.sampled_from([-150, 0, 150]),
+    )
+    def test_column_sums_equal_the_axis_sum_bit_for_bit(self, seed, stack, exponent):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 32))
+        qc = rng.standard_normal((n, 3)) * 10.0**exponent
+        vb = rng.standard_normal((n, 3))
+        # Zero and negative-zero rows: pinned rows, and numerators that are -0.0.
+        qc[rng.random(n) < 0.2] = 0.0
+        qc[rng.random(n) < 0.1] = -0.0
+        vb[rng.random(n) < 0.2] = -0.0
+        m = rng.standard_normal((3, 3) if stack is None else (stack, 3, 3))
+        m[..., rng.integers(3)] *= rng.random() < 0.3  # sometimes a zero column
+        got, want = _filter(qc, m, vb), sum_form_filter(qc, m, vb)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def reference_trace(row, initial, run, qc, vb):
+    """The trace rebuilt one sweep at a time, as a sequential run records it."""
+    transforms, scores, stop, _ = run
+
+    def residual(f, m):
+        deviation = (f[:, None] * qc) @ m - vb
+        return float(np.sum(deviation * deviation))
+
+    f, m = initial[row], transforms[0][row]
+    points = [(0, float(scores[0][row]), residual(f, m), f)]
+    for i in range(1, int(stop[row]) + 1):
+        m = transforms[i - 1][row]
+        f = _filter(qc, m, vb)
+        points.append((i, float(scores[i][row]), residual(f, m), f))
+    return points
+
+
+class TestTraceRebuild:
+    @pytest.mark.parametrize("max_iterations", [3, 2000])
+    def test_stacked_rebuild_equals_the_per_sweep_loop(self, max_iterations):
+        cases = []
+        for seed in (1, 2, 3):
+            qc = bump_camera_matrix(np.random.default_rng(seed))
+            cases.append((qc, orthonormalize(builtin_cmf()).basis, seed))
+        for seed in (4, 5):
+            qm, xm = solvable_toy_pair(np.random.default_rng(seed))
+            cases.append((qm, np.linalg.qr(xm)[0], seed))
+        outcomes = set()
+        for qc, vb, seed in cases:
+            rng = np.random.default_rng(seed)
+            initial = np.vstack([np.ones(len(qc)), 1.0 - rng.random((7, len(qc)))])
+            run = _sweep(initial, qc, vb, 1e-9, max_iterations)
+            final = np.where(run[3] <= CAPPED, run[1][-1], -np.inf)
+            winner = int(np.argmax(final))
+            for row in range(len(initial)):
+                if run[3][row] > CAPPED:
+                    continue
+                outcomes.add((row == winner, int(run[3][row])))
+                got = _trace(row, initial, run, qc, vb)
+                want = reference_trace(row, initial, run, qc, vb)
+                assert len(got) == len(want)
+                for p, (i, score, residual, f) in zip(got, want):
+                    assert (p.iteration, p.vora_value, p.residual) == (i, score, residual)
+                    assert p.filter_values.tobytes() == f.tobytes()
+        expected = CAPPED if max_iterations == 3 else CONVERGED
+        assert (True, expected) in outcomes
+
+
+class TestPolish:
+    def test_toy_winners_reach_the_fixed_point_without_losing_score(self):
+        # The multistart winners of the acceptance suite's toy pairs, polished afresh.
+        for index, (qm, xm) in enumerate(make_toys()):
+            q, x = SensorSet(TOY_GRID, qm), SensorSet(TOY_GRID, xm)
+            solution = optimize_als_multistart(q, x, AlsConfig(max_iterations=4000), starts=32, seed=index)
+            assert solution.converged
+            f, vb = solution.trace.final().filter_values, orthonormalize(x).basis
+            polished, polish = _polish_to_fixed_point(f, qm, vb)
+            assert polish.met_tolerance
+            assert polish.iterations < als.POLISH_MAX_SWEEPS
+            assert basis_score(polished, qm, vb)[1] >= basis_score(f, qm, vb)[1]
+            normalized = polished / np.max(polished)
+            swept = _filter(qm, basis_score(normalized, qm, vb)[0], vb)
+            assert np.max(np.abs(swept - normalized)) < 1e-8
+
+
+    def test_a_lower_scoring_extrapolation_is_refused(self, bump_camera, monkeypatch):
+        vb = orthonormalize(builtin_cmf()).basis
+        qc = bump_camera.channels
+        f = optimize_als(bump_camera, builtin_cmf()).trace.final().filter_values
+        # Every extrapolation is thrown far off, so each must fall back to the
+        # plain sweep: the polish is then plain fixed-point iteration.
+        monkeypatch.setattr(np.linalg, "lstsq", lambda a, b, rcond=None: (np.full(a.shape[1], 50.0),))
+        polished, polish = _polish_to_fixed_point(f, qc, vb)
+        plain, sweeps = f, 0
+        while True:
+            swept, sweeps = _filter(qc, basis_score(plain, qc, vb)[0], vb), sweeps + 1
+            if np.max(np.abs(swept - plain)) < als.POLISH_STEP_TOL * np.max(np.abs(f)):
+                break
+            plain = swept
+        assert polish.met_tolerance
+        assert polish.iterations == sweeps > 10
+        assert polished.tobytes() == swept.tobytes()
 
 
 class TestOptimizeAls:

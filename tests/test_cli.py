@@ -1,15 +1,20 @@
+import dataclasses
 import json
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+import specfilter.als
 import specfilter.cli
 import specfilter.ingest
-from specfilter.cli import main
+from specfilter.cli import _iteration_filters_csv, main
 from specfilter.colorimetry import evaluate
+from specfilter.gradient import GaConfig, optimize_ga
 from specfilter.ingest import builtin_cmf, load_scene_set, load_sensor_set, read_manifest, read_spectral_csv
+from specfilter.solution import ConvergenceTrace, TracePoint
 from specfilter.spectra import DEFAULT_GRID, SensorSet, SpectralCurve, apply_filter
 from specfilter.vora import vora_value
 
@@ -116,6 +121,23 @@ class TestOptimizeCommand:
         score_als = json.loads(read(os.path.join(out_als, "report.json")))["solution"]["vora_value"]
         score_ga = json.loads(read(os.path.join(out_ga, "report.json")))["solution"]["vora_value"]
         assert abs(score_als - score_ga) < 1e-4
+
+    def test_report_records_the_polish(self, tmp_path, camera_csv, monkeypatch):
+        def run(name, *flags):
+            out = str(tmp_path / name)
+            code = main(["optimize", "--camera", camera_csv, *flags, "--out", out])
+            polish = json.loads(read(os.path.join(out, "report.json")))["solution"]["polish"]
+            return code, polish, read(os.path.join(out, "trace.csv"))
+
+        code, polish, trace = run("als")
+        assert code == 0
+        assert polish["met_tolerance"] is True
+        assert 1 <= polish["iterations"] < specfilter.als.POLISH_MAX_SWEEPS
+        assert run("ga", "--optimizer", "ga")[:2] == (0, None)
+        assert run("capped", "--max-iters", "2")[:2] == (2, None)
+        # A polish stopped by its cap is reported, without changing the exit code or the trace.
+        monkeypatch.setattr(specfilter.als, "POLISH_MAX_SWEEPS", 1)
+        assert run("short") == (0, {"iterations": 1, "met_tolerance": False}, trace)
 
     def test_nonconvergence_exits_2(self, tmp_path, camera_csv, capsys):
         out = str(tmp_path / "out")
@@ -408,7 +430,55 @@ class TestTraceCompareCommand:
         assert f"{filters} has {columns} iteration filters but {trace} has {rows} trace rows" in err
         assert not (out / "compare.csv").exists()
 
+    @pytest.mark.parametrize("filters_flag", ["--filters-a", "--filters-b"])
+    @pytest.mark.parametrize("given", [(), ("--camera",), ("--scenes",)])
+    def test_filters_without_camera_and_scenes_exits_1(
+        self, tmp_path, camera_csv, scene_manifest, capsys, filters_flag, given
+    ):
+        out_a = str(tmp_path / "als")
+        assert main(["optimize", "--camera", camera_csv, "--optimizer", "als", "--out", out_a]) == 0
+        trace = os.path.join(out_a, "trace.csv")
+        values = {"--camera": camera_csv, "--scenes": scene_manifest}
+        argv = ["trace-compare", trace, trace, filters_flag, os.path.join(out_a, "iteration_filters.csv")]
+        for flag in given:
+            argv += [flag, values[flag]]
+        out = tmp_path / "cmp"
+        capsys.readouterr()
+        assert main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        missing = [flag for flag in ("--camera", "--scenes") if flag not in given]
+        assert f"missing {' and '.join(missing)}" in err
+        assert not (out / "compare.csv").exists()
+
     def test_malformed_trace_exits_1(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("iteration,vora_value,residual\n0,not_a_number,1\n")
         assert main(["trace-compare", str(bad), str(bad), "--out", str(tmp_path)]) == 1
+
+
+def cell_by_cell_iteration_filters_csv(solution):
+    """The iteration-filters table formatted one ``repr(float(cell))`` at a time."""
+    header = "wavelength," + ",".join(f"iter{p.iteration}" for p in solution.trace)
+    lines = [header]
+    for i, wl in enumerate(solution.filter.grid.wavelengths()):
+        cells = [repr(float(wl))] + [repr(float(p.filter_values[i])) for p in solution.trace]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def test_iteration_filters_csv_equals_the_cell_by_cell_formatter():
+    q = SensorSet(DEFAULT_GRID, bump_camera_matrix(np.random.default_rng(3)))
+    solution = optimize_ga(q, builtin_cmf(), GaConfig(max_iterations=200))
+    final = solution.trace.final()
+    odd = [np.full(31, -0.0), np.full(31, 5e-324), np.full(31, 1e300),
+           np.resize([-0.0, 0.0, 5e-324, -2.5e-310, 1e300, -1e300, 0.1, 1 / 3], 31)]
+    points = list(solution.trace) + [
+        TracePoint(final.iteration + 1 + k, final.vora_value, final.residual, values)
+        for k, values in enumerate(odd)
+    ]
+    extended = dataclasses.replace(
+        solution, trace=ConvergenceTrace(tuple(points)), iterations=solution.iterations + len(odd)
+    )
+    text = _iteration_filters_csv(extended)
+    assert text == cell_by_cell_iteration_filters_csv(extended)
+    assert ",-0.0," in text and ",5e-324," in text and ",1e+300," in text
