@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -19,11 +20,11 @@ import numpy as np
 
 from .als import AlsConfig, optimize_als, optimize_als_multistart, random_filter
 from .colorimetry import EvaluationReport, SceneEngine, evaluate
-from .errors import SpecFilterError
+from .errors import RankDeficient, SpecFilterError
 from .gradient import GaConfig, optimize_ga, optimize_ga_multistart
 from .ingest import load_cmf, load_scene_set, load_sensor_set, read_manifest, read_spectral_csv
 from .solution import FilterSolution
-from .spectra import DEFAULT_GRID, SensorSet, SpectralCurve, apply_filter
+from .spectra import DEFAULT_GRID, SensorSet, SpectralCurve
 from .vora import vora_value
 
 
@@ -290,9 +291,31 @@ def _read_trace(path: str) -> list[tuple[int, float, float]]:
     return rows
 
 
-def _read_iteration_filters(path: str) -> np.ndarray:
-    """One row per recorded iteration, resampled onto the working grid."""
-    return read_spectral_csv(path).resampled_columns(DEFAULT_GRID).T
+def _read_iteration_filters(path: str) -> tuple[tuple[str, ...], np.ndarray]:
+    """Column names and one row per recorded iteration, resampled onto the working grid."""
+    table = read_spectral_csv(path)
+    return table.column_names, table.resampled_columns(DEFAULT_GRID).T
+
+
+# Illuminant-reflectance pairs scored per SceneEngine.delta_e call: about 113
+# filters per block on fixtures/, one at paper scale (102 x 1995 pairs), so
+# the per-block (filters, L, m, 3) intermediates stay small on any trace.
+PAIR_BUDGET = 4096
+
+
+def _mean_delta_es(engine: SceneEngine, camera: SensorSet, filters: np.ndarray,
+                   names: tuple[str, ...], path: str) -> np.ndarray:
+    """Mean per-pair Delta E of the camera behind each filter row, scored in stacked blocks."""
+    block = max(1, PAIR_BUDGET // engine.pair_count)
+    means = []
+    for start in range(0, len(filters), block):
+        cameras = filters[start:start + block, :, None] * camera.channels
+        try:
+            pooled, _ = engine.delta_e(cameras)
+        except RankDeficient as exc:
+            raise RankDeficient(f"{path} {names[start + exc.index[0]]}: {exc}") from None
+        means.append(np.mean(pooled, axis=-1))
+    return np.concatenate(means)
 
 
 def cmd_trace_compare(args) -> int:
@@ -322,7 +345,7 @@ def cmd_trace_compare(args) -> int:
     for label, trace_path, rows, filters_path in traces:
         mean_des = [""] * len(rows)
         if filters_path:
-            iteration_filters = _read_iteration_filters(filters_path)
+            names, iteration_filters = _read_iteration_filters(filters_path)
             if len(iteration_filters) != len(rows):
                 raise SpecFilterError(
                     f"{filters_path} has {len(iteration_filters)} iteration filters "
@@ -330,9 +353,8 @@ def cmd_trace_compare(args) -> int:
                 )
             if engine is None:
                 engine = SceneEngine(cmf, scenes, args.correction)
-            for idx, values in enumerate(iteration_filters):
-                effective = apply_filter(SpectralCurve(DEFAULT_GRID, values), camera)
-                mean_des[idx] = _fmt(np.mean(engine.delta_e(effective.channels)[0]))
+            means = _mean_delta_es(engine, camera, iteration_filters, names, filters_path)
+            mean_des = [_fmt(value) for value in means]
         for (iteration, vora, _), mean_de in zip(rows, mean_des):
             lines.append(f"{iteration},{label},{_fmt(vora)},{mean_de}")
 
@@ -389,9 +411,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built once per process: in-process callers run many ops, and each
+    # parse_args call fills a fresh namespace, so no defaults leak between them.
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (SpecFilterError, OSError, ValueError) as exc:

@@ -96,14 +96,27 @@ class EvaluationReport:
 def fit_correction(responses: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Least-squares 3x3 map from m-by-3 camera responses to m-by-3 XYZ targets.
 
-    Needs at least three pairs with a full-rank response matrix.
+    ``responses`` is one m-by-3 matrix or a stack (..., m, 3) of them;
+    ``targets`` broadcasts against it and the result gains the same leading
+    axes.  Each fit is a thin QR solve, which works at the responses' own
+    condition number where the normal equations would square it.  Needs at
+    least three pairs and every response matrix of full rank;
+    ``RankDeficient.index`` locates the first that is not.
     """
-    if responses.shape[0] != targets.shape[0]:
-        raise ShapeError(f"{responses.shape[0]} responses vs {targets.shape[0]} targets")
-    if responses.shape[0] < 3 or not full_rank(responses, responses.T @ responses):
-        raise RankDeficient("camera response matrix is rank deficient (need >= 3 independent pairs)")
-    solution, _, _, _ = np.linalg.lstsq(responses, targets, rcond=None)
-    return solution
+    m = responses.shape[-2]
+    if m != targets.shape[-2]:
+        raise ShapeError(f"{m} responses vs {targets.shape[-2]} targets")
+    if m < 3:
+        full = np.zeros(responses.shape[:-2], dtype=bool)
+    else:
+        full = full_rank(responses, np.swapaxes(responses, -1, -2) @ responses)
+    if not np.all(full):
+        raise RankDeficient(
+            "camera response matrix is rank deficient (need >= 3 independent pairs)",
+            index=tuple(int(i) for i in np.argwhere(~full)[0]),
+        )
+    q, r = np.linalg.qr(responses)
+    return np.linalg.solve(r, np.swapaxes(q, -1, -2) @ targets)
 
 
 # CIE 1976 L*a*b* companding constants: cube root above (6/29)^3, linear below.
@@ -134,8 +147,9 @@ class SceneEngine:
     Construction renders the L x n x m signal stack (each illuminant times
     every reflectance), the ground-truth XYZ and its Lab, and each
     illuminant's perfect-diffuser white point, which must be positive.
-    ``delta_e`` then scores one camera against it; the stack costs L*n*m
-    floats of memory.
+    ``delta_e`` then scores one camera, or a stack of them, against it; the
+    stack costs L*n*m floats of memory and each camera ``pair_count`` = L*m
+    pairs.
     """
 
     def __init__(self, observer: SensorSet, scenes: SceneSet, correction_mode: str = "per-illuminant"):
@@ -148,23 +162,34 @@ class SceneEngine:
         signals = illuminants[:, :, None] * scenes.reflectance_matrix()     # L x n x m
         self._signals_t = signals.transpose(0, 2, 1)                         # L x m x n
         self._truths = self._signals_t @ observer.channels                   # L x m x 3
+        self.pair_count = self._truths.shape[0] * self._truths.shape[1]
         # Each white point from its own contiguous curve: a strided column of
         # the illuminant stack would change the last bits.
         self._whites = np.stack([observer.channels.T @ c.values for c in scenes.illuminants])[:, None, :]
         self._truth_lab = xyz_to_lab(self._truths, self._whites)
 
-    def delta_e(self, channels: np.ndarray) -> tuple[np.ndarray, int]:
-        """Pooled per-pair Delta E of an n-by-3 camera and its count of negative corrected XYZ."""
-        if channels.shape != (self.grid.count, 3):
-            raise ShapeError(f"camera must be {self.grid.count}x3, got {channels.shape}")
-        responses = self._signals_t @ channels                               # L x m x 3
+    def delta_e(self, channels: np.ndarray) -> tuple[np.ndarray, int | np.ndarray]:
+        """Pooled per-pair Delta E of an n-by-3 camera and its count of negative corrected XYZ.
+
+        ``channels`` may also be an (F, n, 3) stack of cameras; both results
+        then gain a leading F axis, and each camera's results are bit for bit
+        those it gets alone.  One batched fit covers every camera (and every
+        illuminant in per-illuminant mode); a rank-deficient one raises
+        ``RankDeficient`` with ``index[0]`` its position in the stack.
+        """
+        if channels.ndim not in (2, 3) or channels.shape[-2:] != (self.grid.count, 3):
+            raise ShapeError(f"camera must be {self.grid.count}x3 or a stack of them, got {channels.shape}")
+        lead = channels.shape[:-2]
+        responses = self._signals_t @ channels[..., None, :, :]             # (F x) L x m x 3
         if self.correction_mode == "global":
-            corrections = fit_correction(responses.reshape(-1, 3), self._truths.reshape(-1, 3))
+            fit = fit_correction(responses.reshape(*lead, -1, 3), self._truths.reshape(-1, 3))
+            corrections = fit[..., None, :, :]
         else:
-            corrections = np.stack([fit_correction(r, t) for r, t in zip(responses, self._truths)])
+            corrections = fit_correction(responses, self._truths)
         corrected = responses @ corrections
         errors = np.linalg.norm(xyz_to_lab(corrected, self._whites) - self._truth_lab, axis=-1)
-        return errors.reshape(-1), int(np.sum(corrected < 0))
+        negative = np.sum(corrected < 0, axis=(-3, -2, -1))
+        return errors.reshape(*lead, -1), negative if lead else int(negative)
 
 
 def evaluate(

@@ -6,7 +6,15 @@ class SpecFilterError(Exception):
 
 
 class RankDeficient(SpecFilterError):
-    """A sensor matrix has numerically dependent columns."""
+    """A sensor matrix has numerically dependent columns.
+
+    ``index`` locates the first deficient matrix of a stack over its leading
+    axes (``()`` for a single matrix) when the raiser knows it.
+    """
+
+    def __init__(self, message: str, index: tuple[int, ...] | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 class GridMismatch(SpecFilterError):

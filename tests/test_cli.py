@@ -180,6 +180,14 @@ class TestOptimizeCommand:
         )
         assert code == 0
 
+    def test_parser_built_once_leaks_no_defaults(self, tmp_path, camera_csv):
+        assert specfilter.cli._parser() is specfilter.cli._parser()
+        outs = [str(tmp_path / "multi"), str(tmp_path / "single")]
+        assert main(["optimize", "--camera", camera_csv, "--starts", "4", "--out", outs[0]]) == 0
+        assert main(["optimize", "--camera", camera_csv, "--out", outs[1]]) == 0
+        starts = [json.loads(read(os.path.join(out, "report.json")))["config"]["starts"] for out in outs]
+        assert starts == [4, 1]
+
     @pytest.mark.parametrize("optimizer", ["als", "ga"])
     @pytest.mark.parametrize("starts", ["0", "-3"])
     def test_starts_below_one_exits_1(self, tmp_path, camera_csv, capsys, optimizer, starts):
@@ -358,6 +366,70 @@ class TestTraceCompareCommand:
             for cell, values in zip(cells, filters):
                 report = evaluate(camera, SpectralCurve(DEFAULT_GRID, values), builtin_cmf(), scenes, mode)
                 assert cell == repr(report.delta_e.mean)
+
+    def scored_traces(self, tmp_path, camera_csv, scene_manifest):
+        """trace-compare argv (minus --out) over an ALS and a 40-iteration GA run, and their row counts."""
+        argv, rows = ["trace-compare"], []
+        for optimizer in ("als", "ga"):
+            out = str(tmp_path / optimizer)
+            assert main(["optimize", "--camera", camera_csv, "--optimizer", optimizer,
+                         "--max-iters", "40", "--out", out]) in (0, 2)
+            argv.append(os.path.join(out, "trace.csv"))
+            rows.append(len(read_spectral_csv(os.path.join(out, "iteration_filters.csv")).column_names))
+        argv += ["--filters-a", str(tmp_path / "als" / "iteration_filters.csv"),
+                 "--filters-b", str(tmp_path / "ga" / "iteration_filters.csv"),
+                 "--camera", camera_csv, "--scenes", scene_manifest]
+        return argv, rows
+
+    @pytest.mark.parametrize("mode", ["per-illuminant", "global"])
+    def test_compare_csv_independent_of_block_size(self, tmp_path, camera_csv, scene_manifest, monkeypatch, mode):
+        argv, _ = self.scored_traces(tmp_path, camera_csv, scene_manifest)
+        argv += ["--correction", mode]
+        outputs = []
+        for budget in (specfilter.cli.PAIR_BUDGET, 1, 10**9):
+            monkeypatch.setattr(specfilter.cli, "PAIR_BUDGET", budget)
+            out = str(tmp_path / f"cmp{budget}")
+            assert main(argv + ["--out", out]) == 0
+            outputs.append(read(os.path.join(out, "compare.csv")))
+        assert outputs[1] == outputs[0]
+        assert outputs[2] == outputs[0]
+
+    def test_delta_e_called_once_per_block(self, tmp_path, camera_csv, scene_manifest, monkeypatch):
+        argv, rows = self.scored_traces(tmp_path, camera_csv, scene_manifest)
+        stacks = []
+
+        class CountingEngine(specfilter.cli.SceneEngine):
+            def delta_e(self, channels):
+                stacks.append(len(channels))
+                return super().delta_e(channels)
+
+        monkeypatch.setattr(specfilter.cli, "SceneEngine", CountingEngine)
+        block = 7
+        pairs = 3 * 12  # the manifest's illuminants times its reflectances
+        monkeypatch.setattr(specfilter.cli, "PAIR_BUDGET", block * pairs + pairs - 1)
+        assert main(argv + ["--out", str(tmp_path / "cmp")]) == 0
+        # ceil(rows / block) calls per trace, each on a full block but the last.
+        assert stacks == [min(block, count - start) for count in rows for start in range(0, count, block)]
+
+    @pytest.mark.parametrize("mode", ["per-illuminant", "global"])
+    def test_rank_deficient_iteration_filter_is_named(self, tmp_path, camera_csv, scene_manifest, capsys, mode):
+        argv, rows = self.scored_traces(tmp_path, camera_csv, scene_manifest)
+        filters = str(tmp_path / "ga" / "iteration_filters.csv")
+        lines = [line.split(",") for line in read(filters).decode().splitlines()]
+        column = rows[1] - 3
+        name = lines[0][column + 1]
+        for cells in lines[1:]:
+            cells[column + 1] = "0.0"
+        zeroed = tmp_path / "zeroed_filters.csv"
+        zeroed.write_text("\n".join(",".join(cells) for cells in lines) + "\n")
+        argv[argv.index(filters)] = str(zeroed)
+        out = tmp_path / "cmp"
+        capsys.readouterr()
+        assert main(argv + ["--correction", mode, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"{zeroed} {name}: camera response matrix is rank deficient" in err
+        assert name == f"iter{column}"
+        assert not (out / "compare.csv").exists()
 
     def test_one_scene_engine_per_op(self, tmp_path, camera_csv, scene_manifest, monkeypatch):
         out_a = str(tmp_path / "als")

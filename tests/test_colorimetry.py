@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from specfilter.als import random_filter
+from specfilter.cli import PAIR_BUDGET
 from specfilter.colorimetry import (
     DeltaEStats,
     SceneEngine,
@@ -153,6 +154,33 @@ class TestFitCorrection:
     def test_row_count_mismatch_rejected(self, rng):
         with pytest.raises(ShapeError):
             fit_correction(rng.uniform(0.1, 1.0, size=(5, 3)), rng.uniform(0.1, 1.0, size=(4, 3)))
+
+    def test_stack_equals_per_matrix_fits_bit_for_bit(self, rng):
+        responses = rng.uniform(0.1, 1.0, size=(4, 3, 12, 3))
+        targets = rng.uniform(0.1, 1.0, size=(3, 12, 3))
+        stacked = fit_correction(responses, targets)
+        assert stacked.shape == (4, 3, 3, 3)
+        for f in range(4):
+            for light in range(3):
+                single = fit_correction(responses[f, light], targets[light])
+                assert stacked[f, light].tobytes() == single.tobytes()
+
+    def test_agrees_with_lstsq_on_well_conditioned_responses(self, rng):
+        for _ in range(50):
+            raw = rng.uniform(0.1, 1.0, size=(12, 3))
+            targets = rng.uniform(0.1, 1.0, size=(12, 3))
+            want = np.linalg.lstsq(raw, targets, rcond=None)[0]
+            assert np.max(np.abs(fit_correction(raw, targets) - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_deficient_matrix_of_a_stack_is_located(self, rng):
+        responses = rng.uniform(0.1, 1.0, size=(3, 2, 6, 3))
+        responses[2, 1, :, 0] = responses[2, 1, :, 1]
+        with pytest.raises(RankDeficient, match="camera response matrix is rank deficient") as raised:
+            fit_correction(responses, responses.copy())
+        assert raised.value.index == (2, 1)
+        with pytest.raises(RankDeficient) as raised:
+            fit_correction(responses[2, 1], responses[2, 1])
+        assert raised.value.index == ()
 
 
 class TestXyzToLab:
@@ -372,6 +400,29 @@ class TestSceneEngine:
                 assert pooled.size == report.pair_count
                 assert negative == report.negative_xyz_count
 
+    def test_stack_equals_single_calls_bit_for_bit(self, rng, mode):
+        camera, scenes = fixture_camera_and_scenes()
+        engine = SceneEngine(builtin_cmf(), scenes, mode)
+        block = PAIR_BUDGET // engine.pair_count
+        filters = np.stack([random_filter(DEFAULT_GRID, rng).values for _ in range(block + 1)])
+        cameras = filters[:, :, None] * camera.channels
+        singles = [engine.delta_e(c) for c in cameras]
+        for count in (1, 2, block + 1):
+            pooled, negative = engine.delta_e(cameras[:count])
+            assert pooled.shape == (count, engine.pair_count)
+            for k in range(count):
+                assert pooled[k].tobytes() == singles[k][0].tobytes()
+                assert negative[k] == singles[k][1]
+
+    def test_deficient_camera_of_a_stack_is_located(self, rng, mode):
+        camera, scenes = fixture_camera_and_scenes()
+        engine = SceneEngine(builtin_cmf(), scenes, mode)
+        cameras = np.stack([camera.channels] * 4)
+        cameras[2] = 0.0
+        with pytest.raises(RankDeficient) as raised:
+            engine.delta_e(cameras)
+        assert raised.value.index[0] == 2
+
     def test_dark_illuminant_rejected_at_construction(self, mode):
         scene = scene_of([np.ones(31), np.zeros(31)], [np.ones(31) * 0.5] * 4)
         with pytest.raises(InvalidWhitePoint, match="non-positive component"):
@@ -382,6 +433,8 @@ class TestSceneEngine:
         engine = SceneEngine(builtin_cmf(), scene, mode)
         with pytest.raises(ShapeError):
             engine.delta_e(np.ones((30, 3)))
+        with pytest.raises(ShapeError):
+            engine.delta_e(np.ones((2, 2, 31, 3)))
 
     def test_grid_mismatch_rejected(self, mode):
         grid = WavelengthGrid(400.0, 10.0, 4)
