@@ -175,6 +175,7 @@ def cmd_optimize(args) -> int:
             "iterations": solution.iterations,
             "converged": solution.converged,
             "polish": dataclasses.asdict(solution.polish) if solution.polish else None,
+            "line_search_trials": solution.line_search_trials,
             "correction_matrix": [[float(v) for v in row] for row in solution.correction.m],
         },
         "outputs": {

@@ -62,7 +62,7 @@ class GaConfig(SolverConfig):
 def _gradient_arrays(f: np.ndarray, qc: np.ndarray, vb: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Gradient of the Vora-Value at filter ``f``, given its full-rank ``basis_score`` transform ``m``."""
     c = (vb - (f[:, None] * qc) @ m) @ m.T
-    return (2.0 / 3.0) * np.sum(qc * c, axis=1)
+    return (2.0 / 3.0) * (qc * c).sum(axis=1)
 
 
 def vora_gradient(f: SpectralCurve, q: SensorSet, x: SensorSet) -> np.ndarray:
@@ -92,6 +92,7 @@ def optimize_ga(q: SensorSet, x: SensorSet, config: GaConfig | None = None) -> F
 
     converged = False
     iterations = 0
+    trials = 0
     for i in range(1, config.max_iterations + 1):
         grad = _gradient_arrays(f, qc, vb, m)
         grad_norm_sq = float(grad @ grad)
@@ -99,6 +100,7 @@ def optimize_ga(q: SensorSet, x: SensorSet, config: GaConfig | None = None) -> F
         if config.step_rule == "fixed":
             candidate = f + config.fixed_step * grad
             new_m, new_score, full = basis_score(candidate, qc, vb)
+            trials += 1
             if not full:
                 raise RankDeficient(f"filter lost a camera channel at iteration {i}")
             new_score = float(new_score)
@@ -113,6 +115,7 @@ def optimize_ga(q: SensorSet, x: SensorSet, config: GaConfig | None = None) -> F
             while step >= MIN_STEP:
                 trial = f + step * grad
                 trial_m, trial_score, full = basis_score(trial, qc, vb)
+                trials += 1
                 if full and trial_score >= score + config.sufficient_increase * step * grad_norm_sq:
                     candidate, new_m, new_score = trial, trial_m, float(trial_score)
                     break
@@ -131,7 +134,7 @@ def optimize_ga(q: SensorSet, x: SensorSet, config: GaConfig | None = None) -> F
             converged = True
             break
 
-    return finish(f, q, x, v, points, iterations, converged)
+    return finish(f, q, x, v, points, iterations, converged, line_search_trials=trials)
 
 
 def optimize_ga_multistart(

@@ -123,6 +123,8 @@ class FilterSolution:
     scale, and the Vora-Value is unchanged).  ``converged`` is False when the
     iteration cap was reached first.  ``polish`` is set for converged ALS runs
     only, which are polished to the fixed point after their last recorded sweep.
+    ``line_search_trials`` is set for gradient ascent only: how many trial
+    filters it scored after the start.
     """
 
     filter: SpectralCurve
@@ -132,6 +134,7 @@ class FilterSolution:
     iterations: int
     converged: bool
     polish: Polish | None = None
+    line_search_trials: int | None = None
 
     def __post_init__(self):
         if len(self.trace) != self.iterations + 1:
@@ -143,6 +146,7 @@ class FilterSolution:
 def finish(
     f: np.ndarray, q: SensorSet, x: SensorSet, v: OrthoBasis,
     points: list[TracePoint], iterations: int, converged: bool, polish: Polish | None = None,
+    line_search_trials: int | None = None,
 ) -> FilterSolution:
     """Package a solver's last filter iterate ``f`` as a ``FilterSolution``.
 
@@ -164,4 +168,5 @@ def finish(
         iterations=iterations,
         converged=converged,
         polish=polish,
+        line_search_trials=line_search_trials,
     )

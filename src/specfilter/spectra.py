@@ -9,6 +9,7 @@ to share between threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import InitVar, dataclass
 
 import numpy as np
@@ -165,7 +166,23 @@ def full_rank(a: np.ndarray, gram: np.ndarray) -> np.bool_ | np.ndarray:
     RANK_TOLERANCE^2 to dwarf round-off) settles full rank without an SVD.
     ``rank_ratio`` decides the rest, and any G with tr G below 1e-290, whose
     subnormal entries may have lost digits.  Returns a numpy bool or bool array.
+
+    One G, the optimizers' hot case, is bounded on its nine entries as Python
+    floats, where numpy's call overhead would cost ten times the arithmetic.
+    Its cofactor det is divided by t = tr G three times, not by t^3: t^3
+    underflows to 0 for t below about 1e-103, and a Python float division by
+    0 raises.  Only a finite bound settles full rank, because an overflowed
+    det is inf or nan, and +inf occurs for rank-2 matrices with entries near 1e60.
     """
+    if gram.ndim == 2:
+        (g00, g01, g02), (g10, g11, g12), (g20, g21, g22) = gram.tolist()
+        t = g00 + g11 + g22
+        if t > 1e-290:
+            det = (g00 * (g11 * g22 - g12 * g21) - g01 * (g10 * g22 - g12 * g20)
+                   + g02 * (g10 * g21 - g11 * g20))
+            if 1e-8 < 4.0 * det / t / t / t < math.inf:
+                return np.True_
+        return np.bool_(rank_ratio(a) > RANK_TOLERANCE)
     trace = gram.trace(axis1=-2, axis2=-1)
     # A zero or overflowed trace gives a nan bound, which rank_ratio then decides.
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
@@ -247,7 +264,8 @@ def interp_columns(
 
     Raises ``OutOfRange`` if the target extends beyond the source endpoints
     (a 1e-9 nm slack absorbs float fuzz).  Shared wavelengths are preserved
-    exactly.
+    exactly; when the source wavelengths are the target grid, the result is a
+    copy of ``columns``.
     """
     slack = 1e-9
     if target.start < wavelengths[0] - slack or target.stop > wavelengths[-1] + slack:
@@ -256,6 +274,9 @@ def interp_columns(
             f"{wavelengths[0]}..{wavelengths[-1]} nm"
         )
     out_wl = target.wavelengths()
+    if np.array_equal(wavelengths, out_wl):
+        # np.interp returns the data at a shared knot bit for bit.
+        return columns.astype(float, order="C")
     out = np.empty((target.count, columns.shape[1]))
     for j in range(columns.shape[1]):
         out[:, j] = np.interp(out_wl, wavelengths, columns[:, j])

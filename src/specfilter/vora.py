@@ -65,14 +65,14 @@ def basis_score(
     counts.
     """
     fq = f[..., None] * qc
-    fq_t = np.swapaxes(fq, -1, -2)
+    fq_t = fq.swapaxes(-1, -2)
     gram = fq_t @ fq
     full = full_rank(fq, gram)
     if not full.all():
         gram[~full] = np.eye(3)
     w = fq_t @ basis
     m = np.linalg.solve(gram, w)
-    return m, np.sum(m * w, axis=(-2, -1)) / 3.0, full
+    return m, (m * w).sum(axis=(-2, -1)) / 3.0, full
 
 
 def luther_residual(

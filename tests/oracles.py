@@ -3,10 +3,14 @@
 Everything here deliberately avoids the package's linear-algebra paths:
 inverses come from cofactor expansion, projections from explicit
 normal-equation assembly, and the global-optimum search from vectorized
-random sampling plus coordinate scans over raw arrays.
+random sampling plus coordinate scans over raw arrays.  The exceptions are
+the ``*_reference`` copies of optimizer hot-loop code as first written,
+which pin that code's output bits rather than check its mathematics.
 """
 
 import numpy as np
+
+from specfilter.spectra import RANK_TOLERANCE, rank_ratio
 
 
 def cofactor_inverse_3x3(m):
@@ -43,6 +47,30 @@ def batched_vora(filters, camera, observer):
     w = a.transpose(0, 2, 1) @ basis
     values = np.einsum("kij,kij->k", np.linalg.solve(gram, w), w) / 3.0
     return np.where(ok, values, -np.inf)
+
+
+def basis_score_reference(f, qc, basis):
+    """``vora.basis_score`` as first written: module-level numpy calls and an SVD rank flag.
+
+    The package's version must match it bit for bit.  Each matrix's flag is
+    ``rank_ratio(a) > RANK_TOLERANCE``, not ``full_rank``'s determinant bound.
+    """
+    fq = f[..., None] * qc
+    fq_t = np.swapaxes(fq, -1, -2)
+    gram = fq_t @ fq
+    full = np.array([rank_ratio(a) > RANK_TOLERANCE for a in fq.reshape(-1, *qc.shape)])
+    full = full.reshape(fq.shape[:-2])
+    if not full.all():
+        gram[~full] = np.eye(3)
+    w = fq_t @ basis
+    m = np.linalg.solve(gram, w)
+    return m, np.sum(m * w, axis=(-2, -1)) / 3.0, full
+
+
+def gradient_arrays_reference(f, qc, vb, m):
+    """``gradient._gradient_arrays`` as first written, with ``np.sum``."""
+    c = (vb - (f[:, None] * qc) @ m) @ m.T
+    return (2.0 / 3.0) * np.sum(qc * c, axis=1)
 
 
 def random_search_best(camera, observer, rng, samples=100_000):

@@ -139,6 +139,17 @@ class TestOptimizeCommand:
         monkeypatch.setattr(specfilter.als, "POLISH_MAX_SWEEPS", 1)
         assert run("short") == (0, {"iterations": 1, "met_tolerance": False}, trace)
 
+    def test_report_records_line_search_trials(self, tmp_path, camera_csv):
+        def solution(*flags):
+            out = str(tmp_path / "-".join(flags))
+            assert main(["optimize", "--camera", camera_csv, *flags, "--out", out]) == 0
+            return json.loads(read(os.path.join(out, "report.json")))["solution"]
+
+        assert solution("--optimizer", "als")["line_search_trials"] is None
+        ga = solution("--optimizer", "ga")
+        assert isinstance(ga["line_search_trials"], int)
+        assert ga["line_search_trials"] >= ga["iterations"]
+
     def test_nonconvergence_exits_2(self, tmp_path, camera_csv, capsys):
         out = str(tmp_path / "out")
         code = main(

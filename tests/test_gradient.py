@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
+import specfilter.gradient
 from specfilter.als import AlsConfig, optimize_als
 from specfilter.errors import RankDeficient
-from specfilter.gradient import GaConfig, optimize_ga, optimize_ga_multistart, vora_gradient
+from specfilter.gradient import GaConfig, _gradient_arrays, optimize_ga, optimize_ga_multistart, vora_gradient
 from specfilter.ingest import builtin_cmf
-from specfilter.spectra import DEFAULT_GRID, SensorSet, SpectralCurve, apply_filter
-from specfilter.vora import vora_value
+from specfilter.spectra import DEFAULT_GRID, SensorSet, SpectralCurve, apply_filter, orthonormalize
+from specfilter.vora import basis_score, vora_value
 
 from conftest import TOY_GRID, bump_camera_matrix, solvable_toy_pair
-from oracles import central_difference_gradient
+from oracles import central_difference_gradient, gradient_arrays_reference
 
 
 def objective(camera):
@@ -47,6 +48,15 @@ class TestVoraGradient:
         x = builtin_cmf()
         with pytest.raises(RankDeficient):
             vora_gradient(SpectralCurve.constant(DEFAULT_GRID, 0.0), x, x)
+
+    def test_matches_reference_bit_for_bit(self, rng):
+        vb = orthonormalize(builtin_cmf()).basis
+        for _ in range(20):
+            qc = bump_camera_matrix(rng)
+            f = rng.standard_normal(31)
+            m = basis_score(f, qc, vb)[0]
+            reference = gradient_arrays_reference(f, qc, vb, m)
+            assert _gradient_arrays(f, qc, vb, m).tobytes() == reference.tobytes()
 
 
 class TestOptimizeGa:
@@ -115,6 +125,25 @@ class TestOptimizeGa:
         solution = optimize_ga(bump_camera, x, GaConfig(max_iterations=3))
         assert not solution.converged
         assert solution.iterations == 3
+
+    def test_line_search_trials_counted(self, bump_camera, monkeypatch):
+        x = builtin_cmf()
+        capped = optimize_ga(bump_camera, x, GaConfig(step_rule="fixed", fixed_step=0.1, max_iterations=5))
+        assert (capped.converged, capped.iterations, capped.line_search_trials) == (False, 5, 5)
+        calls = []
+
+        def counted(*args):
+            calls.append(None)
+            return basis_score(*args)
+
+        monkeypatch.setattr(specfilter.gradient, "basis_score", counted)
+        # A large first step makes the line search backtrack.
+        solution = optimize_ga(bump_camera, x, GaConfig(initial_step=100.0))
+        assert solution.converged
+        assert solution.line_search_trials > solution.iterations > 0
+        # Every scoring call but the start's is a trial.
+        assert solution.line_search_trials == len(calls) - 1
+        assert optimize_als(bump_camera, x).line_search_trials is None
 
     def test_initial_rank_loss_reported(self):
         x = builtin_cmf()

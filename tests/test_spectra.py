@@ -227,9 +227,24 @@ class TestResampleProperties:
         source, target = grids
         curve = SpectralCurve(source, np.random.default_rng(seed).uniform(-1.0, 1.0, source.count))
         once = resample(curve, target)
-        # Through the interpolation itself, not resample's same-grid shortcut.
-        again = interp_columns(target.wavelengths(), once.values[:, None], target)[:, 0]
-        assert again.tobytes() == once.values.tobytes()
+        # Through np.interp itself, not the same-grid shortcuts of resample and interp_columns.
+        wavelengths = target.wavelengths()
+        assert np.interp(wavelengths, wavelengths, once.values).tobytes() == once.values.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(grids=grid_pairs(), seed=st.integers(0, 2**32 - 1), columns=st.integers(1, 5))
+    def test_same_grid_is_a_copy_of_the_interpolation(self, grids, seed, columns):
+        target = grids[1]
+        rng = np.random.default_rng(seed)
+        data = rng.uniform(-1.0, 1.0, (target.count, columns))
+        data[rng.random(data.shape) < 0.2] = -0.0
+        data[rng.random(data.shape) < 0.2] = 5e-324
+        data[rng.random(data.shape) < 0.2] = -1e300
+        wavelengths = target.wavelengths()
+        out = interp_columns(wavelengths, data, target)
+        per_column = np.stack([np.interp(wavelengths, wavelengths, c) for c in data.T], axis=1)
+        assert out.tobytes() == per_column.tobytes()
+        assert not np.shares_memory(out, data)
 
     @settings(max_examples=200, deadline=None)
     @given(grids=grid_pairs(), slope=st.floats(-10.0, 10.0), offset=st.floats(-10.0, 10.0))
@@ -260,7 +275,9 @@ def _rank_test_matrix(seed: int, kind: str, scale: float) -> np.ndarray:
 _RANK_KINDS = st.sampled_from(
     ["random", "nearly dependent", "single column scaled", "mostly zero rows", "all zero"]
 )
-_RANK_SCALES = st.sampled_from([1.0, 1e150, 1e-150])
+# 1e-60 puts tr G in (1e-290, 1e-103), where (tr G)^3 underflows to 0; at 1e60
+# the cofactor determinant of a single G can overflow.
+_RANK_SCALES = st.sampled_from([1.0, 1e150, 1e-150, 1e60, 1e-60])
 
 
 class TestFullRank:
@@ -284,3 +301,15 @@ class TestFullRank:
             decisions = full_rank(stack, np.swapaxes(stack, -1, -2) @ stack)
         assert decisions.shape == (len(rows),)
         assert decisions.tolist() == [rank_ratio(a) > RANK_TOLERANCE for a in stack]
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), kind=_RANK_KINDS, scale=_RANK_SCALES)
+    def test_single_gram_decides_as_the_stack(self, seed, kind, scale):
+        a = _rank_test_matrix(seed, kind, scale)
+        gram = a.T @ a
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            single = full_rank(a, gram)
+            stacked = full_rank(a[None], gram[None])
+        assert isinstance(single, np.bool_)
+        assert single == stacked[0]

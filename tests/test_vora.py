@@ -17,6 +17,7 @@ from specfilter.spectra import (
 from specfilter.vora import VoraScore, basis_score, luther_residual, residual_identity_check, vora_value
 
 from conftest import bump_camera_matrix
+from oracles import basis_score_reference
 
 
 class TestVoraScore:
@@ -114,6 +115,57 @@ class TestVoraValue:
             q = SensorSet(DEFAULT_GRID, rng.uniform(0.05, 1.0, size=(31, 3)))
             score = basis_score(np.ones(31), q.channels, basis)[1]
             assert abs(score - float(vora_value(q, x))) < 1e-12
+
+
+def _score_test_filter(rng: np.random.Generator, kind: str) -> np.ndarray:
+    """A 31-entry filter; "two bands" leaves a three-channel camera rank deficient."""
+    if kind == "positive":
+        return rng.uniform(0.05, 1.0, 31)
+    if kind == "signed":
+        return rng.standard_normal(31)
+    f = np.zeros(31)
+    f[rng.choice(31, size=3 if kind == "three bands" else 2, replace=False)] = rng.uniform(0.1, 1.0)
+    return f
+
+
+_SCORE_KINDS = st.sampled_from(["positive", "signed", "three bands", "two bands"])
+_SCORE_SCALES = st.sampled_from([1.0, 1e-60, 1e60])
+
+
+class TestBasisScoreBits:
+    """``basis_score`` keeps the exact bits of its reference form: gradient ascent is chaotic in them."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), kind=_SCORE_KINDS, scale=_SCORE_SCALES)
+    def test_single_filter_matches_reference(self, seed, kind, scale):
+        rng = np.random.default_rng(seed)
+        qc = bump_camera_matrix(rng)
+        vb = orthonormalize(builtin_cmf()).basis
+        f = scale * _score_test_filter(rng, kind)
+        m, score, full = basis_score(f, qc, vb)
+        ref_m, ref_score, ref_full = basis_score_reference(f, qc, vb)
+        assert isinstance(full, np.bool_)
+        assert full == ref_full
+        if full:
+            assert m.tobytes() == ref_m.tobytes()
+            assert score.tobytes() == ref_score.tobytes()
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.lists(st.tuples(_SCORE_KINDS, _SCORE_SCALES), min_size=1, max_size=12),
+    )
+    def test_stack_matches_reference(self, seed, rows):
+        rng = np.random.default_rng(seed)
+        qc = bump_camera_matrix(rng)
+        vb = orthonormalize(builtin_cmf()).basis
+        filters = np.stack([scale * _score_test_filter(rng, kind) for kind, scale in rows])
+        m, scores, full = basis_score(filters, qc, vb)
+        ref_m, ref_scores, ref_full = basis_score_reference(filters, qc, vb)
+        # A rank-deficient row's transform and score are meaningless; only its flag counts.
+        assert full.tolist() == ref_full.tolist()
+        assert m[full].tobytes() == ref_m[full].tobytes()
+        assert scores[full].tobytes() == ref_scores[full].tobytes()
 
 
 class TestLutherResidual:
