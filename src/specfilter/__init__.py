@@ -51,10 +51,9 @@ from .spectra import (
     WavelengthGrid,
     apply_filter,
     orthonormalize,
-    projector,
     resample,
 )
-from .vora import VoraScore, luther_residual, residual_identity_check, vora_value
+from .vora import VoraScore, vora_value
 
 __version__ = "0.1.0"
 
@@ -92,7 +91,6 @@ __all__ = [
     "load_cmf",
     "load_scene_set",
     "load_sensor_set",
-    "luther_residual",
     "optimize_als",
     "optimize_als_multistart",
     "optimize_ga",
@@ -100,12 +98,10 @@ __all__ = [
     "orthonormalize",
     "parse_manifest",
     "parse_spectral_csv",
-    "projector",
     "random_filter",
     "read_manifest",
     "read_spectral_csv",
     "resample",
-    "residual_identity_check",
     "serialize_spectral_csv",
     "solve_f",
     "solve_m",

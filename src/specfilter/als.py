@@ -108,7 +108,7 @@ def optimize_als(q: SensorSet, x: SensorSet, config: AlsConfig | None = None) ->
     if outcome[0] == DROPPED:
         drop = scores[i - 1][0] - scores[i][0]
         raise ConsistencyError(f"ALS Vora-Value dropped by {drop:.3e} at iteration {i}")
-    return _solution(0, initial, run, q, x, v)
+    return _solution(0, initial, run, q, v)
 
 
 def _sweep(initial: np.ndarray, qc: np.ndarray, vb: np.ndarray, epsilon: float, max_iterations: int):
@@ -143,8 +143,7 @@ def _sweep(initial: np.ndarray, qc: np.ndarray, vb: np.ndarray, epsilon: float, 
     return transforms, scores, stop, outcome
 
 
-def _solution(row: int, initial: np.ndarray, run: tuple, q: SensorSet, x: SensorSet,
-              v: OrthoBasis) -> FilterSolution:
+def _solution(row: int, initial: np.ndarray, run: tuple, q: SensorSet, v: OrthoBasis) -> FilterSolution:
     """Solution of a converged or capped ``_sweep`` row, polished if converged."""
     _, _, stop, outcome = run
     points = _trace(row, initial, run, q.channels, v.basis)
@@ -152,7 +151,7 @@ def _solution(row: int, initial: np.ndarray, run: tuple, q: SensorSet, x: Sensor
     f, polish = points[-1].filter_values, None
     if converged:
         f, polish = _polish_to_fixed_point(f, q.channels, v.basis)
-    return finish(f, q, x, v, points, int(stop[row]), converged, polish)
+    return finish(f, q, v, points, int(stop[row]), converged, polish)
 
 
 def _trace(row: int, initial: np.ndarray, run: tuple, qc: np.ndarray, vb: np.ndarray) -> list[TracePoint]:
@@ -244,5 +243,5 @@ def optimize_als_multistart(
     final = np.where(outcome <= CAPPED, scores[-1], -np.inf)
     if not np.any(np.isfinite(final)):
         raise RankDeficient("every start hit rank deficiency before converging")
-    return _solution(int(np.argmax(final)), initial, run, q, x, v)
+    return _solution(int(np.argmax(final)), initial, run, q, v)
 

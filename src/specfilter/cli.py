@@ -12,6 +12,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -25,7 +26,6 @@ from .gradient import GaConfig, optimize_ga, optimize_ga_multistart
 from .ingest import load_cmf, load_scene_set, load_sensor_set, read_manifest, read_spectral_csv
 from .solution import FilterSolution
 from .spectra import DEFAULT_GRID, SensorSet, SpectralCurve
-from .vora import vora_value
 
 
 def _fmt(value: float) -> str:
@@ -274,19 +274,23 @@ def cmd_evaluate(args) -> int:
 
 
 def _read_trace(path: str) -> list[tuple[int, float, float]]:
+    """Rows of a trace CSV; a bad row is reported by its line number in the file."""
     rows = []
     with open(path, "r", encoding="utf-8") as handle:
-        lines = [ln.strip() for ln in handle if ln.strip()]
-    if not lines or lines[0].split(",")[:2] != ["iteration", "vora_value"]:
+        lines = [(lineno, ln.strip()) for lineno, ln in enumerate(handle, start=1) if ln.strip()]
+    if not lines or lines[0][1].split(",")[:2] != ["iteration", "vora_value"]:
         raise SpecFilterError(f"{path} is not a trace CSV (expected iteration,vora_value,residual)")
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         cells = line.split(",")
         if len(cells) != 3:
             raise SpecFilterError(f"{path} line {lineno}: expected 3 cells, got {len(cells)}")
         try:
-            rows.append((int(cells[0]), float(cells[1]), float(cells[2])))
+            row = (int(cells[0]), float(cells[1]), float(cells[2]))
         except ValueError:
             raise SpecFilterError(f"{path} line {lineno}: non-numeric trace row") from None
+        if not (math.isfinite(row[1]) and math.isfinite(row[2])):
+            raise SpecFilterError(f"{path} line {lineno}: non-finite trace value")
+        rows.append(row)
     if not rows:
         raise SpecFilterError(f"{path} has no trace rows")
     return rows

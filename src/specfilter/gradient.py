@@ -134,7 +134,7 @@ def optimize_ga(q: SensorSet, x: SensorSet, config: GaConfig | None = None) -> F
             converged = True
             break
 
-    return finish(f, q, x, v, points, iterations, converged, line_search_trials=trials)
+    return finish(f, q, v, points, iterations, converged, line_search_trials=trials)
 
 
 def optimize_ga_multistart(

@@ -15,10 +15,9 @@ from .spectra import (
     SensorSet,
     SpectralCurve,
     WavelengthGrid,
-    apply_filter,
     require_same_grid,
 )
-from .vora import VoraScore, basis_score, vora_value
+from .vora import VoraScore, basis_score
 
 # A Vora-Value trace may dip by at most this much between iterations before
 # we call it a bug rather than round-off.
@@ -121,8 +120,10 @@ class FilterSolution:
     The reported filter is rescaled so its maximum entry is 1, or its largest
     magnitude when no entry is positive (the correction matrix absorbs the
     scale, and the Vora-Value is unchanged).  ``converged`` is False when the
-    iteration cap was reached first.  ``polish`` is set for converged ALS runs
-    only, which are polished to the fixed point after their last recorded sweep.
+    iteration cap was reached first, and also when a fixed gradient-ascent
+    step overshoots on its very first step, which has reached nothing.
+    ``polish`` is set for converged ALS runs only, which are polished to the
+    fixed point after their last recorded sweep.
     ``line_search_trials`` is set for gradient ascent only: how many trial
     filters it scored after the start.
     """
@@ -144,26 +145,26 @@ class FilterSolution:
 
 
 def finish(
-    f: np.ndarray, q: SensorSet, x: SensorSet, v: OrthoBasis,
+    f: np.ndarray, q: SensorSet, v: OrthoBasis,
     points: list[TracePoint], iterations: int, converged: bool, polish: Polish | None = None,
     line_search_trials: int | None = None,
 ) -> FilterSolution:
     """Package a solver's last filter iterate ``f`` as a ``FilterSolution``.
 
-    ``v`` is the orthonormal basis of ``x`` the correction matrix maps onto.
+    ``v`` is the orthonormal observer basis the correction matrix maps onto;
+    the reported score is the rescaled filter's ``basis_score`` against it.
     """
     peak = float(np.max(f))
     if peak <= 0.0:
         peak = float(np.max(np.abs(f))) or 1.0
     filter_curve = SpectralCurve(q.grid, f / peak)
-    score = vora_value(apply_filter(filter_curve, q), x)
-    m, _, full = basis_score(filter_curve.values, q.channels, v.basis)
+    m, score, full = basis_score(filter_curve.values, q.channels, v.basis)
     if not full:
         raise RankDeficient("filtered camera is rank deficient (columns are numerically dependent)")
     return FilterSolution(
         filter=filter_curve,
         correction=CorrectionMatrix(m),
-        score=score,
+        score=VoraScore(score),
         trace=ConvergenceTrace(tuple(points)),
         iterations=iterations,
         converged=converged,

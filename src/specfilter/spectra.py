@@ -1,4 +1,4 @@
-"""Spectral data types and the small projector algebra every other module uses.
+"""Spectral data types and the rank, basis and resampling helpers every other module uses.
 
 Everything here is a plain value object over float64 numpy arrays: a uniform
 wavelength grid, a single spectral curve on that grid, an n-by-3 sensor matrix,
@@ -210,19 +210,6 @@ def require_same_grid(*grids: WavelengthGrid) -> None:
             raise GridMismatch(f"wavelength grids differ: {first} vs {other}")
 
 
-def projector(s: np.ndarray) -> np.ndarray:
-    """Orthogonal projector s (s^T s)^-1 s^T onto the column space of an n-by-3 matrix.
-
-    The 3x3 Gram system is solved by LU factorization with partial pivoting
-    rather than an explicit inverse.
-    """
-    s = np.asarray(s, dtype=float)
-    if s.ndim != 2 or s.shape[1] != 3 or s.shape[0] < 3:
-        raise ShapeError(f"projector needs an n-by-3 matrix with n >= 3, got {s.shape}")
-    require_rank3(s, "projector input")
-    return s @ np.linalg.solve(s.T @ s, s.T)
-
-
 def orthonormalize(x: SensorSet) -> OrthoBasis:
     """Orthonormal basis of a sensor set's column space via thin QR.
 
@@ -243,7 +230,7 @@ def apply_filter(f: SpectralCurve, q: SensorSet) -> SensorSet:
     """Sensitivities seen through a transmissive filter: row i scaled by f[i].
 
     The result may be rank deficient (a filter can zero out a channel), so it
-    is returned unvalidated; projector-consuming callers re-check rank.
+    is returned unvalidated; callers that need rank 3 re-check it.
     """
     require_same_grid(f.grid, q.grid)
     return SensorSet(q.grid, f.values[:, None] * q.channels, require_full_rank=False)

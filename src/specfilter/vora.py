@@ -1,31 +1,22 @@
-"""The Vora-Value subspace similarity metric and the modified Luther residual.
+"""The Vora-Value subspace similarity metric.
 
 The Vora-Value of two sensor sets is one third of the trace of the product of
 their orthogonal projectors: 1.0 means the camera spans exactly the observer's
-subspace, 0.0 means the subspaces are orthogonal.  The residual of the
-modified Luther condition ||diag(f) Q M - V||^2_F (V an orthonormal basis of
-the observer) is affinely related to the Vora-Value once M is optimal, which
-is what lets a least-squares solver maximize the metric;
-``residual_identity_check`` computes both sides of that identity
-independently so callers can verify it numerically.
+subspace, 0.0 means the subspaces are orthogonal.  With A the camera, V an
+orthonormal basis of the observer, G = A^T A and W = A^T V, that trace equals
+trace(M^T W) with M = G^-1 W, the 3x3 transform minimizing the modified
+Luther residual ||A M - V||^2_F; the residual is then 3 - trace(M^T W),
+which is what lets a least-squares solver maximize the metric.
+``basis_score`` evaluates this 3x3 form; it is the package's only Vora-Value
+computation.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConsistencyError
-from .spectra import (
-    CorrectionMatrix,
-    OrthoBasis,
-    SensorSet,
-    SpectralCurve,
-    apply_filter,
-    full_rank,
-    orthonormalize,
-    projector,
-    require_same_grid,
-)
+from .errors import ConsistencyError, RankDeficient
+from .spectra import SensorSet, full_rank, orthonormalize, require_same_grid
 
 # Round-off this small outside [0, 1] is clamped; anything larger is a bug.
 _CLAMP = 1e-12
@@ -48,7 +39,10 @@ class VoraScore(float):
 def vora_value(q: SensorSet, x: SensorSet) -> VoraScore:
     """(1/3) trace(P{Q} P{X}) for two full-rank sensor sets on the same grid."""
     require_same_grid(q.grid, x.grid)
-    return VoraScore(np.trace(projector(q.channels) @ projector(x.channels)) / 3.0)
+    _, score, full = basis_score(np.ones(q.grid.count), q.channels, orthonormalize(x).basis)
+    if not full:
+        raise RankDeficient("sensor matrix is rank deficient (columns are numerically dependent)")
+    return VoraScore(score)
 
 
 def basis_score(
@@ -73,31 +67,3 @@ def basis_score(
     w = fq_t @ basis
     m = np.linalg.solve(gram, w)
     return m, (m * w).sum(axis=(-2, -1)) / 3.0, full
-
-
-def luther_residual(
-    f: SpectralCurve, q: SensorSet, m: CorrectionMatrix, v: OrthoBasis
-) -> float:
-    """Squared Frobenius norm of diag(f) Q M - V."""
-    require_same_grid(f.grid, q.grid, v.grid)
-    deviation = (f.values[:, None] * q.channels) @ m.m - v.basis
-    return float(np.sum(deviation * deviation))
-
-
-def residual_identity_check(
-    f: SpectralCurve, q: SensorSet, x: SensorSet
-) -> tuple[float, float]:
-    """Both sides of the residual/Vora-Value identity, computed independently.
-
-    Returns ``(lhs, rhs)`` where lhs = ||(P{FQ} - I) V||^2_F, the modified
-    Luther residual minimized over the 3x3 transform, and
-    rhs = 3 - 3 * vora_value(FQ, X).  The two agree to round-off for any
-    full-rank filtered camera.
-    """
-    require_same_grid(f.grid, q.grid, x.grid)
-    filtered = apply_filter(f, q)
-    basis = orthonormalize(x).basis
-    deviation = projector(filtered.channels) @ basis - basis
-    lhs = float(np.sum(deviation * deviation))
-    rhs = 3.0 - 3.0 * vora_value(filtered, x)
-    return lhs, rhs

@@ -2,15 +2,18 @@
 
 Everything here deliberately avoids the package's linear-algebra paths:
 inverses come from cofactor expansion, projections from explicit
-normal-equation assembly, and the global-optimum search from vectorized
-random sampling plus coordinate scans over raw arrays.  The exceptions are
-the ``*_reference`` copies of optimizer hot-loop code as first written,
-which pin that code's output bits rather than check its mathematics.
+normal-equation assembly, the Vora-Value from its projector definition
+rather than the package's 3x3 form, and the global-optimum search from
+vectorized random sampling plus coordinate scans over raw arrays.  The
+exceptions are the ``*_reference`` copies of optimizer hot-loop code as first
+written, which pin that code's output bits rather than check its mathematics.
 """
 
 import numpy as np
 
-from specfilter.spectra import RANK_TOLERANCE, rank_ratio
+from specfilter.errors import RankDeficient, ShapeError
+from specfilter.spectra import RANK_TOLERANCE, apply_filter, orthonormalize, rank_ratio, require_same_grid
+from specfilter.vora import VoraScore, vora_value
 
 
 def cofactor_inverse_3x3(m):
@@ -23,6 +26,50 @@ def cofactor_inverse_3x3(m):
             cof[i, j] = (-1) ** (i + j) * (minor[0, 0] * minor[1, 1] - minor[0, 1] * minor[1, 0])
     det = m[0, 0] * cof[0, 0] + m[0, 1] * cof[0, 1] + m[0, 2] * cof[0, 2]
     return cof.T / det
+
+
+def projector(s):
+    """Orthogonal projector s (s^T s)^-1 s^T onto the column space of an n-by-3 matrix.
+
+    The 3x3 Gram system is solved by LU factorization with partial pivoting
+    rather than an explicit inverse.
+    """
+    s = np.asarray(s, dtype=float)
+    if s.ndim != 2 or s.shape[1] != 3 or s.shape[0] < 3:
+        raise ShapeError(f"projector needs an n-by-3 matrix with n >= 3, got {s.shape}")
+    if not rank_ratio(s) > RANK_TOLERANCE:
+        raise RankDeficient("projector input is rank deficient (columns are numerically dependent)")
+    return s @ np.linalg.solve(s.T @ s, s.T)
+
+
+def vora_by_projector(q, x):
+    """Vora-Value by its definition, (1/3) trace(P{Q} P{X}), for two sensor sets on one grid."""
+    require_same_grid(q.grid, x.grid)
+    return VoraScore(np.trace(projector(q.channels) @ projector(x.channels)) / 3.0)
+
+
+def luther_residual(f, q, m, v):
+    """Squared Frobenius norm of diag(f) Q M - V for a curve, sensor set, correction and basis."""
+    require_same_grid(f.grid, q.grid, v.grid)
+    deviation = (f.values[:, None] * q.channels) @ m.m - v.basis
+    return float(np.sum(deviation * deviation))
+
+
+def residual_identity_check(f, q, x):
+    """Both sides of the residual/Vora-Value identity, computed by different routes.
+
+    Returns ``(lhs, rhs)`` where lhs = ||(P{FQ} - I) V||^2_F, the modified
+    Luther residual minimized over the 3x3 transform, taken here with an
+    explicit projector, and rhs = 3 - 3 * vora_value(FQ, X), the package's
+    score.  The two agree to round-off for any full-rank filtered camera.
+    """
+    require_same_grid(f.grid, q.grid, x.grid)
+    filtered = apply_filter(f, q)
+    basis = orthonormalize(x).basis
+    deviation = projector(filtered.channels) @ basis - basis
+    lhs = float(np.sum(deviation * deviation))
+    rhs = 3.0 - 3.0 * vora_value(filtered, x)
+    return lhs, rhs
 
 
 def projector_by_cofactor(s):

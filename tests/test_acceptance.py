@@ -23,9 +23,8 @@ from specfilter.spectra import (
     SpectralCurve,
     apply_filter,
     orthonormalize,
-    projector,
 )
-from specfilter.vora import residual_identity_check, vora_value
+from specfilter.vora import vora_value
 
 from conftest import (
     TOY_GRID,
@@ -34,7 +33,13 @@ from conftest import (
     require_dataset,
     solvable_toy_pair,
 )
-from oracles import central_difference_gradient, iterations_to_reach, random_search_best
+from oracles import (
+    central_difference_gradient,
+    iterations_to_reach,
+    projector,
+    random_search_best,
+    residual_identity_check,
+)
 
 CANON_FILE = "canon_5d_mark_ii.csv"
 ILLUMINANTS_FILE = "illuminants.csv"

@@ -16,9 +16,9 @@ from specfilter.gradient import GaConfig, optimize_ga
 from specfilter.ingest import builtin_cmf, load_scene_set, load_sensor_set, read_manifest, read_spectral_csv
 from specfilter.solution import ConvergenceTrace, TracePoint
 from specfilter.spectra import DEFAULT_GRID, SensorSet, SpectralCurve, apply_filter
-from specfilter.vora import vora_value
 
 from conftest import bump_camera_matrix
+from oracles import vora_by_projector
 
 
 @pytest.fixture
@@ -86,7 +86,7 @@ class TestOptimizeCommand:
         table = read_spectral_csv(os.path.join(out, "filter.csv"))
         filter_curve = SpectralCurve(DEFAULT_GRID, table.columns[:, 0])
         camera = SensorSet(DEFAULT_GRID, read_spectral_csv(camera_csv).columns)
-        recomputed = float(vora_value(apply_filter(filter_curve, camera), builtin_cmf()))
+        recomputed = float(vora_by_projector(apply_filter(filter_curve, camera), builtin_cmf()))
         assert abs(recomputed - report["solution"]["vora_value"]) < 1e-10
 
         # Trace rows mirror the solution and stay monotone.
@@ -537,6 +537,21 @@ class TestTraceCompareCommand:
         bad = tmp_path / "bad.csv"
         bad.write_text("iteration,vora_value,residual\n0,not_a_number,1\n")
         assert main(["trace-compare", str(bad), str(bad), "--out", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("row", ["0,nan,1", "1,inf,-inf", "2,0.5,nan"])
+    def test_non_finite_trace_cell_exits_1(self, tmp_path, capsys, row):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"iteration,vora_value,residual\n{row}\n")
+        out = tmp_path / "cmp"
+        assert main(["trace-compare", str(bad), str(bad), "--out", str(out)]) == 1
+        assert "line 2: non-finite trace value" in capsys.readouterr().err
+        assert not (out / "compare.csv").exists()
+
+    def test_trace_errors_name_the_line_in_the_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\niteration,vora_value,residual\n\n0,0.5,2.5\n  \n\n1,0.6\n")
+        assert main(["trace-compare", str(bad), str(bad), "--out", str(tmp_path / "cmp")]) == 1
+        assert "line 7: expected 3 cells, got 2" in capsys.readouterr().err
 
 
 def cell_by_cell_iteration_filters_csv(solution):

@@ -10,7 +10,7 @@ from specfilter.spectra import DEFAULT_GRID, SensorSet, SpectralCurve, apply_fil
 from specfilter.vora import basis_score, vora_value
 
 from conftest import TOY_GRID, bump_camera_matrix, solvable_toy_pair
-from oracles import central_difference_gradient, gradient_arrays_reference
+from oracles import central_difference_gradient, gradient_arrays_reference, vora_by_projector
 
 
 def objective(camera):
@@ -117,7 +117,7 @@ class TestOptimizeGa:
     def test_score_recomputable_from_filter(self, bump_camera):
         x = builtin_cmf()
         solution = optimize_ga(bump_camera, x)
-        recomputed = vora_value(apply_filter(solution.filter, bump_camera), x)
+        recomputed = vora_by_projector(apply_filter(solution.filter, bump_camera), x)
         assert abs(float(solution.score) - float(recomputed)) < 1e-12
 
     def test_nonconvergence_flag(self, bump_camera):

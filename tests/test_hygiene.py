@@ -1,0 +1,52 @@
+"""Import hygiene of the package source, checked with the standard library's ``ast``.
+
+A module may not import a name it never uses: a dead import hides which
+modules really depend on each other.  Modules that re-export names through
+``__all__`` are exempt, and every name they export must resolve.
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+import specfilter
+
+SOURCE = pathlib.Path(specfilter.__file__).parent
+TREES = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+         for path in sorted(SOURCE.glob("*.py"))}
+
+
+def _imported_names(tree: ast.Module) -> dict[str, int]:
+    """Each name an import binds at any level, with the line of its import."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def _exports(tree: ast.Module) -> bool:
+    return any(
+        isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+        for node in tree.body
+    )
+
+
+@pytest.mark.parametrize("name", [name for name, tree in TREES.items() if not _exports(tree)])
+def test_no_unused_imports(name):
+    tree = TREES[name]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = sorted(f"{imported} (line {line})" for imported, line in _imported_names(tree).items()
+                    if imported not in used)
+    assert not unused, f"{name} imports names it never uses: {', '.join(unused)}"
+
+
+def test_every_export_resolves():
+    missing = [name for name in specfilter.__all__ if not hasattr(specfilter, name)]
+    assert not missing, f"specfilter.__all__ names missing attributes: {missing}"
+    assert len(set(specfilter.__all__)) == len(specfilter.__all__)

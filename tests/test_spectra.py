@@ -17,12 +17,11 @@ from specfilter.spectra import (
     full_rank,
     interp_columns,
     orthonormalize,
-    projector,
     rank_ratio,
     resample,
 )
 
-from oracles import projector_by_cofactor
+from oracles import projector, projector_by_cofactor
 
 
 class TestWavelengthGrid:

@@ -3,7 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from specfilter.als import optimize_als
+from specfilter.colorimetry import SceneSet, evaluate
 from specfilter.errors import ConsistencyError, GridMismatch, RankDeficient
+from specfilter.gradient import optimize_ga
 from specfilter.ingest import builtin_cmf
 from specfilter.spectra import (
     DEFAULT_GRID,
@@ -14,10 +17,10 @@ from specfilter.spectra import (
     apply_filter,
     orthonormalize,
 )
-from specfilter.vora import VoraScore, basis_score, luther_residual, residual_identity_check, vora_value
+from specfilter.vora import VoraScore, basis_score, vora_value
 
 from conftest import bump_camera_matrix
-from oracles import basis_score_reference
+from oracles import basis_score_reference, luther_residual, residual_identity_check, vora_by_projector
 
 
 class TestVoraScore:
@@ -114,7 +117,31 @@ class TestVoraValue:
         for _ in range(20):
             q = SensorSet(DEFAULT_GRID, rng.uniform(0.05, 1.0, size=(31, 3)))
             score = basis_score(np.ones(31), q.channels, basis)[1]
-            assert abs(score - float(vora_value(q, x))) < 1e-12
+            assert abs(score - float(vora_by_projector(q, x))) < 1e-12
+
+
+class TestSingleRoute:
+    """Solvers and ``evaluate`` report exactly the clamped ``basis_score`` of what they return."""
+
+    @pytest.mark.parametrize("optimize", [optimize_als, optimize_ga])
+    def test_solution_score_is_the_basis_score_of_its_filter(self, bump_camera, optimize):
+        x = builtin_cmf()
+        solution = optimize(bump_camera, x)
+        score = basis_score(solution.filter.values, bump_camera.channels, orthonormalize(x).basis)[1]
+        assert float(solution.score) == float(VoraScore(score))
+
+    def test_evaluate_vora_is_the_basis_score_of_the_effective_camera(self, rng, bump_camera):
+        x = builtin_cmf()
+        f = SpectralCurve(DEFAULT_GRID, rng.uniform(0.2, 1.0, 31))
+        scenes = SceneSet(
+            (SpectralCurve.constant(DEFAULT_GRID, 1.0),),
+            tuple(SpectralCurve(DEFAULT_GRID, rng.uniform(0.0, 1.0, 31)) for _ in range(8)),
+            DEFAULT_GRID,
+        )
+        report = evaluate(bump_camera, f, x, scenes)
+        effective = apply_filter(f, bump_camera)
+        score = basis_score(np.ones(31), effective.channels, orthonormalize(x).basis)[1]
+        assert float(report.vora) == float(VoraScore(score))
 
 
 def _score_test_filter(rng: np.random.Generator, kind: str) -> np.ndarray:
