@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, RankDeficient
-from .solution import FilterSolution, Polish, SolverConfig, TracePoint, finish
+from .solution import MONOTONE_SLACK, FilterSolution, Polish, SolverConfig, TracePoint, finish
 from .spectra import (
     CorrectionMatrix,
     OrthoBasis,
@@ -43,7 +43,7 @@ POLISH_MAX_SWEEPS = 5000
 POLISH_DEPTH = 5
 
 # Why a row of the lockstep sweep stopped; converged and capped rows have a solution.
-CONVERGED, CAPPED, RANK_LOSS, DROPPED = range(4)
+CONVERGED, CAPPED, RANK_LOSS = range(3)
 
 
 @dataclass(frozen=True)
@@ -91,23 +91,21 @@ def optimize_als(q: SensorSet, x: SensorSet, config: AlsConfig | None = None) ->
     """Run the alternating least-squares sweep until the Vora-Value stalls.
 
     Raises ``RankDeficient`` (tagged with the iteration index) if the filter
-    ever zeroes out a camera channel; returns with ``converged=False`` when
-    ``max_iterations`` is reached first.
+    ever zeroes out a camera channel, and ``ConsistencyError`` (see
+    ``_sweep``) if a sweep lowers the Vora-Value; returns with
+    ``converged=False`` when ``max_iterations`` is reached first.
     """
     config = config or AlsConfig()
     require_same_grid(q.grid, x.grid)
     v = orthonormalize(x)
     initial = config.resolve_initial(q.grid).values[None]
     run = _sweep(initial, q.channels, v.basis, config.epsilon, config.max_iterations)
-    _, scores, stop, outcome = run
+    _, _, stop, outcome = run
     i = int(stop[0])
     if outcome[0] == RANK_LOSS and i == 0:
         raise RankDeficient("initial filter leaves the camera rank deficient (iteration 0)")
     if outcome[0] == RANK_LOSS:
         raise RankDeficient(f"filter zeroed a camera channel at iteration {i}")
-    if outcome[0] == DROPPED:
-        drop = scores[i - 1][0] - scores[i][0]
-        raise ConsistencyError(f"ALS Vora-Value dropped by {drop:.3e} at iteration {i}")
     return _solution(0, initial, run, q, v)
 
 
@@ -115,8 +113,10 @@ def _sweep(initial: np.ndarray, qc: np.ndarray, vb: np.ndarray, epsilon: float, 
     """ALS from each row of ``initial`` in lockstep: the solver's one sweep loop.
 
     A row stops once a sweep gains less than ``epsilon`` (converged), at
-    ``max_iterations`` (capped), on rank loss, or on a Vora-Value drop beyond
-    round-off.  Returns ``(transforms, scores, stop, outcome)``: per sweep i
+    ``max_iterations`` (capped), or on rank loss.  A full-rank sweep that
+    lowers any row's Vora-Value by more than ``MONOTONE_SLACK`` raises
+    ``ConsistencyError`` naming the start and the sweep, for every entry
+    point alike.  Returns ``(transforms, scores, stop, outcome)``: per sweep i
     (0 is the start) each row's transform and Vora-Value for its sweep-i
     filter, and per row the sweep it stopped at and why.  Only these K x 10
     floats are kept per sweep; ``_solution`` rebuilds a row's filters.
@@ -136,9 +136,13 @@ def _sweep(initial: np.ndarray, qc: np.ndarray, vb: np.ndarray, epsilon: float, 
         scores.append(score.copy())
         going = full & ~(delta < epsilon)
         if not going.all():
-            outcome[live] = np.select(
-                [~full, delta < -1e-12, delta < epsilon], [RANK_LOSS, DROPPED, CONVERGED], CAPPED
-            )
+            dropped = np.flatnonzero(full & (delta < -MONOTONE_SLACK))
+            if dropped.size:
+                k = dropped[0]
+                raise ConsistencyError(
+                    f"ALS Vora-Value dropped by {-delta[k]:.3e} at iteration {i} of start {live[k]}"
+                )
+            outcome[live] = np.select([~full, delta < epsilon], [RANK_LOSS, CONVERGED], CAPPED)
             live = live[going]
     return transforms, scores, stop, outcome
 
@@ -225,7 +229,9 @@ def optimize_als_multistart(
     restarting from seeded random filters (entries uniform in (0, 1]) guards
     against bad basins.  All starts run in one lockstep sweep, and the
     solution is rebuilt from the winning row, so it is exactly what
-    ``optimize_als`` produces from the winning start.
+    ``optimize_als`` produces from the winning start.  Starts that lose rank
+    are passed over; a Vora-Value drop in any start raises as in
+    ``optimize_als``.
     """
     config = config or AlsConfig()
     require_same_grid(q.grid, x.grid)

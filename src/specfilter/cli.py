@@ -12,7 +12,6 @@ import dataclasses
 import functools
 import hashlib
 import json
-import math
 import os
 import sys
 import time
@@ -23,8 +22,9 @@ from .als import AlsConfig, optimize_als, optimize_als_multistart, random_filter
 from .colorimetry import EvaluationReport, SceneEngine, evaluate
 from .errors import RankDeficient, SpecFilterError
 from .gradient import GaConfig, optimize_ga, optimize_ga_multistart
-from .ingest import load_cmf, load_scene_set, load_sensor_set, read_manifest, read_spectral_csv
-from .solution import FilterSolution
+from .ingest import (SpectralTable, load_cmf, load_scene_set, load_sensor_set, read_manifest,
+                     read_spectral_csv, serialize_spectral_csv)
+from .solution import FilterSolution, require_monotone
 from .spectra import DEFAULT_GRID, SensorSet, SpectralCurve
 
 
@@ -57,28 +57,10 @@ def _load_camera(path: str) -> SensorSet:
     return load_sensor_set(read_spectral_csv(path), DEFAULT_GRID)
 
 
-def _filter_csv(f: SpectralCurve) -> str:
-    lines = ["wavelength,transmittance"]
-    for wl, value in zip(f.grid.wavelengths(), f.values):
-        lines.append(f"{_fmt(wl)},{_fmt(value)}")
-    return "\n".join(lines) + "\n"
-
-
 def _trace_csv(solution: FilterSolution) -> str:
     lines = ["iteration,vora_value,residual"]
     for point in solution.trace:
         lines.append(f"{point.iteration},{_fmt(point.vora_value)},{_fmt(point.residual)}")
-    return "\n".join(lines) + "\n"
-
-
-def _iteration_filters_csv(solution: FilterSolution) -> str:
-    header = "wavelength," + ",".join(f"iter{p.iteration}" for p in solution.trace)
-    table = np.column_stack(
-        [solution.filter.grid.wavelengths()] + [p.filter_values for p in solution.trace]
-    )
-    # tolist() gives Python floats, whose repr is _fmt's shortest round trip.
-    # One row at a time: a 10k-iteration table as Python floats costs ~10 MB.
-    lines = [header] + [",".join(map(repr, row.tolist())) for row in table]
     return "\n".join(lines) + "\n"
 
 
@@ -110,13 +92,7 @@ def _report_json(payload: dict) -> str:
 def _evaluation_payload(report: EvaluationReport) -> dict:
     return {
         "vora_value": float(report.vora),
-        "delta_e": {
-            "mean": report.delta_e.mean,
-            "median": report.delta_e.median,
-            "p95": report.delta_e.p95,
-            "p99": report.delta_e.p99,
-            "max": report.delta_e.max,
-        },
+        "delta_e": dataclasses.asdict(report.delta_e),
         "pair_count": report.pair_count,
         "negative_xyz_count": report.negative_xyz_count,
         "correction_mode": report.correction_mode,
@@ -149,11 +125,16 @@ def cmd_optimize(args) -> int:
     elapsed_ms = (time.perf_counter() - started) * 1000.0
 
     os.makedirs(args.out, exist_ok=True)
-    _write(os.path.join(args.out, "filter.csv"), _filter_csv(solution.filter))
-    _write(os.path.join(args.out, "trace.csv"), _trace_csv(solution))
-    _write(
-        os.path.join(args.out, "iteration_filters.csv"), _iteration_filters_csv(solution)
+    wavelengths = solution.filter.grid.wavelengths()
+    filter_table = SpectralTable(wavelengths, ("transmittance",), solution.filter.values[:, None])
+    iteration_filters = SpectralTable(
+        wavelengths,
+        tuple(f"iter{p.iteration}" for p in solution.trace),
+        np.column_stack([p.filter_values for p in solution.trace]),
     )
+    _write(os.path.join(args.out, "filter.csv"), serialize_spectral_csv(filter_table))
+    _write(os.path.join(args.out, "trace.csv"), _trace_csv(solution))
+    _write(os.path.join(args.out, "iteration_filters.csv"), serialize_spectral_csv(iteration_filters))
 
     chunks = [("camera", _file_bytes(args.camera)), ("cmf", _cmf_bytes(args.cmf))]
     payload = {
@@ -211,7 +192,7 @@ def _load_filter(path: str) -> SpectralCurve:
     table = read_spectral_csv(path)
     if table.columns.shape[1] != 1:
         raise SpecFilterError(f"filter file must have exactly one data column: {path}")
-    return table.curves(DEFAULT_GRID)[0]
+    return SpectralCurve(DEFAULT_GRID, table.resampled_columns(DEFAULT_GRID)[:, 0])
 
 
 def cmd_evaluate(args) -> int:
@@ -273,27 +254,21 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _read_trace(path: str) -> list[tuple[int, float, float]]:
-    """Rows of a trace CSV; a bad row is reported by its line number in the file."""
-    rows = []
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = [(lineno, ln.strip()) for lineno, ln in enumerate(handle, start=1) if ln.strip()]
-    if not lines or lines[0][1].split(",")[:2] != ["iteration", "vora_value"]:
+def _read_trace(path: str) -> list[tuple[int, float]]:
+    """(iteration, Vora-Value) rows of a trace CSV, held to ``ConvergenceTrace``'s rules.
+
+    On top of the parser's checks, the header must be exactly
+    ``iteration,vora_value,residual`` and the iterations integers.
+    """
+    table = read_spectral_csv(path)
+    if (table.key_name, table.column_names) != ("iteration", ("vora_value", "residual")):
         raise SpecFilterError(f"{path} is not a trace CSV (expected iteration,vora_value,residual)")
-    for lineno, line in lines[1:]:
-        cells = line.split(",")
-        if len(cells) != 3:
-            raise SpecFilterError(f"{path} line {lineno}: expected 3 cells, got {len(cells)}")
-        try:
-            row = (int(cells[0]), float(cells[1]), float(cells[2]))
-        except ValueError:
-            raise SpecFilterError(f"{path} line {lineno}: non-numeric trace row") from None
-        if not (math.isfinite(row[1]) and math.isfinite(row[2])):
-            raise SpecFilterError(f"{path} line {lineno}: non-finite trace value")
-        rows.append(row)
-    if not rows:
-        raise SpecFilterError(f"{path} has no trace rows")
-    return rows
+    fractional = table.wavelengths[table.wavelengths != np.floor(table.wavelengths)]
+    if fractional.size:
+        raise SpecFilterError(f"{path}: iteration {float(fractional[0])!r} is not an integer")
+    iterations = [int(i) for i in table.wavelengths.tolist()]
+    require_monotone(iterations, table.columns[:, 0], prefix=f"{path}: ")
+    return list(zip(iterations, table.columns[:, 0].tolist()))
 
 
 def _read_iteration_filters(path: str) -> tuple[tuple[str, ...], np.ndarray]:
@@ -360,7 +335,7 @@ def cmd_trace_compare(args) -> int:
                 engine = SceneEngine(cmf, scenes, args.correction)
             means = _mean_delta_es(engine, camera, iteration_filters, names, filters_path)
             mean_des = [_fmt(value) for value in means]
-        for (iteration, vora, _), mean_de in zip(rows, mean_des):
+        for (iteration, vora), mean_de in zip(rows, mean_des):
             lines.append(f"{iteration},{label},{_fmt(vora)},{mean_de}")
 
     os.makedirs(args.out, exist_ok=True)

@@ -29,27 +29,34 @@ from .vora import VoraScore, vora_value
 
 @dataclass(frozen=True)
 class SceneSet:
-    """Illuminant and reflectance collections sharing one wavelength grid."""
+    """Illuminant and reflectance spectra sampled on one wavelength grid.
 
-    illuminants: tuple[SpectralCurve, ...]
-    reflectances: tuple[SpectralCurve, ...]
+    ``illuminants`` is L x n, one illuminant per row; ``reflectances`` is
+    n x m, one reflectance per column as a spectral table holds them.  Both
+    are copied into read-only C-ordered float arrays; that layout fixes the
+    last bits of ``SceneEngine``'s products.
+    """
+
+    illuminants: np.ndarray
+    reflectances: np.ndarray
     grid: WavelengthGrid
 
     def __post_init__(self):
-        illuminants = tuple(self.illuminants)
-        reflectances = tuple(self.reflectances)
-        if not illuminants or not reflectances:
+        illuminants = np.array(self.illuminants, dtype=float, order="C")
+        reflectances = np.array(self.reflectances, dtype=float, order="C")
+        if not illuminants.size or not reflectances.size:
             raise ValueError("scene set needs at least one illuminant and one reflectance")
-        for curve in illuminants + reflectances:
-            require_same_grid(curve.grid, self.grid)
-        object.__setattr__(self, "illuminants", illuminants)
-        object.__setattr__(self, "reflectances", reflectances)
-
-    def illuminant_matrix(self) -> np.ndarray:
-        return np.stack([c.values for c in self.illuminants], axis=1)
-
-    def reflectance_matrix(self) -> np.ndarray:
-        return np.stack([c.values for c in self.reflectances], axis=1)
+        n = self.grid.count
+        if illuminants.shape[1:] != (n,) or reflectances.ndim != 2 or reflectances.shape[0] != n:
+            raise ShapeError(
+                f"scene set needs L x {n} illuminants and {n} x m reflectances, "
+                f"got {illuminants.shape} and {reflectances.shape}"
+            )
+        if not (np.isfinite(illuminants).all() and np.isfinite(reflectances).all()):
+            raise ValueError("scene spectra must be finite")
+        for name, values in (("illuminants", illuminants), ("reflectances", reflectances)):
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
 
 
 @dataclass(frozen=True)
@@ -158,14 +165,13 @@ class SceneEngine:
         require_same_grid(observer.grid, scenes.grid)
         self.grid = scenes.grid
         self.correction_mode = correction_mode
-        illuminants = np.stack([c.values for c in scenes.illuminants])       # L x n
-        signals = illuminants[:, :, None] * scenes.reflectance_matrix()     # L x n x m
+        signals = scenes.illuminants[:, :, None] * scenes.reflectances      # L x n x m
         self._signals_t = signals.transpose(0, 2, 1)                         # L x m x n
         self._truths = self._signals_t @ observer.channels                   # L x m x 3
         self.pair_count = self._truths.shape[0] * self._truths.shape[1]
-        # Each white point from its own contiguous curve: a strided column of
-        # the illuminant stack would change the last bits.
-        self._whites = np.stack([observer.channels.T @ c.values for c in scenes.illuminants])[:, None, :]
+        # Each white point from its own contiguous row: one product over the
+        # whole illuminant stack would change the last bits.
+        self._whites = np.stack([observer.channels.T @ light for light in scenes.illuminants])[:, None, :]
         self._truth_lab = xyz_to_lab(self._truths, self._whites)
 
     def delta_e(self, channels: np.ndarray) -> tuple[np.ndarray, int | np.ndarray]:

@@ -32,14 +32,17 @@ class ShapeError(SpecFilterError):
 class ParseError(SpecFilterError):
     """A spectral CSV or manifest file could not be parsed.
 
-    ``line`` is the 1-based line number of the offending row when known.
+    ``line`` is the 1-based line number of the offending row and ``path`` the
+    file, each when known; the message leads with both.
     """
 
-    def __init__(self, message: str, line: int | None = None):
+    def __init__(self, message: str, line: int | None = None, path: str | None = None):
+        self.reason, self.line, self.path = message, line, path
         if line is not None:
             message = f"line {line}: {message}"
+        if path is not None:
+            message = f"{path}: {message}"
         super().__init__(message)
-        self.line = line
 
 
 class InvalidWhitePoint(SpecFilterError):

@@ -21,7 +21,6 @@ from .errors import ParseError, ShapeError
 from .spectra import (
     DEFAULT_GRID,
     SensorSet,
-    SpectralCurve,
     WavelengthGrid,
     interp_columns,
 )
@@ -32,11 +31,13 @@ _UNIFORM_RTOL = 1e-6
 
 @dataclass(frozen=True)
 class SpectralTable:
-    """A parsed spectral file: raw wavelengths plus one named data column per spectrum."""
+    """A parsed spectral file: the first column (``key_name`` in the header,
+    "wavelength" without one) plus one named data column per spectrum."""
 
     wavelengths: np.ndarray
     column_names: tuple[str, ...]
     columns: np.ndarray
+    key_name: str = "wavelength"
 
     def __post_init__(self):
         wavelengths = np.array(self.wavelengths, dtype=float)
@@ -69,17 +70,13 @@ class SpectralTable:
     def resampled_columns(self, target: WavelengthGrid) -> np.ndarray:
         return interp_columns(self.wavelengths, self.columns, target)
 
-    def curves(self, target: WavelengthGrid) -> list[SpectralCurve]:
-        resampled = self.resampled_columns(target)
-        return [SpectralCurve(target, resampled[:, j]) for j in range(resampled.shape[1])]
-
 
 def parse_spectral_csv(data: bytes | str) -> SpectralTable:
     """Parse a wavelength-first CSV into a validated table.
 
     Raises ``ParseError`` with the offending line number for ragged rows,
-    non-numeric or non-finite cells, non-increasing wavelengths, or an empty
-    table.  A leading UTF-8 byte-order mark is ignored.
+    non-numeric or non-finite cells, a first column that is not strictly
+    increasing, or an empty table.  A leading UTF-8 byte-order mark is ignored.
     """
     if isinstance(data, bytes):
         try:
@@ -90,7 +87,7 @@ def parse_spectral_csv(data: bytes | str) -> SpectralTable:
         text = data
     text = text.removeprefix("\ufeff")
 
-    header: tuple[str, ...] | None = None
+    header: list[str] | None = None
     rows: list[list[float]] = []
     row_lines: list[int] = []
     width = None
@@ -105,12 +102,12 @@ def parse_spectral_csv(data: bytes | str) -> SpectralTable:
             try:
                 float(cells[0])
             except ValueError:
-                header = tuple(cells[1:])
+                header = cells
                 width = len(cells)
                 continue
             width = len(cells)
         if len(cells) != width:
-            raise ParseError(f"ragged row: expected {width} cells, got {len(cells)}", lineno)
+            raise ParseError(f"expected {width} cells, got {len(cells)}", lineno)
         try:
             rows.append([float(cell) for cell in cells])
         except ValueError:
@@ -123,25 +120,26 @@ def parse_spectral_csv(data: bytes | str) -> SpectralTable:
     finite = np.isfinite(table).all(axis=1)
     if not finite.all():
         raise ParseError("non-finite cell (nan or inf)", row_lines[int(np.argmin(finite))])
-    wavelengths = table[:, 0]
-    for i in range(1, len(wavelengths)):
-        if wavelengths[i] <= wavelengths[i - 1]:
-            raise ParseError(
-                f"wavelengths must be strictly increasing; {wavelengths[i]:g} nm "
-                f"follows {wavelengths[i - 1]:g} nm",
-                row_lines[i],
-            )
-    names = header if header is not None else tuple(f"col{j}" for j in range(1, table.shape[1]))
-    return SpectralTable(wavelengths, names, table[:, 1:])
+    keys = table[:, 0]
+    backward = np.flatnonzero(keys[1:] <= keys[:-1])
+    if backward.size:
+        i = int(backward[0]) + 1
+        raise ParseError(
+            f"first column must be strictly increasing; {keys[i]:g} follows {keys[i - 1]:g}",
+            row_lines[i],
+        )
+    if header is None:
+        header = ["wavelength"] + [f"col{j}" for j in range(1, width)]
+    return SpectralTable(keys, tuple(header[1:]), table[:, 1:], header[0])
 
 
 def serialize_spectral_csv(table: SpectralTable) -> str:
     """Render a table back to the canonical CSV; values round-trip bit-for-bit."""
-    lines = ["wavelength," + ",".join(table.column_names)]
-    for i in range(len(table.wavelengths)):
-        cells = [repr(float(table.wavelengths[i]))]
-        cells += [repr(float(v)) for v in table.columns[i]]
-        lines.append(",".join(cells))
+    # tolist() gives Python floats, whose repr is the shortest round trip.
+    # One row at a time: a 10k-column table as Python floats costs ~10 MB.
+    lines = [",".join((table.key_name,) + table.column_names)]
+    rows = zip(table.wavelengths.tolist(), table.columns)
+    lines += [",".join(map(repr, [wl] + row.tolist())) for wl, row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -210,8 +208,12 @@ def read_manifest(path: str) -> DatasetManifest:
 
 
 def read_spectral_csv(path: str) -> SpectralTable:
-    with open(path, "rb") as handle:
-        return parse_spectral_csv(handle.read())
+    """``parse_spectral_csv`` of a file; its ``ParseError`` names the file."""
+    try:
+        with open(path, "rb") as handle:
+            return parse_spectral_csv(handle.read())
+    except ParseError as exc:
+        raise ParseError(exc.reason, exc.line, path) from None
 
 
 def load_cmf(choice: str, target: WavelengthGrid = DEFAULT_GRID) -> SensorSet:
@@ -236,6 +238,6 @@ def load_scene_set(
     """Load the manifest's illuminant and reflectance collections onto one grid."""
     if manifest.illuminants is None or manifest.reflectances is None:
         raise ValueError("manifest must name both illuminants and reflectances files")
-    illuminants = read_spectral_csv(manifest.illuminants).curves(grid)
-    reflectances = read_spectral_csv(manifest.reflectances).curves(grid)
-    return SceneSet(tuple(illuminants), tuple(reflectances), grid)
+    illuminants = read_spectral_csv(manifest.illuminants).resampled_columns(grid).T
+    reflectances = read_spectral_csv(manifest.reflectances).resampled_columns(grid)
+    return SceneSet(illuminants, reflectances, grid)

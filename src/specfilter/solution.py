@@ -4,7 +4,7 @@ gradient-ascent solvers."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -22,6 +22,17 @@ from .vora import VoraScore, basis_score
 # A Vora-Value trace may dip by at most this much between iterations before
 # we call it a bug rather than round-off.
 MONOTONE_SLACK = 1e-12
+
+
+def require_monotone(iterations: Sequence[int], vora_values: np.ndarray, prefix: str = "") -> None:
+    """Raise ``ConsistencyError``, led by ``prefix``, where a Vora-Value falls by over ``MONOTONE_SLACK``."""
+    falls = np.flatnonzero(vora_values[1:] < vora_values[:-1] - MONOTONE_SLACK)
+    if falls.size:
+        k = int(falls[0]) + 1
+        raise ConsistencyError(
+            f"{prefix}Vora-Value decreased from {float(vora_values[k - 1])!r} to "
+            f"{float(vora_values[k])!r} at iteration {iterations[k]}"
+        )
 
 
 @dataclass(frozen=True)
@@ -78,13 +89,8 @@ class ConvergenceTrace:
         points = tuple(self.points)
         if not points:
             raise ValueError("a convergence trace needs at least the initial point")
-        for prev, cur in zip(points, points[1:]):
-            if cur.vora_value < prev.vora_value - MONOTONE_SLACK:
-                raise ConsistencyError(
-                    f"Vora-Value decreased from {prev.vora_value!r} to {cur.vora_value!r} "
-                    f"at iteration {cur.iteration}"
-                )
         object.__setattr__(self, "points", points)
+        require_monotone([p.iteration for p in points], self.vora_values())
 
     def __len__(self) -> int:
         return len(self.points)

@@ -223,9 +223,9 @@ def test_c07_canon_vora_values_match_published_numbers():
 
 def load_scenes() -> SceneSet:
     illuminants_path, reflectances_path = require_dataset(ILLUMINANTS_FILE, REFLECTANCES_FILE)
-    illuminants = read_spectral_csv(illuminants_path).curves(DEFAULT_GRID)
-    reflectances = read_spectral_csv(reflectances_path).curves(DEFAULT_GRID)
-    return SceneSet(tuple(illuminants), tuple(reflectances), DEFAULT_GRID)
+    illuminants = read_spectral_csv(illuminants_path).resampled_columns(DEFAULT_GRID).T
+    reflectances = read_spectral_csv(reflectances_path).resampled_columns(DEFAULT_GRID)
+    return SceneSet(illuminants, reflectances, DEFAULT_GRID)
 
 
 def test_c08_canon_delta_e_reproduction():

@@ -403,6 +403,32 @@ class TestMultistart:
         with pytest.raises(ValueError):
             optimize_als_multistart(bump_camera, builtin_cmf(), starts=0)
 
+    @pytest.mark.parametrize(
+        "starts, dropped, named",
+        [(1, [0], 0), (3, [1], 1), (3, [0, 1, 2], 0)],
+        ids=["single start", "one of three", "every start"],
+    )
+    def test_a_vora_value_drop_raises_from_either_entry_point(self, bump_camera, monkeypatch, starts, dropped, named):
+        # The first sweep's scores of the chosen starts are pushed 0.5 below
+        # their start: a drop no round-off explains, which must not pass for
+        # a skippable start or for rank loss.
+        real, calls = als.basis_score, []
+
+        def dropping(f, qc, vb):
+            m, score, full = real(f, qc, vb)
+            calls.append(None)
+            if len(calls) == 2:
+                score = score.copy()
+                score[dropped] -= 0.5
+            return m, score, full
+
+        monkeypatch.setattr(als, "basis_score", dropping)
+        with pytest.raises(ConsistencyError, match=f"at iteration 1 of start {named}$"):
+            if starts == 1:
+                optimize_als(bump_camera, builtin_cmf())
+            else:
+                optimize_als_multistart(bump_camera, builtin_cmf(), starts=starts, seed=5)
+
 
 class TestSolutionTypes:
     def test_trace_rejects_decreasing_vora(self):

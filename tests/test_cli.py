@@ -10,10 +10,19 @@ import pytest
 import specfilter.als
 import specfilter.cli
 import specfilter.ingest
-from specfilter.cli import _iteration_filters_csv, main
+from specfilter.als import optimize_als
+from specfilter.cli import main
 from specfilter.colorimetry import evaluate
 from specfilter.gradient import GaConfig, optimize_ga
-from specfilter.ingest import builtin_cmf, load_scene_set, load_sensor_set, read_manifest, read_spectral_csv
+from specfilter.ingest import (
+    SpectralTable,
+    builtin_cmf,
+    load_scene_set,
+    load_sensor_set,
+    read_manifest,
+    read_spectral_csv,
+    serialize_spectral_csv,
+)
 from specfilter.solution import ConvergenceTrace, TracePoint
 from specfilter.spectra import DEFAULT_GRID, SensorSet, SpectralCurve, apply_filter
 
@@ -180,6 +189,32 @@ class TestOptimizeCommand:
     def test_missing_camera_exits_1(self, tmp_path):
         code = main(["optimize", "--camera", str(tmp_path / "nope.csv"), "--out", str(tmp_path)])
         assert code == 1
+
+    def test_malformed_camera_error_names_the_file_and_line(self, tmp_path, camera_csv, capsys):
+        lines = read(camera_csv).decode().splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0]
+        bad = tmp_path / "short_row_camera.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(["optimize", "--camera", str(bad), "--out", str(tmp_path / "out")]) == 1
+        assert f"error: {bad}: line 3: expected 4 cells, got 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("optimize", [optimize_als, optimize_ga], ids=["als", "ga"])
+    def test_filter_files_read_back_bit_for_bit(self, tmp_path, camera_csv, optimize):
+        out = str(tmp_path / "out")
+        optimizer = "als" if optimize is optimize_als else "ga"
+        assert main(["optimize", "--camera", camera_csv, "--optimizer", optimizer, "--out", out]) == 0
+        solution = optimize(load_sensor_set(read_spectral_csv(camera_csv), DEFAULT_GRID), builtin_cmf())
+        wavelengths = DEFAULT_GRID.wavelengths().tobytes()
+
+        written = read_spectral_csv(os.path.join(out, "filter.csv"))
+        assert (written.key_name, written.column_names) == ("wavelength", ("transmittance",))
+        assert written.wavelengths.tobytes() == wavelengths
+        assert written.columns[:, 0].tobytes() == solution.filter.values.tobytes()
+
+        written = read_spectral_csv(os.path.join(out, "iteration_filters.csv"))
+        assert written.column_names == tuple(f"iter{p.iteration}" for p in solution.trace)
+        assert written.wavelengths.tobytes() == wavelengths
+        assert written.columns.tobytes() == np.column_stack([p.filter_values for p in solution.trace]).tobytes()
 
     def test_multistart_flag_runs(self, tmp_path, camera_csv):
         out = str(tmp_path / "out")
@@ -544,7 +579,7 @@ class TestTraceCompareCommand:
         bad.write_text(f"iteration,vora_value,residual\n{row}\n")
         out = tmp_path / "cmp"
         assert main(["trace-compare", str(bad), str(bad), "--out", str(out)]) == 1
-        assert "line 2: non-finite trace value" in capsys.readouterr().err
+        assert f"{bad}: line 2: non-finite" in capsys.readouterr().err
         assert not (out / "compare.csv").exists()
 
     def test_trace_errors_name_the_line_in_the_file(self, tmp_path, capsys):
@@ -552,6 +587,66 @@ class TestTraceCompareCommand:
         bad.write_text("\niteration,vora_value,residual\n\n0,0.5,2.5\n  \n\n1,0.6\n")
         assert main(["trace-compare", str(bad), str(bad), "--out", str(tmp_path / "cmp")]) == 1
         assert "line 7: expected 3 cells, got 2" in capsys.readouterr().err
+
+    def test_byte_order_mark_trace_is_accepted(self, tmp_path):
+        trace = tmp_path / "bom.csv"
+        trace.write_bytes(b"\xef\xbb\xbfiteration,vora_value,residual\n0,0.5,1.5\n1,0.75,0.75\n")
+        out = tmp_path / "cmp"
+        assert main(["trace-compare", str(trace), str(trace), "--out", str(out)]) == 0
+        assert read(out / "compare.csv").decode().splitlines() == [
+            "iteration,method,vora_value,mean_delta_e", "0,a,0.5,", "1,a,0.75,", "0,b,0.5,", "1,b,0.75,",
+        ]
+
+    @pytest.mark.parametrize(
+        "rows, line, message",
+        [
+            (["5,0.5,1.5", "2,0.9,0.3", "2,0.1,2.7"], 3, "2 follows 5"),
+            (["0,0.5,1.5", "1,0.6,1.2", "1,0.7,0.9"], 4, "1 follows 1"),
+        ],
+        ids=["backward", "repeated"],
+    )
+    def test_non_increasing_iterations_name_the_line(self, tmp_path, capsys, rows, line, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("iteration,vora_value,residual\n" + "\n".join(rows) + "\n")
+        out = tmp_path / "cmp"
+        assert main(["trace-compare", str(bad), str(bad), "--out", str(out)]) == 1
+        assert f"{bad}: line {line}: first column must be strictly increasing; {message}" in capsys.readouterr().err
+        assert not (out / "compare.csv").exists()
+
+    def test_falling_vora_value_names_the_file_and_iteration(self, tmp_path, capsys):
+        good = tmp_path / "good.csv"
+        good.write_text("iteration,vora_value,residual\n0,0.5,1.5\n1,0.9,0.3\n")
+        bad = tmp_path / "bad.csv"
+        bad.write_text("iteration,vora_value,residual\n0,0.5,1.5\n1,0.9,0.3\n2,0.1,2.7\n")
+        out = tmp_path / "cmp"
+        assert main(["trace-compare", str(good), str(bad), "--out", str(out)]) == 1
+        assert f"{bad}: Vora-Value decreased from 0.9 to 0.1 at iteration 2" in capsys.readouterr().err
+        assert not (out / "compare.csv").exists()
+        # A dip within round-off is not a fall.
+        good.write_text("iteration,vora_value,residual\n0,0.5,1.5\n1,0.4999999999999995,1.5\n")
+        assert main(["trace-compare", str(good), str(good), "--out", str(out)]) == 0
+
+    def test_fractional_iteration_rejected(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("iteration,vora_value,residual\n0,0.5,1.5\n1.5,0.6,1.2\n")
+        assert main(["trace-compare", str(bad), str(bad), "--out", str(tmp_path / "cmp")]) == 1
+        assert f"{bad}: iteration 1.5 is not an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "wavelength,vora_value,residual\n0,0.5,1.5\n",
+            "iteration,vora_value\n0,0.5\n",
+            "iteration,residual,vora_value\n0,1.5,0.5\n",
+            "0,0.5,1.5\n1,0.6,1.2\n",
+        ],
+        ids=["wavelength first", "no residual", "swapped", "no header"],
+    )
+    def test_header_must_be_exact(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        assert main(["trace-compare", str(bad), str(bad), "--out", str(tmp_path / "cmp")]) == 1
+        assert f"{bad} is not a trace CSV (expected iteration,vora_value,residual)" in capsys.readouterr().err
 
 
 def cell_by_cell_iteration_filters_csv(solution):
@@ -577,6 +672,11 @@ def test_iteration_filters_csv_equals_the_cell_by_cell_formatter():
     extended = dataclasses.replace(
         solution, trace=ConvergenceTrace(tuple(points)), iterations=solution.iterations + len(odd)
     )
-    text = _iteration_filters_csv(extended)
+    table = SpectralTable(
+        extended.filter.grid.wavelengths(),
+        tuple(f"iter{p.iteration}" for p in extended.trace),
+        np.column_stack([p.filter_values for p in extended.trace]),
+    )
+    text = serialize_spectral_csv(table)
     assert text == cell_by_cell_iteration_filters_csv(extended)
     assert ",-0.0," in text and ",5e-324," in text and ",1e+300," in text

@@ -59,11 +59,38 @@ def assert_stats_match(report, delta_es, tol=1e-10):
 
 
 def scene_of(illuminants, reflectances, grid=DEFAULT_GRID):
-    return SceneSet(
-        tuple(SpectralCurve(grid, light) for light in illuminants),
-        tuple(SpectralCurve(grid, r) for r in reflectances),
-        grid,
+    """A scene set from lists of illuminant and reflectance curves."""
+    return SceneSet(np.array(illuminants), np.array(reflectances).T, grid)
+
+
+class TestSceneSet:
+    def test_holds_read_only_c_ordered_copies(self):
+        illuminants = np.linspace(0.5, 1.5, 62).reshape(31, 2).T     # L x n view, not C-ordered
+        reflectances = np.linspace(0.0, 1.0, 124).reshape(4, 31).T   # n x m view, not C-ordered
+        scenes = SceneSet(illuminants, reflectances, DEFAULT_GRID)
+        assert scenes.illuminants.shape == (2, 31) and scenes.reflectances.shape == (31, 4)
+        for held, given in ((scenes.illuminants, illuminants), (scenes.reflectances, reflectances)):
+            assert held.flags.c_contiguous and not held.flags.writeable
+            assert not np.shares_memory(held, given)
+            assert np.array_equal(held, given)
+
+    @pytest.mark.parametrize(
+        "illuminants, reflectances, error",
+        [
+            (np.ones((0, 31)), np.ones((31, 4)), ValueError),
+            (np.ones((1, 31)), np.ones((31, 0)), ValueError),
+            (np.ones((1, 30)), np.ones((31, 4)), ShapeError),
+            (np.ones(31), np.ones((31, 4)), ShapeError),
+            (np.ones((1, 31)), np.ones((4, 31)), ShapeError),
+            (np.full((1, 31), np.nan), np.ones((31, 4)), ValueError),
+            (np.ones((1, 31)), np.full((31, 4), np.inf), ValueError),
+        ],
+        ids=["no illuminant", "no reflectance", "short illuminant", "flat illuminants",
+             "reflectances per row", "nan illuminant", "inf reflectance"],
     )
+    def test_rejects_empty_misshapen_or_non_finite_spectra(self, illuminants, reflectances, error):
+        with pytest.raises(error):
+            SceneSet(illuminants, reflectances, DEFAULT_GRID)
 
 
 class TestSensorResponse:
@@ -343,11 +370,11 @@ def fixture_camera_and_scenes():
 
 def loop_delta_es(channels, observer, scenes, correction_mode):
     """Per-pair Delta E and negative-XYZ count, one illuminant at a time with its own products."""
-    reflectances = scenes.reflectance_matrix()
+    reflectances = scenes.reflectances
     rendered_scenes = []
     for light in scenes.illuminants:
-        signal = light.values[:, None] * reflectances
-        white = observer.channels.T @ light.values
+        signal = light[:, None] * reflectances
+        white = observer.channels.T @ light
         rendered_scenes.append((signal.T @ channels, signal.T @ observer.channels, white))
     if correction_mode == "global":
         pooled = fit_correction(
@@ -526,11 +553,7 @@ class TestEvaluateAgainstHandComputation:
     def test_stats_match_rational_reference(self):
         camera = SensorSet(self.GRID, self.S)
         observer = SensorSet(self.GRID, self.X)
-        scene = SceneSet(
-            (SpectralCurve(self.GRID, self.L),),
-            tuple(SpectralCurve(self.GRID, row) for row in self.R),
-            self.GRID,
-        )
+        scene = SceneSet(self.L[None], self.R.T, self.GRID)
         report = evaluate(camera, None, observer, scene)
         reference = self.reference_delta_es()
 

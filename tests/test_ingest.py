@@ -219,8 +219,8 @@ class TestManifest:
         manifest = read_manifest(str(tmp_path / "scenes.txt"))
         scenes = load_scene_set(manifest, DEFAULT_GRID)
         assert len(scenes.illuminants) == 2
-        assert len(scenes.reflectances) == 5
-        assert np.allclose(scenes.illuminant_matrix(), illum)
+        assert scenes.reflectances.shape[1] == 5
+        assert np.allclose(scenes.illuminants.T, illum)
 
     def test_scene_set_requires_both_collections(self):
         manifest = parse_manifest("illuminants = lights.csv\n")
@@ -237,8 +237,8 @@ class TestShippedFixtures:
         scenes = load_scene_set(manifest, DEFAULT_GRID)
         assert camera.channels.shape == (31, 3)
         assert len(scenes.illuminants) == 3
-        assert len(scenes.reflectances) == 12
-        reflectance_block = scenes.reflectance_matrix()
+        assert scenes.reflectances.shape[1] == 12
+        reflectance_block = scenes.reflectances
         assert reflectance_block.min() >= 0.0 and reflectance_block.max() <= 1.0
 
 

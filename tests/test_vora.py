@@ -133,11 +133,7 @@ class TestSingleRoute:
     def test_evaluate_vora_is_the_basis_score_of_the_effective_camera(self, rng, bump_camera):
         x = builtin_cmf()
         f = SpectralCurve(DEFAULT_GRID, rng.uniform(0.2, 1.0, 31))
-        scenes = SceneSet(
-            (SpectralCurve.constant(DEFAULT_GRID, 1.0),),
-            tuple(SpectralCurve(DEFAULT_GRID, rng.uniform(0.0, 1.0, 31)) for _ in range(8)),
-            DEFAULT_GRID,
-        )
+        scenes = SceneSet(np.ones((1, 31)), rng.uniform(0.0, 1.0, (8, 31)).T, DEFAULT_GRID)
         report = evaluate(bump_camera, f, x, scenes)
         effective = apply_filter(f, bump_camera)
         score = basis_score(np.ones(31), effective.channels, orthonormalize(x).basis)[1]
