@@ -7,7 +7,7 @@ filters with CIELAB color-error statistics over illuminant/reflectance
 collections.
 """
 
-from .als import AlsConfig, optimize_als, optimize_als_multistart, random_filter, solve_f, solve_m
+from .als import AlsConfig, optimize_als, solve_f, solve_m
 from .colorimetry import (
     DeltaEStats,
     EvaluationReport,
@@ -27,7 +27,7 @@ from .errors import (
     ShapeError,
     SpecFilterError,
 )
-from .gradient import GaConfig, optimize_ga, optimize_ga_multistart, vora_gradient
+from .gradient import GaConfig, optimize_ga, vora_gradient
 from .ingest import (
     DatasetManifest,
     SpectralTable,
@@ -41,7 +41,7 @@ from .ingest import (
     read_spectral_csv,
     serialize_spectral_csv,
 )
-from .solution import ConvergenceTrace, FilterSolution, TracePoint
+from .solution import ConvergenceTrace, FilterSolution, TracePoint, random_filter
 from .spectra import (
     DEFAULT_GRID,
     CorrectionMatrix,
@@ -92,9 +92,7 @@ __all__ = [
     "load_scene_set",
     "load_sensor_set",
     "optimize_als",
-    "optimize_als_multistart",
     "optimize_ga",
-    "optimize_ga_multistart",
     "orthonormalize",
     "parse_manifest",
     "parse_spectral_csv",

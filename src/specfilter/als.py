@@ -16,13 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, RankDeficient
-from .solution import MONOTONE_SLACK, FilterSolution, Polish, SolverConfig, TracePoint, finish
+from .solution import (MONOTONE_SLACK, FilterSolution, Polish, SolverConfig, TracePoint,
+                       every_start_lost_rank, finish)
 from .spectra import (
     CorrectionMatrix,
     OrthoBasis,
     SensorSet,
     SpectralCurve,
-    WavelengthGrid,
     orthonormalize,
     require_same_grid,
 )
@@ -87,26 +87,34 @@ def solve_f(q: SensorSet, m: CorrectionMatrix, v: OrthoBasis) -> SpectralCurve:
     return SpectralCurve(q.grid, _filter(q.channels, m.m, v.basis))
 
 
-def optimize_als(q: SensorSet, x: SensorSet, config: AlsConfig | None = None) -> FilterSolution:
-    """Run the alternating least-squares sweep until the Vora-Value stalls.
+def optimize_als(
+    q: SensorSet, x: SensorSet, config: AlsConfig | None = None, starts: int = 1, seed: int = 0
+) -> FilterSolution:
+    """Best ALS solution over the starts of ``config.start_stack``, swept in lockstep.
 
-    Raises ``RankDeficient`` (tagged with the iteration index) if the filter
-    ever zeroes out a camera channel, and ``ConsistencyError`` (see
-    ``_sweep``) if a sweep lowers the Vora-Value; returns with
+    ALS converges to a fixed point but not necessarily the global optimum, so
+    further seeded random starts guard against bad basins.  The solution is
+    rebuilt from the winning row of one ``_sweep``, so it is exactly what a
+    single-start run from the winning start gives.  A start that loses rank
+    is passed over; ``RankDeficient`` (tagged with the iteration index) is
+    raised only when every start does.  A sweep that lowers a Vora-Value
+    raises ``ConsistencyError`` (see ``_sweep``).  Returns with
     ``converged=False`` when ``max_iterations`` is reached first.
     """
     config = config or AlsConfig()
     require_same_grid(q.grid, x.grid)
+    initial = config.start_stack(q.grid, starts, seed)
     v = orthonormalize(x)
-    initial = config.resolve_initial(q.grid).values[None]
     run = _sweep(initial, q.channels, v.basis, config.epsilon, config.max_iterations)
-    _, _, stop, outcome = run
-    i = int(stop[0])
-    if outcome[0] == RANK_LOSS and i == 0:
-        raise RankDeficient("initial filter leaves the camera rank deficient (iteration 0)")
-    if outcome[0] == RANK_LOSS:
-        raise RankDeficient(f"filter zeroed a camera channel at iteration {i}")
-    return _solution(0, initial, run, q, v)
+    _, scores, stop, outcome = run
+    lost = outcome == RANK_LOSS
+    if lost.all():
+        i = int(stop[0])
+        raise every_start_lost_rank(starts, RankDeficient(
+            "initial filter leaves the camera rank deficient (iteration 0)" if i == 0
+            else f"filter zeroed a camera channel at iteration {i}"
+        ))
+    return _solution(int(np.argmax(np.where(lost, -np.inf, scores[-1]))), initial, run, q, v)
 
 
 def _sweep(initial: np.ndarray, qc: np.ndarray, vb: np.ndarray, epsilon: float, max_iterations: int):
@@ -209,45 +217,3 @@ def _polish_to_fixed_point(f: np.ndarray, qc: np.ndarray, vb: np.ndarray) -> tup
             return g, Polish(sweep, False)
         f, m = candidates[take], ms[take]
     return g, Polish(POLISH_MAX_SWEEPS, False)
-
-
-def random_filter(grid: WavelengthGrid, rng: np.random.Generator) -> SpectralCurve:
-    """A random starting filter with entries uniform in (0, 1]."""
-    return SpectralCurve(grid, 1.0 - rng.random(grid.count))
-
-
-def optimize_als_multistart(
-    q: SensorSet,
-    x: SensorSet,
-    config: AlsConfig | None = None,
-    starts: int = 32,
-    seed: int = 0,
-) -> FilterSolution:
-    """Best ALS solution over the configured start plus ``starts - 1`` random ones.
-
-    ALS converges to a fixed point but not necessarily the global optimum, so
-    restarting from seeded random filters (entries uniform in (0, 1]) guards
-    against bad basins.  All starts run in one lockstep sweep, and the
-    solution is rebuilt from the winning row, so it is exactly what
-    ``optimize_als`` produces from the winning start.  Starts that lose rank
-    are passed over; a Vora-Value drop in any start raises as in
-    ``optimize_als``.
-    """
-    config = config or AlsConfig()
-    require_same_grid(q.grid, x.grid)
-    if starts < 1:
-        raise ValueError(f"need at least one start, got {starts}")
-    rng = np.random.default_rng(seed)
-    initial = np.empty((starts, q.grid.count))
-    initial[0] = config.resolve_initial(q.grid).values
-    for row in range(1, starts):
-        initial[row] = random_filter(q.grid, rng).values
-
-    v = orthonormalize(x)
-    run = _sweep(initial, q.channels, v.basis, config.epsilon, config.max_iterations)
-    _, scores, _, outcome = run
-    final = np.where(outcome <= CAPPED, scores[-1], -np.inf)
-    if not np.any(np.isfinite(final)):
-        raise RankDeficient("every start hit rank deficiency before converging")
-    return _solution(int(np.argmax(final)), initial, run, q, v)
-

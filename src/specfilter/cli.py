@@ -18,10 +18,10 @@ import time
 
 import numpy as np
 
-from .als import AlsConfig, optimize_als, optimize_als_multistart, random_filter
+from .als import AlsConfig, optimize_als
 from .colorimetry import EvaluationReport, SceneEngine, evaluate
 from .errors import RankDeficient, SpecFilterError
-from .gradient import GaConfig, optimize_ga, optimize_ga_multistart
+from .gradient import GaConfig, optimize_ga
 from .ingest import (SpectralTable, load_cmf, load_scene_set, load_sensor_set, read_manifest,
                      read_spectral_csv, serialize_spectral_csv)
 from .solution import FilterSolution, require_monotone
@@ -101,27 +101,17 @@ def _evaluation_payload(report: EvaluationReport) -> dict:
 
 
 def cmd_optimize(args) -> int:
-    if args.starts < 1:
-        raise ValueError(f"--starts must be at least 1, got {args.starts}")
     camera = _load_camera(args.camera)
     cmf = load_cmf(args.cmf)
-    rng = np.random.default_rng(args.seed)
-    initial = (
-        random_filter(DEFAULT_GRID, rng) if args.init == "random" else "ones"
-    )
 
     started = time.perf_counter()
-    stopping = dict(epsilon=args.epsilon, max_iterations=args.max_iters, initial_filter=initial)
+    stopping = dict(epsilon=args.epsilon, max_iterations=args.max_iters, initial_filter=args.init)
     if args.optimizer == "als":
-        config = AlsConfig(**stopping)
-        single, multistart = optimize_als, optimize_als_multistart
+        config, solve = AlsConfig(**stopping), optimize_als
     else:
         config = GaConfig(step_rule=args.step_rule, fixed_step=args.fixed_step, **stopping)
-        single, multistart = optimize_ga, optimize_ga_multistart
-    if args.starts > 1:
-        solution = multistart(camera, cmf, config, starts=args.starts, seed=args.seed)
-    else:
-        solution = single(camera, cmf, config)
+        solve = optimize_ga
+    solution = solve(camera, cmf, config, starts=args.starts, seed=args.seed)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
 
     os.makedirs(args.out, exist_ok=True)
@@ -331,6 +321,11 @@ def cmd_trace_compare(args) -> int:
                     f"{filters_path} has {len(iteration_filters)} iteration filters "
                     f"but {trace_path} has {len(rows)} trace rows"
                 )
+            for name, (iteration, _) in zip(names, rows):
+                if name != f"iter{iteration}":
+                    raise SpecFilterError(
+                        f"{filters_path} column {name} does not match {trace_path} (expected iter{iteration})"
+                    )
             if engine is None:
                 engine = SceneEngine(cmf, scenes, args.correction)
             means = _mean_delta_es(engine, camera, iteration_filters, names, filters_path)
@@ -359,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     opt.add_argument("--max-iters", type=int, default=10_000)
     opt.add_argument("--init", choices=("ones", "random"), default="ones")
     opt.add_argument("--seed", type=int, default=0)
-    opt.add_argument("--starts", type=int, default=1, help="restarts for seeded multistart (>1 enables)")
+    opt.add_argument("--starts", type=int, default=1, help="starts: --init's filter, then seeded random ones")
     opt.add_argument("--step-rule", choices=("backtracking", "fixed"), default="backtracking",
                      help="gradient-ascent step rule (ga only)")
     opt.add_argument("--fixed-step", type=float, default=0.1, help="step size for --step-rule fixed")

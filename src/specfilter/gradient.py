@@ -15,14 +15,13 @@ trusted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .als import random_filter
 from .errors import RankDeficient
-from .solution import FilterSolution, SolverConfig, TracePoint, finish
-from .spectra import SensorSet, SpectralCurve, orthonormalize, require_same_grid
+from .solution import FilterSolution, SolverConfig, TracePoint, every_start_lost_rank, finish
+from .spectra import OrthoBasis, SensorSet, SpectralCurve, orthonormalize, require_same_grid
 from .vora import basis_score
 
 # Line search gives up once the step underflows this; the iterate is then
@@ -75,15 +74,36 @@ def vora_gradient(f: SpectralCurve, q: SensorSet, x: SensorSet) -> np.ndarray:
     return _gradient_arrays(f.values, q.channels, vb, m)
 
 
-def optimize_ga(q: SensorSet, x: SensorSet, config: GaConfig | None = None) -> FilterSolution:
-    """Maximize the Vora-Value by gradient ascent over the filter entries."""
+def optimize_ga(
+    q: SensorSet, x: SensorSet, config: GaConfig | None = None, starts: int = 1, seed: int = 0
+) -> FilterSolution:
+    """Maximize the Vora-Value by gradient ascent from each of ``config.start_stack``'s starts.
+
+    The starts run one after another; the first highest-scoring solution
+    wins.  A start that loses rank is passed over, and ``RankDeficient``
+    (tagged with the iteration index) is raised only when every start does.
+    """
     config = config or GaConfig()
     require_same_grid(q.grid, x.grid)
-    qc = q.channels
+    initial = config.start_stack(q.grid, starts, seed)
     v = orthonormalize(x)
-    vb = v.basis
+    best, first_loss = None, None
+    for f in initial:
+        try:
+            candidate = _ascend(f, q, v, config)
+        except RankDeficient as exc:
+            first_loss = first_loss or exc
+            continue
+        if best is None or candidate.score > best.score:
+            best = candidate
+    if best is None:
+        raise every_start_lost_rank(starts, first_loss)
+    return best
 
-    f = config.resolve_initial(q.grid).values
+
+def _ascend(f: np.ndarray, q: SensorSet, v: OrthoBasis, config: GaConfig) -> FilterSolution:
+    """One gradient-ascent run from filter ``f`` against the orthonormal observer basis ``v``."""
+    qc, vb = q.channels, v.basis
     m, score, full = basis_score(f, qc, vb)
     if not full:
         raise RankDeficient("initial filter leaves the camera rank deficient (iteration 0)")
@@ -136,26 +156,3 @@ def optimize_ga(q: SensorSet, x: SensorSet, config: GaConfig | None = None) -> F
 
     return finish(f, q, v, points, iterations, converged, line_search_trials=trials)
 
-
-def optimize_ga_multistart(
-    q: SensorSet,
-    x: SensorSet,
-    config: GaConfig | None = None,
-    starts: int = 32,
-    seed: int = 0,
-) -> FilterSolution:
-    """Best gradient-ascent solution over the configured start plus random restarts."""
-    config = config or GaConfig()
-    if starts < 1:
-        raise ValueError(f"need at least one start, got {starts}")
-    rng = np.random.default_rng(seed)
-    best = optimize_ga(q, x, config)
-    for _ in range(starts - 1):
-        candidate_config = replace(config, initial_filter=random_filter(q.grid, rng))
-        try:
-            candidate = optimize_ga(q, x, candidate_config)
-        except RankDeficient:
-            continue
-        if candidate.score > best.score:
-            best = candidate
-    return best

@@ -35,14 +35,20 @@ def require_monotone(iterations: Sequence[int], vora_values: np.ndarray, prefix:
         )
 
 
+def random_filter(grid: WavelengthGrid, rng: np.random.Generator) -> SpectralCurve:
+    """A random starting filter with entries uniform in (0, 1]."""
+    return SpectralCurve(grid, 1.0 - rng.random(grid.count))
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Stopping rule and starting point common to both solvers.
 
-    ``initial_filter`` is either the name ``"ones"`` (neutral filter) or an
-    explicit curve.  ``epsilon`` is the minimum Vora-Value increase per
-    iteration; the generous defaults make hitting ``max_iterations`` a signal,
-    not a nuisance.
+    ``initial_filter`` is an explicit curve or one of the names ``"ones"``
+    (neutral filter) and ``"random"`` (a seeded ``random_filter`` draw).
+    ``epsilon`` is the minimum Vora-Value increase per iteration; the
+    generous defaults make hitting ``max_iterations`` a signal, not a
+    nuisance.
     """
 
     epsilon: float = 1e-9
@@ -54,14 +60,41 @@ class SolverConfig:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
+        if not isinstance(self.initial_filter, SpectralCurve) and self.initial_filter not in ("ones", "random"):
+            raise ValueError(f"unknown initial filter preset {self.initial_filter!r}")
 
-    def resolve_initial(self, grid: WavelengthGrid) -> SpectralCurve:
+    def start_stack(self, grid: WavelengthGrid, starts: int, seed: int) -> np.ndarray:
+        """The solvers' one start rule: a ``starts`` x n stack of starting filters.
+
+        Row 0 is ``initial_filter`` and every later row a ``random_filter``
+        draw, all from one ``default_rng(seed)``: under ``"random"`` row 0 is
+        its first draw and the later rows continue the same stream.
+        """
+        if starts < 1:
+            raise ValueError(f"need at least one start, got {starts}")
+        rng = np.random.default_rng(seed)
+        stack = np.empty((starts, grid.count))
         if isinstance(self.initial_filter, SpectralCurve):
             require_same_grid(self.initial_filter.grid, grid)
-            return self.initial_filter
-        if self.initial_filter == "ones":
-            return SpectralCurve.constant(grid, 1.0)
-        raise ValueError(f"unknown initial filter preset {self.initial_filter!r}")
+            stack[0] = self.initial_filter.values
+        elif self.initial_filter == "ones":
+            stack[0] = 1.0
+        else:
+            stack[0] = random_filter(grid, rng).values
+        for row in range(1, starts):
+            stack[row] = random_filter(grid, rng).values
+        return stack
+
+
+def every_start_lost_rank(starts: int, first: RankDeficient) -> RankDeficient:
+    """The error of a solve whose every start lost rank; ``first`` is start 0's own.
+
+    Both solvers pass over a start that loses rank and raise only when none
+    is left.  A single start raises its own error unchanged.
+    """
+    if starts == 1:
+        return first
+    return RankDeficient(f"all {starts} starts lost rank; start 0: {first}")
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from specfilter.als import AlsConfig, optimize_als, optimize_als_multistart, solve_f, solve_m
+from specfilter.als import AlsConfig, optimize_als, solve_f, solve_m
 from specfilter.cli import main
 from specfilter.colorimetry import SceneSet, evaluate
 from specfilter.gradient import GaConfig, optimize_ga, vora_gradient
@@ -181,7 +181,7 @@ def test_c06_toy_scale_agreement_with_random_search_oracle():
     for index, (qm, xm) in enumerate(toys):
         q = SensorSet(TOY_GRID, qm)
         x = SensorSet(TOY_GRID, xm)
-        als = optimize_als_multistart(q, x, AlsConfig(max_iterations=4000), starts=32, seed=index)
+        als = optimize_als(q, x, AlsConfig(max_iterations=4000), starts=32, seed=index)
         ga = optimize_ga(q, x)
         oracle_score, _ = random_search_best(qm, xm, np.random.default_rng(9000 + index))
         worst_als = max(worst_als, abs(float(als.score) - oracle_score))

@@ -16,14 +16,12 @@ from specfilter.als import (
     _sweep,
     _trace,
     optimize_als,
-    optimize_als_multistart,
-    random_filter,
     solve_f,
     solve_m,
 )
 from specfilter.errors import ConsistencyError, RankDeficient
 from specfilter.ingest import builtin_cmf
-from specfilter.solution import ConvergenceTrace, TracePoint
+from specfilter.solution import ConvergenceTrace, TracePoint, random_filter
 from specfilter.spectra import (
     DEFAULT_GRID,
     CorrectionMatrix,
@@ -214,7 +212,7 @@ class TestPolish:
         # The multistart winners of the acceptance suite's toy pairs, polished afresh.
         for index, (qm, xm) in enumerate(make_toys()):
             q, x = SensorSet(TOY_GRID, qm), SensorSet(TOY_GRID, xm)
-            solution = optimize_als_multistart(q, x, AlsConfig(max_iterations=4000), starts=32, seed=index)
+            solution = optimize_als(q, x, AlsConfig(max_iterations=4000), starts=32, seed=index)
             assert solution.converged
             f, vb = solution.trace.final().filter_values, orthonormalize(x).basis
             polished, polish = _polish_to_fixed_point(f, qm, vb)
@@ -326,13 +324,13 @@ class TestOptimizeAls:
         with pytest.raises(ValueError):
             AlsConfig(max_iterations=0)
         with pytest.raises(ValueError):
-            AlsConfig(initial_filter="nonsense").resolve_initial(DEFAULT_GRID)
+            AlsConfig(initial_filter="nonsense")
 
 
 class TestMultistart:
     @staticmethod
     def sequential_runs(q, x, config, starts, seed):
-        """``optimize_als`` from each multistart start, or None where it loses rank."""
+        """Single-start ``optimize_als`` from each start of a multistart run, or None where it loses rank."""
         rng = np.random.default_rng(seed)
         runs = []
         for k in range(starts):
@@ -348,7 +346,7 @@ class TestMultistart:
         runs = self.sequential_runs(q, x, config, starts, seed)
         # The winner has the highest last trace score, the first such start on ties.
         best = max((r for r in runs if r is not None), key=lambda r: r.trace.final().vora_value)
-        got = optimize_als_multistart(q, x, config, starts=starts, seed=seed)
+        got = optimize_als(q, x, config, starts=starts, seed=seed)
         assert np.array_equal(got.filter.values, best.filter.values)
         assert np.array_equal(got.correction.m, best.correction.m)
         assert float(got.score) == float(best.score)
@@ -394,14 +392,22 @@ class TestMultistart:
         qm, xm = solvable_toy_pair(rng)
         q = SensorSet(TOY_GRID, qm)
         x = SensorSet(TOY_GRID, xm)
-        a = optimize_als_multistart(q, x, AlsConfig(max_iterations=2000), starts=8, seed=3)
-        b = optimize_als_multistart(q, x, AlsConfig(max_iterations=2000), starts=8, seed=3)
+        a = optimize_als(q, x, AlsConfig(max_iterations=2000), starts=8, seed=3)
+        b = optimize_als(q, x, AlsConfig(max_iterations=2000), starts=8, seed=3)
         assert np.array_equal(a.filter.values, b.filter.values)
         assert float(a.score) == float(b.score)
 
+    def test_start_stack_draws_one_stream(self):
+        rng = np.random.default_rng(9)
+        draws = np.stack([random_filter(DEFAULT_GRID, rng).values for _ in range(4)])
+        ones = AlsConfig().start_stack(DEFAULT_GRID, 4, 9)
+        assert ones[0].tobytes() == np.ones(DEFAULT_GRID.count).tobytes()
+        assert ones[1:].tobytes() == draws[:3].tobytes()
+        assert AlsConfig(initial_filter="random").start_stack(DEFAULT_GRID, 4, 9).tobytes() == draws.tobytes()
+
     def test_requires_a_start(self, bump_camera):
         with pytest.raises(ValueError):
-            optimize_als_multistart(bump_camera, builtin_cmf(), starts=0)
+            optimize_als(bump_camera, builtin_cmf(), starts=0)
 
     @pytest.mark.parametrize(
         "starts, dropped, named",
@@ -424,10 +430,7 @@ class TestMultistart:
 
         monkeypatch.setattr(als, "basis_score", dropping)
         with pytest.raises(ConsistencyError, match=f"at iteration 1 of start {named}$"):
-            if starts == 1:
-                optimize_als(bump_camera, builtin_cmf())
-            else:
-                optimize_als_multistart(bump_camera, builtin_cmf(), starts=starts, seed=5)
+            optimize_als(bump_camera, builtin_cmf(), starts=starts, seed=5)
 
 
 class TestSolutionTypes:

@@ -9,6 +9,7 @@ import pytest
 
 import specfilter.als
 import specfilter.cli
+import specfilter.gradient
 import specfilter.ingest
 from specfilter.als import optimize_als
 from specfilter.cli import main
@@ -242,8 +243,39 @@ class TestOptimizeCommand:
             ["optimize", "--camera", camera_csv, "--optimizer", optimizer, "--starts", starts, "--out", out]
         )
         assert code == 1
-        assert "--starts" in capsys.readouterr().err
+        assert f"error: need at least one start, got {starts}" in capsys.readouterr().err
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("optimizer", ["als", "ga"])
+    def test_random_starts_are_all_distinct(self, tmp_path, camera_csv, monkeypatch, optimizer):
+        # The filters each start actually runs from: ALS sweeps its whole
+        # stack at once, gradient ascent records each start as iteration 0.
+        starts = []
+        if optimizer == "als":
+            real_sweep = specfilter.als._sweep
+
+            def sweep(initial, *args):
+                starts.extend(initial.copy())
+                return real_sweep(initial, *args)
+
+            monkeypatch.setattr(specfilter.als, "_sweep", sweep)
+        else:
+            def trace_point(iteration, *args):
+                point = TracePoint(iteration, *args)
+                if iteration == 0:
+                    starts.append(point.filter_values)
+                return point
+
+            monkeypatch.setattr(specfilter.gradient, "TracePoint", trace_point)
+        out = str(tmp_path / "out")
+        argv = ["optimize", "--camera", camera_csv, "--optimizer", optimizer, "--max-iters", "50",
+                "--init", "random", "--starts", "3", "--seed", "3", "--out", out]
+        assert main(argv) in (0, 2)
+        assert len(starts) == 3
+        assert len({row.tobytes() for row in starts}) == 3
+        # Start 0 is the first draw of the seed's stream, as in a single-start run.
+        first = 1.0 - np.random.default_rng(3).random(DEFAULT_GRID.count)
+        assert starts[0].tobytes() == first.tobytes()
 
 
 class TestEvaluateCommand:
@@ -546,6 +578,26 @@ class TestTraceCompareCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert f"{filters} has {columns} iteration filters but {trace} has {rows} trace rows" in err
+        assert not (out / "compare.csv").exists()
+
+    def test_renumbered_trace_rejects_its_filters_file(self, tmp_path, camera_csv, scene_manifest, capsys):
+        out_a = str(tmp_path / "als")
+        argv = ["optimize", "--camera", camera_csv, "--optimizer", "als", "--max-iters", "3", "--out", out_a]
+        assert main(argv) == 2
+        filters = os.path.join(out_a, "iteration_filters.csv")
+        assert read_spectral_csv(filters).column_names == ("iter0", "iter1", "iter2", "iter3")
+        lines = read(os.path.join(out_a, "trace.csv")).decode().splitlines()
+        trace = tmp_path / "renumbered.csv"
+        trace.write_text("\n".join([lines[0]] + [f"{k}{line[1:]}" for k, line in zip((7, 17, 27, 37), lines[1:])]) + "\n")
+        out = tmp_path / "cmp"
+        code = main(
+            [
+                "trace-compare", str(trace), str(trace), "--filters-a", filters,
+                "--camera", camera_csv, "--scenes", scene_manifest, "--out", str(out),
+            ]
+        )
+        assert code == 1
+        assert f"{filters} column iter0 does not match {trace} (expected iter7)" in capsys.readouterr().err
         assert not (out / "compare.csv").exists()
 
     @pytest.mark.parametrize("filters_flag", ["--filters-a", "--filters-b"])

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from specfilter.als import random_filter
+from specfilter.solution import random_filter
 from specfilter.cli import PAIR_BUDGET
 from specfilter.colorimetry import (
     DeltaEStats,

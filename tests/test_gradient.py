@@ -1,11 +1,16 @@
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import specfilter.als
 import specfilter.gradient
 from specfilter.als import AlsConfig, optimize_als
 from specfilter.errors import RankDeficient
-from specfilter.gradient import GaConfig, _gradient_arrays, optimize_ga, optimize_ga_multistart, vora_gradient
+from specfilter.gradient import GaConfig, _gradient_arrays, optimize_ga, vora_gradient
 from specfilter.ingest import builtin_cmf
+from specfilter.solution import random_filter
 from specfilter.spectra import DEFAULT_GRID, SensorSet, SpectralCurve, apply_filter, orthonormalize
 from specfilter.vora import basis_score, vora_value
 
@@ -151,19 +156,53 @@ class TestOptimizeGa:
         with pytest.raises(RankDeficient, match="iteration 0"):
             optimize_ga(x, x, GaConfig(initial_filter=dead))
 
+    def test_rank_deficient_start_is_passed_over(self, bump_camera):
+        dead = SpectralCurve.constant(DEFAULT_GRID, 0.0)
+        config = GaConfig(max_iterations=300, initial_filter=dead)
+        x = builtin_cmf()
+        with pytest.raises(RankDeficient, match="iteration 0"):
+            optimize_ga(bump_camera, x, config)
+        # The surviving starts, run alone: the seed's first two random draws.
+        rng = np.random.default_rng(7)
+        runs = [
+            optimize_ga(bump_camera, x, replace(config, initial_filter=random_filter(DEFAULT_GRID, rng)))
+            for _ in range(2)
+        ]
+        best = runs[1] if runs[1].score > runs[0].score else runs[0]
+        got = optimize_ga(bump_camera, x, config, starts=3, seed=7)
+        assert got.filter.values.tobytes() == best.filter.values.tobytes()
+        assert (float(got.score), got.iterations, got.converged) == (float(best.score), best.iterations, best.converged)
+        assert got.trace.vora_values().tobytes() == best.trace.vora_values().tobytes()
+
+    @pytest.mark.parametrize("module", [specfilter.als, specfilter.gradient], ids=["als", "ga"])
+    def test_every_start_losing_rank_raises(self, bump_camera, monkeypatch, module):
+        real = module.basis_score
+
+        def rank_deficient(*args):
+            m, score, full = real(*args)
+            return m, score, full & False
+
+        monkeypatch.setattr(module, "basis_score", rank_deficient)
+        optimize = optimize_als if module is specfilter.als else optimize_ga
+        message = re.escape("initial filter leaves the camera rank deficient (iteration 0)")
+        with pytest.raises(RankDeficient, match=f"^all 3 starts lost rank; start 0: {message}$"):
+            optimize(bump_camera, builtin_cmf(), starts=3)
+        with pytest.raises(RankDeficient, match=f"^{message}$"):
+            optimize(bump_camera, builtin_cmf())
+
     def test_multistart_not_worse_than_single(self, rng):
         qm, xm = solvable_toy_pair(rng)
         q = SensorSet(TOY_GRID, qm)
         x = SensorSet(TOY_GRID, xm)
         config = GaConfig(max_iterations=2000)
         single = optimize_ga(q, x, config)
-        best = optimize_ga_multistart(q, x, config, starts=4, seed=1)
+        best = optimize_ga(q, x, config, starts=4, seed=1)
         assert float(best.score) >= float(single.score) - 1e-12
 
     @pytest.mark.parametrize("starts", [0, -1])
     def test_multistart_requires_a_start(self, bump_camera, starts):
         with pytest.raises(ValueError):
-            optimize_ga_multistart(bump_camera, builtin_cmf(), starts=starts)
+            optimize_ga(bump_camera, builtin_cmf(), starts=starts)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

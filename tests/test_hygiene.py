@@ -50,3 +50,26 @@ def test_every_export_resolves():
     missing = [name for name in specfilter.__all__ if not hasattr(specfilter, name)]
     assert not missing, f"specfilter.__all__ names missing attributes: {missing}"
     assert len(set(specfilter.__all__)) == len(specfilter.__all__)
+
+
+def _module_level_names(tree: ast.Module) -> list[str]:
+    """Names a module binds by a top-level def, class or assignment."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.extend(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_no_orphaned_private_helpers():
+    # A private helper that nothing in the package reads any more was left
+    # behind by the code that used to call it.
+    read = {node.id for tree in TREES.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    read |= {node.attr for tree in TREES.values() for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    orphans = sorted(f"{module}: {name}" for module, tree in TREES.items() for name in _module_level_names(tree)
+                     if name.startswith("_") and not name.startswith("__") and name not in read)
+    assert not orphans, f"private module-level names nothing in the package reads: {', '.join(orphans)}"
