@@ -26,7 +26,7 @@ from .spectra import (
     orthonormalize,
     require_same_grid,
 )
-from .vora import basis_score
+from .vora import Moments, basis_score, moment_score
 
 # Rows of QM with squared norm below this contribute nothing; their filter
 # entry is pinned to 0 for reproducibility.
@@ -62,14 +62,16 @@ def _filter(qc: np.ndarray, m: np.ndarray, vb: np.ndarray) -> np.ndarray:
     ``m`` is one transform or a stack of them.
     """
     qm = qc @ m
-    q0, q1, q2 = qm[..., 0], qm[..., 1], qm[..., 2]
+    product, square = qm * vb, qm * qm
     # The additions np.sum makes over the length-3 axis, in its order and from
     # its 0.0 start (so an all -0.0 row still sums to +0.0), without the
     # reduction's overhead.  A sum of squares has no -0.0 to lose.
-    numerator = 0.0 + q0 * vb[:, 0] + q1 * vb[:, 1] + q2 * vb[:, 2]
-    denominator = q0 * q0 + q1 * q1 + q2 * q2
+    numerator = 0.0 + product[..., 0] + product[..., 1] + product[..., 2]
+    denominator = square[..., 0] + square[..., 1] + square[..., 2]
     degenerate = denominator < DEGENERATE_ROW_NORM
-    return np.where(degenerate, 0.0, numerator / np.where(degenerate, 1.0, denominator))
+    if degenerate.any():
+        return np.where(degenerate, 0.0, numerator / np.where(degenerate, 1.0, denominator))
+    return numerator / denominator
 
 
 def solve_m(f: SpectralCurve, q: SensorSet, v: OrthoBasis) -> CorrectionMatrix:
@@ -105,8 +107,9 @@ def optimize_als(
     require_same_grid(q.grid, x.grid)
     initial = config.start_stack(q.grid, starts, seed)
     v = orthonormalize(x)
-    run = _sweep(initial, q.channels, v.basis, config.epsilon, config.max_iterations)
-    _, scores, stop, outcome = run
+    moments = Moments.of(q.channels, v.basis)
+    run = _sweep(initial, moments, config.epsilon, config.max_iterations)
+    _, final, stop, outcome = run
     lost = outcome == RANK_LOSS
     if lost.all():
         i = int(stop[0])
@@ -114,81 +117,100 @@ def optimize_als(
             "initial filter leaves the camera rank deficient (iteration 0)" if i == 0
             else f"filter zeroed a camera channel at iteration {i}"
         ))
-    return _solution(int(np.argmax(np.where(lost, -np.inf, scores[-1]))), initial, run, q, v)
+    return _solution(int(np.argmax(np.where(lost, -np.inf, final))), initial, run, q, v, moments)
 
 
-def _sweep(initial: np.ndarray, qc: np.ndarray, vb: np.ndarray, epsilon: float, max_iterations: int):
+def _sweep(initial: np.ndarray, moments: Moments, epsilon: float, max_iterations: int):
     """ALS from each row of ``initial`` in lockstep: the solver's one sweep loop.
 
     A row stops once a sweep gains less than ``epsilon`` (converged), at
     ``max_iterations`` (capped), or on rank loss.  A full-rank sweep that
     lowers any row's Vora-Value by more than ``MONOTONE_SLACK`` raises
     ``ConsistencyError`` naming the start and the sweep, for every entry
-    point alike.  Returns ``(transforms, scores, stop, outcome)``: per sweep i
-    (0 is the start) each row's transform and Vora-Value for its sweep-i
-    filter, and per row the sweep it stopped at and why.  Only these K x 10
-    floats are kept per sweep; ``_solution`` rebuilds a row's filters.
+    point alike.  The starts are scored by ``basis_score``, as gradient ascent
+    scores its start, so both optimizers' traces open on the same row; the
+    sweeps by ``moment_score``.  Only the live rows are swept, as one stack
+    that shrinks when rows stop.
+
+    Returns ``(history, final, stop, outcome)``: per sweep i (0 is the start)
+    the rows it swept, in order, with their transforms and Vora-Values for
+    their sweep-i filters; and per row its last Vora-Value, the sweep it
+    stopped at and why.  Only these K x 10 floats are kept per sweep;
+    ``_trace`` rebuilds a row's filters.
     """
+    qc, vb = moments.camera, moments.basis
     m, score, full = basis_score(initial, qc, vb)
-    transforms, scores = [m.copy()], [score.copy()]
-    stop = np.zeros(len(initial), dtype=int)
+    rows = np.arange(len(initial))
+    history = [(rows, m, score)]
+    final, stop = score.copy(), np.zeros(len(initial), dtype=int)
     outcome = np.where(full, CAPPED, RANK_LOSS)
-    live = np.flatnonzero(full)
+    rows, m, score = rows[full], m[full], score[full]
     for i in range(1, max_iterations + 1):
-        if not live.size:
+        if not rows.size:
             break
-        m_live, score_live, full = basis_score(_filter(qc, m[live], vb), qc, vb)
-        delta = score_live - score[live]
-        m[live], score[live], stop[live] = m_live, score_live, i
-        transforms.append(m.copy())
-        scores.append(score.copy())
+        m, swept, full = moment_score(_filter(qc, m, vb), moments)
+        delta, score = swept - score, swept
+        history.append((rows, m, score))
         going = full & ~(delta < epsilon)
         if not going.all():
             dropped = np.flatnonzero(full & (delta < -MONOTONE_SLACK))
             if dropped.size:
                 k = dropped[0]
                 raise ConsistencyError(
-                    f"ALS Vora-Value dropped by {-delta[k]:.3e} at iteration {i} of start {live[k]}"
+                    f"ALS Vora-Value dropped by {-delta[k]:.3e} at iteration {i} of start {rows[k]}"
                 )
-            outcome[live] = np.select([~full, delta < epsilon], [RANK_LOSS, CONVERGED], CAPPED)
-            live = live[going]
-    return transforms, scores, stop, outcome
+            done = rows[~going]
+            outcome[done] = np.where(full[~going], CONVERGED, RANK_LOSS)
+            final[done], stop[done] = score[~going], i
+            rows, m, score = rows[going], m[going], score[going]
+    else:
+        final[rows], stop[rows] = score, max_iterations
+    return history, final, stop, outcome
 
 
-def _solution(row: int, initial: np.ndarray, run: tuple, q: SensorSet, v: OrthoBasis) -> FilterSolution:
+def _solution(
+    row: int, initial: np.ndarray, run: tuple, q: SensorSet, v: OrthoBasis, moments: Moments
+) -> FilterSolution:
     """Solution of a converged or capped ``_sweep`` row, polished if converged."""
     _, _, stop, outcome = run
-    points = _trace(row, initial, run, q.channels, v.basis)
+    points = _trace(row, initial, run, moments)
     converged = bool(outcome[row] == CONVERGED)
     f, polish = points[-1].filter_values, None
     if converged:
-        f, polish = _polish_to_fixed_point(f, q.channels, v.basis)
+        f, polish = _polish_to_fixed_point(f, moments)
     return finish(f, q, v, points, int(stop[row]), converged, polish)
 
 
-def _trace(row: int, initial: np.ndarray, run: tuple, qc: np.ndarray, vb: np.ndarray) -> list[TracePoint]:
-    """The trace a run from ``initial[row]`` records, rebuilt from ``_sweep``'s transforms.
+def _trace(row: int, initial: np.ndarray, run: tuple, moments: Moments) -> list[TracePoint]:
+    """The trace a run from ``initial[row]`` records, rebuilt from ``_sweep``'s history.
 
     Sweep i's filter is the filter half-step from sweep i - 1's transform; its
     residual is taken against that transform (the start's against its own).
-    All sweeps are rebuilt with one stacked half-step and one stacked residual.
+    All sweeps are rebuilt with one stacked half-step and one stacked
+    residual, taken on diag(f) Q itself: by moments it would be
+    tr(M^T G M) - 2 tr(M^T W) + ||V||^2, whose cancellation leaves round-off
+    of either sign where the residual is 0.
     """
-    transforms, scores, stop, _ = run
-    count = int(stop[row])
-    m = np.stack([transforms[max(i - 1, 0)][row] for i in range(count + 1)])
+    history, _, stop, _ = run
+    qc, vb = moments.camera, moments.basis
+    transforms, scores, seen = [], [], None
+    for rows, m, score in history[:int(stop[row]) + 1]:
+        if rows is not seen:
+            seen, k = rows, int(np.searchsorted(rows, row))
+        transforms.append(m[k])
+        scores.append(float(score[k]))
+    m = np.stack([transforms[0], *transforms[:-1]])
     f = np.concatenate([initial[row][None], _filter(qc, m[1:], vb)])
     deviation = (f[..., None] * qc) @ m - vb
     residuals = np.sum(deviation * deviation, axis=(-2, -1))
-    return [
-        TracePoint(i, float(scores[i][row]), float(residuals[i]), f[i]) for i in range(count + 1)
-    ]
+    return [TracePoint(i, score, float(residuals[i]), f[i]) for i, score in enumerate(scores)]
 
 
-def _polish_to_fixed_point(f: np.ndarray, qc: np.ndarray, vb: np.ndarray) -> tuple[np.ndarray, Polish]:
+def _polish_to_fixed_point(f: np.ndarray, moments: Moments) -> tuple[np.ndarray, Polish]:
     """Take a converged iterate to the ALS fixed point with unrecorded sweeps.
 
     Type-II Anderson mixing (Walker & Ni, SIAM J. Numer. Anal. 49(4), 2011)
-    on the sweep map G(f) = ``_filter(qc, basis_score(f)[0], vb)`` over the
+    on the sweep map G(f) = ``_filter(qc, moment_score(f)[0], vb)`` over the
     last ``POLISH_DEPTH`` steps.  The extrapolated iterate is taken only when
     its filtered camera is full rank and it scores at least as high as the
     plain sweep G(f), which is taken otherwise, so the Vora-Value cannot
@@ -196,8 +218,9 @@ def _polish_to_fixed_point(f: np.ndarray, qc: np.ndarray, vb: np.ndarray) -> tup
     largest entry, after ``POLISH_MAX_SWEEPS`` sweeps, or on rank loss.
     Returns the last G(f) and how the polish ended.
     """
+    qc, vb = moments.camera, moments.basis
     scale = float(np.max(np.abs(f))) or 1.0
-    m = basis_score(f, qc, vb)[0]
+    m = moment_score(f, moments)[0]
     images, steps = [], []
     for sweep in range(1, POLISH_MAX_SWEEPS + 1):
         g = _filter(qc, m, vb)
@@ -211,7 +234,7 @@ def _polish_to_fixed_point(f: np.ndarray, qc: np.ndarray, vb: np.ndarray) -> tup
         if len(steps) > 1:
             gamma = np.linalg.lstsq(np.diff(steps, axis=0).T, step, rcond=None)[0]
             candidates = np.stack([g, g - gamma @ np.diff(images, axis=0)])
-        ms, scores, full = basis_score(candidates, qc, vb)
+        ms, scores, full = moment_score(candidates, moments)
         take = int(len(candidates) > 1 and full[1] and scores[1] >= scores[0])
         if not full[take]:
             return g, Polish(sweep, False)

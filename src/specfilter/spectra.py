@@ -166,6 +166,8 @@ def full_rank(a: np.ndarray, gram: np.ndarray) -> np.bool_ | np.ndarray:
     RANK_TOLERANCE^2 to dwarf round-off) settles full rank without an SVD.
     ``rank_ratio`` decides the rest, and any G with tr G below 1e-290, whose
     subnormal entries may have lost digits.  Returns a numpy bool or bool array.
+    ``a`` is read only for those, as ``a[index]`` for G = ``gram[index]``
+    (``a[()]`` for one G), so it may be an object that forms them on demand.
 
     One G, the optimizers' hot case, is bounded on its nine entries as Python
     floats, where numpy's call overhead would cost ten times the arithmetic.
@@ -182,7 +184,7 @@ def full_rank(a: np.ndarray, gram: np.ndarray) -> np.bool_ | np.ndarray:
                    + g02 * (g10 * g21 - g11 * g20))
             if 1e-8 < 4.0 * det / t / t / t < math.inf:
                 return np.True_
-        return np.bool_(rank_ratio(a) > RANK_TOLERANCE)
+        return np.bool_(rank_ratio(a[()]) > RANK_TOLERANCE)
     trace = gram.trace(axis1=-2, axis2=-1)
     # A zero or overflowed trace gives a nan bound, which rank_ratio then decides.
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):

@@ -6,8 +6,12 @@ normal-equation assembly, the Vora-Value from its projector definition
 rather than the package's 3x3 form, and the global-optimum search from
 vectorized random sampling plus coordinate scans over raw arrays.  The
 exceptions are the ``*_reference`` copies of optimizer hot-loop code as first
-written, which pin that code's output bits rather than check its mathematics.
+written, which pin that code's output bits rather than check its mathematics,
+and ``filtered_camera_sweep``, an ALS sweep taken on the filtered camera
+itself, which bounds the round-off of the package's moment route.
 """
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -112,6 +116,37 @@ def basis_score_reference(f, qc, basis):
     w = fq_t @ basis
     m = np.linalg.solve(gram, w)
     return m, np.sum(m * w, axis=(-2, -1)) / 3.0, full
+
+
+def filtered_camera_sweep(f, qc, vb):
+    """One ALS sweep from ``f`` taken on the filtered camera A = diag(f) Q itself.
+
+    Returns (M, Vora-Value, next filter): M = G^-1 W from G = A^T A and
+    W = A^T V, and the row-form filter half-step from M (degenerate rows are
+    not pinned).  ``f`` is one filter or a stack.  A tolerance oracle for the
+    package's moment route, which sums G and W in another order.
+    """
+    a = f[..., None] * qc
+    a_t = np.swapaxes(a, -1, -2)
+    w = a_t @ vb
+    m = np.linalg.solve(a_t @ a, w)
+    qm = qc @ m
+    return m, np.sum(m * w, axis=(-2, -1)) / 3.0, np.sum(qm * vb, axis=-1) / np.sum(qm * qm, axis=-1)
+
+
+def exact_row_form_filter(qc, m, vb, degenerate_norm):
+    """The filter half-step (QM)_i . V_i / (QM)_i . (QM)_i in exact rational arithmetic.
+
+    Each entry is the correctly rounded value for the given float inputs; a
+    row whose exact (QM)_i . (QM)_i is below ``degenerate_norm`` is pinned to 0.
+    """
+    out = []
+    for q, v in zip(qc.tolist(), vb.tolist()):
+        qm = [sum(Fraction(q[k]) * Fraction(m[k, j]) for k in range(3)) for j in range(3)]
+        numerator = sum(a * Fraction(b) for a, b in zip(qm, v))
+        denominator = sum(a * a for a in qm)
+        out.append(0.0 if denominator < Fraction(degenerate_norm) else float(numerator / denominator))
+    return np.array(out)
 
 
 def gradient_arrays_reference(f, qc, vb, m):

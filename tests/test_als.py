@@ -20,6 +20,7 @@ from specfilter.als import (
     solve_m,
 )
 from specfilter.errors import ConsistencyError, RankDeficient
+from specfilter.gradient import GaConfig, optimize_ga
 from specfilter.ingest import builtin_cmf
 from specfilter.solution import ConvergenceTrace, TracePoint, random_filter
 from specfilter.spectra import (
@@ -30,10 +31,10 @@ from specfilter.spectra import (
     apply_filter,
     orthonormalize,
 )
-from specfilter.vora import basis_score
+from specfilter.vora import Moments, basis_score, moment_score
 
 from conftest import TOY_GRID, bump_camera_matrix, solvable_toy_pair
-from oracles import cofactor_inverse_3x3, vora_by_projector
+from oracles import cofactor_inverse_3x3, exact_row_form_filter, vora_by_projector
 from test_acceptance import make_toys
 
 
@@ -159,20 +160,50 @@ class TestStackedHalfSteps:
         assert got.tobytes() == want.tobytes()
 
 
+class TestFilterHalfStepDigits:
+    @pytest.mark.parametrize("delta, kappa_floor", [(3e-2, 50.0), (1.5e-3, 1e3), (1.7e-5, 1e5)],
+                             ids=["kappa 1e2", "kappa 1e3", "kappa 1e5"])
+    def test_row_form_loses_digits_as_kappa_not_kappa_squared(self, delta, kappa_floor):
+        # Two near-equal channels make M = G^-1 W ill conditioned.  The row
+        # form (QM)_i . V_i / (QM)_i . (QM)_i stays within a few eps * kappa(M)
+        # of the exact value.  The moment form q_i^T M v_i / q_i^T M M^T q_i
+        # loses digits as kappa(M)^2: 1.4e-13 relative at kappa 61 and 6.9e-7
+        # at kappa 1.1e5 on seed 0, so the half-step keeps the row form.
+        vb = orthonormalize(builtin_cmf()).basis
+        for seed in range(3):
+            base = bump_camera_matrix(np.random.default_rng(seed))
+            qc = base.copy()
+            qc[:, 1] = base[:, 0] + delta * base[:, 1]
+            qc[5] = 0.0  # a degenerate row for the pin
+            m = basis_score(np.ones(31), qc, vb)[0]
+            kappa = np.linalg.cond(m)
+            assert kappa > kappa_floor
+            want = exact_row_form_filter(qc, m, vb, DEGENERATE_ROW_NORM)
+            got = _filter(qc, m, vb)
+            assert got[5] == want[5] == 0.0
+            assert np.max(np.abs(got - want)) <= 4 * np.finfo(float).eps * kappa * np.max(np.abs(want))
+
+
 def reference_trace(row, initial, run, qc, vb):
     """The trace rebuilt one sweep at a time, as a sequential run records it."""
-    transforms, scores, stop, _ = run
+    history, _, stop, _ = run
+
+    def swept(i):
+        rows, transforms, scores = history[i]
+        k = rows.tolist().index(row)
+        return transforms[k], float(scores[k])
 
     def residual(f, m):
         deviation = (f[:, None] * qc) @ m - vb
         return float(np.sum(deviation * deviation))
 
-    f, m = initial[row], transforms[0][row]
-    points = [(0, float(scores[0][row]), residual(f, m), f)]
+    f, (m, score) = initial[row], swept(0)
+    points = [(0, score, residual(f, m), f)]
     for i in range(1, int(stop[row]) + 1):
-        m = transforms[i - 1][row]
         f = _filter(qc, m, vb)
-        points.append((i, float(scores[i][row]), residual(f, m), f))
+        transform, score = swept(i)
+        points.append((i, score, residual(f, m), f))
+        m = transform
     return points
 
 
@@ -190,14 +221,15 @@ class TestTraceRebuild:
         for qc, vb, seed in cases:
             rng = np.random.default_rng(seed)
             initial = np.vstack([np.ones(len(qc)), 1.0 - rng.random((7, len(qc)))])
-            run = _sweep(initial, qc, vb, 1e-9, max_iterations)
-            final = np.where(run[3] <= CAPPED, run[1][-1], -np.inf)
+            moments = Moments.of(qc, vb)
+            run = _sweep(initial, moments, 1e-9, max_iterations)
+            final = np.where(run[3] <= CAPPED, run[1], -np.inf)
             winner = int(np.argmax(final))
             for row in range(len(initial)):
                 if run[3][row] > CAPPED:
                     continue
                 outcomes.add((row == winner, int(run[3][row])))
-                got = _trace(row, initial, run, qc, vb)
+                got = _trace(row, initial, run, moments)
                 want = reference_trace(row, initial, run, qc, vb)
                 assert len(got) == len(want)
                 for p, (i, score, residual, f) in zip(got, want):
@@ -215,7 +247,7 @@ class TestPolish:
             solution = optimize_als(q, x, AlsConfig(max_iterations=4000), starts=32, seed=index)
             assert solution.converged
             f, vb = solution.trace.final().filter_values, orthonormalize(x).basis
-            polished, polish = _polish_to_fixed_point(f, qm, vb)
+            polished, polish = _polish_to_fixed_point(f, Moments.of(qm, vb))
             assert polish.met_tolerance
             assert polish.iterations < als.POLISH_MAX_SWEEPS
             assert basis_score(polished, qm, vb)[1] >= basis_score(f, qm, vb)[1]
@@ -231,10 +263,11 @@ class TestPolish:
         # Every extrapolation is thrown far off, so each must fall back to the
         # plain sweep: the polish is then plain fixed-point iteration.
         monkeypatch.setattr(np.linalg, "lstsq", lambda a, b, rcond=None: (np.full(a.shape[1], 50.0),))
-        polished, polish = _polish_to_fixed_point(f, qc, vb)
+        moments = Moments.of(qc, vb)
+        polished, polish = _polish_to_fixed_point(f, moments)
         plain, sweeps = f, 0
         while True:
-            swept, sweeps = _filter(qc, basis_score(plain, qc, vb)[0], vb), sweeps + 1
+            swept, sweeps = _filter(qc, moment_score(plain, moments)[0], vb), sweeps + 1
             if np.max(np.abs(swept - plain)) < als.POLISH_STEP_TOL * np.max(np.abs(f)):
                 break
             plain = swept
@@ -251,6 +284,14 @@ class TestOptimizeAls:
         assert solution.iterations == 1
         assert float(solution.score) == 1.0
         assert np.max(np.abs(solution.filter.values - 1.0)) < 1e-12
+
+    def test_trace_opens_on_the_row_gradient_ascent_records(self, bump_camera):
+        # Both optimizers score their start with basis_score, so traces from
+        # the same start share their first Vora-Value bit for bit.
+        x = builtin_cmf()
+        als_start = optimize_als(bump_camera, x).trace[0]
+        ga_start = optimize_ga(bump_camera, x, GaConfig(max_iterations=1)).trace[0]
+        assert als_start.vora_value == ga_start.vora_value
 
     def test_improves_and_reports_consistently(self, bump_camera):
         x = builtin_cmf()
@@ -417,18 +458,19 @@ class TestMultistart:
     def test_a_vora_value_drop_raises_from_either_entry_point(self, bump_camera, monkeypatch, starts, dropped, named):
         # The first sweep's scores of the chosen starts are pushed 0.5 below
         # their start: a drop no round-off explains, which must not pass for
-        # a skippable start or for rank loss.
-        real, calls = als.basis_score, []
+        # a skippable start or for rank loss.  The starts are scored by
+        # basis_score, every sweep by moment_score.
+        real, calls = als.moment_score, []
 
-        def dropping(f, qc, vb):
-            m, score, full = real(f, qc, vb)
+        def dropping(f, moments):
+            m, score, full = real(f, moments)
             calls.append(None)
-            if len(calls) == 2:
+            if len(calls) == 1:
                 score = score.copy()
                 score[dropped] -= 0.5
             return m, score, full
 
-        monkeypatch.setattr(als, "basis_score", dropping)
+        monkeypatch.setattr(als, "moment_score", dropping)
         with pytest.raises(ConsistencyError, match=f"at iteration 1 of start {named}$"):
             optimize_als(bump_camera, builtin_cmf(), starts=starts, seed=5)
 

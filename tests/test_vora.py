@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specfilter.als import optimize_als
+from specfilter.als import _filter, optimize_als
 from specfilter.colorimetry import SceneSet, evaluate
 from specfilter.errors import ConsistencyError, GridMismatch, RankDeficient
 from specfilter.gradient import optimize_ga
@@ -17,10 +17,11 @@ from specfilter.spectra import (
     apply_filter,
     orthonormalize,
 )
-from specfilter.vora import VoraScore, basis_score, vora_value
+from specfilter.vora import Moments, VoraScore, basis_score, moment_score, vora_value
 
 from conftest import bump_camera_matrix
-from oracles import basis_score_reference, luther_residual, residual_identity_check, vora_by_projector
+from oracles import (basis_score_reference, filtered_camera_sweep, luther_residual, residual_identity_check,
+                     vora_by_projector)
 
 
 class TestVoraScore:
@@ -189,6 +190,57 @@ class TestBasisScoreBits:
         assert full.tolist() == ref_full.tolist()
         assert m[full].tobytes() == ref_m[full].tobytes()
         assert scores[full].tobytes() == ref_scores[full].tobytes()
+
+
+class TestMomentScore:
+    """ALS's route: G and W from the n x 9 moment tables, then ``basis_score``'s 3x3 tail."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), starts=st.integers(1, 32), scale=_SCORE_SCALES)
+    def test_stack_rows_equal_single_calls_bit_for_bit(self, seed, starts, scale):
+        # A 2-D (K, n) @ (n, 9) GEMM blocks its sums by stack size; the
+        # batched vector products must not, or lockstep ALS stops equalling
+        # its single-start runs.
+        rng = np.random.default_rng(seed)
+        qc = bump_camera_matrix(rng)
+        moments = Moments.of(qc, orthonormalize(builtin_cmf()).basis)
+        kinds = rng.choice(["positive", "signed", "three bands", "two bands"], size=starts)
+        filters = scale * np.stack([_score_test_filter(rng, kind) for kind in kinds])
+        m, scores, full = moment_score(filters, moments)
+        for k in range(starts):
+            m_k, score_k, full_k = moment_score(filters[k], moments)
+            assert isinstance(full_k, np.bool_)
+            assert full[k] == full_k
+            assert full_k or kinds[k] != "positive"
+            assert not full_k or kinds[k] != "two bands"
+            assert m[k].tobytes() == m_k.tobytes()
+            assert scores[k].tobytes() == score_k.tobytes()
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), kind=_SCORE_KINDS, scale=_SCORE_SCALES)
+    def test_rank_flag_is_basis_scores(self, seed, kind, scale):
+        # The flag is full_rank's, with the SVD fallback taken on diag(f) Q.
+        rng = np.random.default_rng(seed)
+        qc = bump_camera_matrix(rng)
+        vb = orthonormalize(builtin_cmf()).basis
+        f = scale * _score_test_filter(rng, kind)
+        assert moment_score(f, Moments.of(qc, vb))[2] == basis_score(f, qc, vb)[2]
+
+    def test_matches_the_filtered_camera_sweep(self):
+        # 200 bump cameras gave at most 1.3e-14 relative (transform), 5.9e-15
+        # (score) and 7.9e-15 (next filter).
+        vb = orthonormalize(builtin_cmf()).basis
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            qc = bump_camera_matrix(rng)
+            f = 1.0 - rng.random((8, 31))
+            m, scores, full = moment_score(f, Moments.of(qc, vb))
+            ref_m, ref_scores, ref_next = filtered_camera_sweep(f, qc, vb)
+            assert full.all()
+            assert np.max(np.abs(m - ref_m)) <= 1e-12 * np.max(np.abs(ref_m))
+            assert np.max(np.abs(scores - ref_scores) / ref_scores) <= 1e-12
+            swept = _filter(qc, m, vb)
+            assert np.max(np.abs(swept - ref_next)) <= 1e-12 * np.max(np.abs(ref_next))
 
 
 class TestLutherResidual:
