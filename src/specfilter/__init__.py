@@ -41,7 +41,7 @@ from .ingest import (
     read_spectral_csv,
     serialize_spectral_csv,
 )
-from .solution import ConvergenceTrace, FilterSolution, TracePoint, random_filter
+from .solution import ConvergenceTrace, FilterSolution, random_filter
 from .spectra import (
     DEFAULT_GRID,
     CorrectionMatrix,
@@ -81,7 +81,6 @@ __all__ = [
     "SpecFilterError",
     "SpectralCurve",
     "SpectralTable",
-    "TracePoint",
     "VoraScore",
     "WavelengthGrid",
     "apply_filter",

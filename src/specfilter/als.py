@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, RankDeficient
-from .solution import (MONOTONE_SLACK, FilterSolution, Polish, SolverConfig, TracePoint,
+from .solution import (MONOTONE_SLACK, ConvergenceTrace, FilterSolution, Polish, SolverConfig,
                        every_start_lost_rank, finish)
 from .spectra import (
     CorrectionMatrix,
@@ -172,16 +172,16 @@ def _solution(
     row: int, initial: np.ndarray, run: tuple, q: SensorSet, v: OrthoBasis, moments: Moments
 ) -> FilterSolution:
     """Solution of a converged or capped ``_sweep`` row, polished if converged."""
-    _, _, stop, outcome = run
-    points = _trace(row, initial, run, moments)
+    _, _, _, outcome = run
+    trace = _trace(row, initial, run, moments)
     converged = bool(outcome[row] == CONVERGED)
-    f, polish = points[-1].filter_values, None
+    f, polish = trace.filters[-1], None
     if converged:
         f, polish = _polish_to_fixed_point(f, moments)
-    return finish(f, q, v, points, int(stop[row]), converged, polish)
+    return finish(f, q, v, trace, converged, polish)
 
 
-def _trace(row: int, initial: np.ndarray, run: tuple, moments: Moments) -> list[TracePoint]:
+def _trace(row: int, initial: np.ndarray, run: tuple, moments: Moments) -> ConvergenceTrace:
     """The trace a run from ``initial[row]`` records, rebuilt from ``_sweep``'s history.
 
     Sweep i's filter is the filter half-step from sweep i - 1's transform; its
@@ -203,7 +203,7 @@ def _trace(row: int, initial: np.ndarray, run: tuple, moments: Moments) -> list[
     f = np.concatenate([initial[row][None], _filter(qc, m[1:], vb)])
     deviation = (f[..., None] * qc) @ m - vb
     residuals = np.sum(deviation * deviation, axis=(-2, -1))
-    return [TracePoint(i, score, float(residuals[i]), f[i]) for i, score in enumerate(scores)]
+    return ConvergenceTrace(scores, residuals, f)
 
 
 def _polish_to_fixed_point(f: np.ndarray, moments: Moments) -> tuple[np.ndarray, Polish]:

@@ -24,7 +24,7 @@ from .errors import RankDeficient, SpecFilterError
 from .gradient import GaConfig, optimize_ga
 from .ingest import (SpectralTable, load_cmf, load_scene_set, load_sensor_set, read_manifest,
                      read_spectral_csv, serialize_spectral_csv)
-from .solution import FilterSolution, require_monotone
+from .solution import ConvergenceTrace, require_monotone
 from .spectra import DEFAULT_GRID, SensorSet, SpectralCurve
 
 
@@ -57,10 +57,10 @@ def _load_camera(path: str) -> SensorSet:
     return load_sensor_set(read_spectral_csv(path), DEFAULT_GRID)
 
 
-def _trace_csv(solution: FilterSolution) -> str:
+def _trace_csv(trace: ConvergenceTrace) -> str:
     lines = ["iteration,vora_value,residual"]
-    for point in solution.trace:
-        lines.append(f"{point.iteration},{_fmt(point.vora_value)},{_fmt(point.residual)}")
+    for i, (vora, residual) in enumerate(zip(trace.vora_values.tolist(), trace.residuals.tolist())):
+        lines.append(f"{i},{_fmt(vora)},{_fmt(residual)}")
     return "\n".join(lines) + "\n"
 
 
@@ -117,13 +117,12 @@ def cmd_optimize(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     wavelengths = solution.filter.grid.wavelengths()
     filter_table = SpectralTable(wavelengths, ("transmittance",), solution.filter.values[:, None])
+    trace = solution.trace
     iteration_filters = SpectralTable(
-        wavelengths,
-        tuple(f"iter{p.iteration}" for p in solution.trace),
-        np.column_stack([p.filter_values for p in solution.trace]),
+        wavelengths, tuple(f"iter{i}" for i in range(len(trace))), trace.filters.T
     )
     _write(os.path.join(args.out, "filter.csv"), serialize_spectral_csv(filter_table))
-    _write(os.path.join(args.out, "trace.csv"), _trace_csv(solution))
+    _write(os.path.join(args.out, "trace.csv"), _trace_csv(trace))
     _write(os.path.join(args.out, "iteration_filters.csv"), serialize_spectral_csv(iteration_filters))
 
     chunks = [("camera", _file_bytes(args.camera)), ("cmf", _cmf_bytes(args.cmf))]
@@ -142,7 +141,7 @@ def cmd_optimize(args) -> int:
         "camera_channel_peaks": [float(v) for v in camera.channel_peaks()],
         "solution": {
             "vora_value": float(solution.score),
-            "initial_vora_value": float(solution.trace[0].vora_value),
+            "initial_vora_value": float(trace.vora_values[0]),
             "iterations": solution.iterations,
             "converged": solution.converged,
             "polish": dataclasses.asdict(solution.polish) if solution.polish else None,

@@ -20,12 +20,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RankDeficient
-from .solution import FilterSolution, SolverConfig, TracePoint, every_start_lost_rank, finish
+from .solution import ConvergenceTrace, FilterSolution, SolverConfig, every_start_lost_rank, finish
 from .spectra import OrthoBasis, SensorSet, SpectralCurve, orthonormalize, require_same_grid
 from .vora import basis_score
 
-# Line search gives up once the step underflows this; the iterate is then
-# numerically stationary.
+# Backtracking line search: each iteration tries INITIAL_STEP first and
+# multiplies the step by SHRINK until the Armijo test with constant
+# SUFFICIENT_INCREASE passes.  It gives up once the step underflows MIN_STEP;
+# the iterate is then numerically stationary.
+INITIAL_STEP = 1.0
+SHRINK = 0.5
+SUFFICIENT_INCREASE = 1e-4
 MIN_STEP = 1e-14
 
 
@@ -34,8 +39,8 @@ class GaConfig(SolverConfig):
     """Step rule and stopping rule for gradient ascent.
 
     ``step_rule="backtracking"`` (default) starts each iteration at
-    ``initial_step`` and shrinks by ``shrink`` until the Armijo sufficient-
-    increase test with constant ``sufficient_increase`` passes, which makes
+    ``INITIAL_STEP`` and shrinks by ``SHRINK`` until the Armijo sufficient-
+    increase test with constant ``SUFFICIENT_INCREASE`` passes, which makes
     the Vora-Value trace monotone.  ``step_rule="fixed"`` takes ``fixed_step``
     unconditionally and reproduces the slow-convergence behaviour of plain
     ascent.  Stopping mirrors the ALS rule: quit when an iteration improves
@@ -43,19 +48,14 @@ class GaConfig(SolverConfig):
     """
 
     step_rule: str = "backtracking"
-    initial_step: float = 1.0
-    shrink: float = 0.5
-    sufficient_increase: float = 1e-4
     fixed_step: float = 0.1
 
     def __post_init__(self):
         super().__post_init__()
         if self.step_rule not in ("backtracking", "fixed"):
             raise ValueError(f"unknown step rule {self.step_rule!r}")
-        if not (self.initial_step > 0 and self.fixed_step > 0 and self.sufficient_increase > 0):
+        if not (self.fixed_step > 0):
             raise ValueError("step parameters must be positive")
-        if not (0.0 < self.shrink < 1.0):
-            raise ValueError(f"shrink factor must be in (0, 1), got {self.shrink}")
 
 
 def _gradient_arrays(f: np.ndarray, qc: np.ndarray, vb: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -108,10 +108,9 @@ def _ascend(f: np.ndarray, q: SensorSet, v: OrthoBasis, config: GaConfig) -> Fil
     if not full:
         raise RankDeficient("initial filter leaves the camera rank deficient (iteration 0)")
     score = float(score)
-    points = [TracePoint(0, score, 3.0 - 3.0 * score, f)]
+    scores, filters = [score], [f]
 
     converged = False
-    iterations = 0
     trials = 0
     for i in range(1, config.max_iterations + 1):
         grad = _gradient_arrays(f, qc, vb, m)
@@ -127,32 +126,34 @@ def _ascend(f: np.ndarray, q: SensorSet, v: OrthoBasis, config: GaConfig) -> Fil
             if new_score < score:
                 # Fixed step overshot: keep the better iterate and stop.  An
                 # overshoot on the very first step has reached nothing.
-                converged = iterations > 0
+                converged = i > 1
                 break
         else:
-            step = config.initial_step
+            step = INITIAL_STEP
             candidate = None
             while step >= MIN_STEP:
                 trial = f + step * grad
                 trial_m, trial_score, full = basis_score(trial, qc, vb)
                 trials += 1
-                if full and trial_score >= score + config.sufficient_increase * step * grad_norm_sq:
+                if full and trial_score >= score + SUFFICIENT_INCREASE * step * grad_norm_sq:
                     candidate, new_m, new_score = trial, trial_m, float(trial_score)
                     break
-                step *= config.shrink
+                step *= SHRINK
             if candidate is None:
                 # No step yields sufficient increase: numerically stationary.
                 converged = True
                 break
 
         f, m = candidate, new_m
-        iterations = i
-        points.append(TracePoint(i, new_score, 3.0 - 3.0 * new_score, f))
+        scores.append(new_score)
+        filters.append(f)
         delta = new_score - score
         score = new_score
         if delta < config.epsilon:
             converged = True
             break
 
-    return finish(f, q, v, points, iterations, converged, line_search_trials=trials)
+    scores = np.array(scores)
+    trace = ConvergenceTrace(scores, 3.0 - 3.0 * scores, filters)
+    return finish(f, q, v, trace, converged, line_search_trials=trials)
 

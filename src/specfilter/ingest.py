@@ -3,9 +3,8 @@
 The one canonical file format is a comma-separated table whose first column
 is wavelength in nm, one spectrum per remaining column.  A header row is
 optional (detected by a non-numeric first cell) and ``#`` lines are comments.
-Non-uniform wavelength spacing is accepted at parse time and flagged; data is
-brought onto a uniform grid by linear interpolation when loaded into typed
-objects.
+Non-uniform wavelength spacing is accepted at parse time; data is brought onto
+a uniform grid by linear interpolation when loaded into typed objects.
 """
 
 from __future__ import annotations
@@ -24,9 +23,6 @@ from .spectra import (
     WavelengthGrid,
     interp_columns,
 )
-
-# Relative spacing jitter below this still counts as a uniform grid.
-_UNIFORM_RTOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -53,19 +49,6 @@ class SpectralTable:
         object.__setattr__(self, "wavelengths", wavelengths)
         object.__setattr__(self, "columns", columns)
         object.__setattr__(self, "column_names", tuple(self.column_names))
-
-    @property
-    def is_uniform(self) -> bool:
-        steps = np.diff(self.wavelengths)
-        return bool(np.all(np.abs(steps - steps[0]) <= _UNIFORM_RTOL * abs(steps[0])))
-
-    @property
-    def grid(self) -> WavelengthGrid:
-        """The table's grid; only defined once spacing is uniform."""
-        if not self.is_uniform:
-            raise ValueError("table wavelengths are not uniformly spaced; resample first")
-        step = (self.wavelengths[-1] - self.wavelengths[0]) / (len(self.wavelengths) - 1)
-        return WavelengthGrid(float(self.wavelengths[0]), float(step), len(self.wavelengths))
 
     def resampled_columns(self, target: WavelengthGrid) -> np.ndarray:
         return interp_columns(self.wavelengths, self.columns, target)

@@ -1,14 +1,19 @@
 """Configuration base, result types and result finisher shared by the ALS and
-gradient-ascent solvers."""
+gradient-ascent solvers.
+
+A solver's history is a ``ConvergenceTrace`` of three columns (Vora-Values,
+Luther residuals, and the T x n filter stack) whose row i is iteration i; a
+``FilterSolution``'s iteration count is that trace's length less one.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import ConsistencyError, RankDeficient
+from .errors import ConsistencyError, RankDeficient, ShapeError
 from .spectra import (
     CorrectionMatrix,
     OrthoBasis,
@@ -98,50 +103,33 @@ def every_start_lost_rank(starts: int, first: RankDeficient) -> RankDeficient:
 
 
 @dataclass(frozen=True)
-class TracePoint:
-    """State after one optimizer iteration (iteration 0 is the initial filter)."""
-
-    iteration: int
-    vora_value: float
-    residual: float
-    filter_values: np.ndarray
-
-    def __post_init__(self):
-        values = np.array(self.filter_values, dtype=float)
-        values.setflags(write=False)
-        object.__setattr__(self, "filter_values", values)
-
-
-@dataclass(frozen=True)
 class ConvergenceTrace:
-    """Per-iteration optimizer history; the Vora-Value sequence never decreases."""
+    """Per-iteration optimizer history as T-row columns; row i is iteration i.
 
-    points: tuple[TracePoint, ...]
+    ``vora_values`` and ``residuals`` hold T floats and ``filters`` is T x n,
+    row 0 being the initial filter.  All three are read-only copies, and the
+    Vora-Value column never decreases by more than ``MONOTONE_SLACK``.
+    """
+
+    vora_values: np.ndarray
+    residuals: np.ndarray
+    filters: np.ndarray
 
     def __post_init__(self):
-        points = tuple(self.points)
-        if not points:
+        rows = []
+        for name in ("vora_values", "residuals", "filters"):
+            column = np.array(getattr(self, name), dtype=float)
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
+            rows.append(len(column))
+        if len(set(rows)) > 1:
+            raise ShapeError(f"trace columns have {rows[0]}, {rows[1]} and {rows[2]} rows")
+        if not rows[0]:
             raise ValueError("a convergence trace needs at least the initial point")
-        object.__setattr__(self, "points", points)
-        require_monotone([p.iteration for p in points], self.vora_values())
+        require_monotone(range(rows[0]), self.vora_values)
 
     def __len__(self) -> int:
-        return len(self.points)
-
-    def __iter__(self) -> Iterator[TracePoint]:
-        return iter(self.points)
-
-    def __getitem__(self, index) -> TracePoint:
-        return self.points[index]
-
-    def vora_values(self) -> np.ndarray:
-        return np.array([p.vora_value for p in self.points])
-
-    def residuals(self) -> np.ndarray:
-        return np.array([p.residual for p in self.points])
-
-    def final(self) -> TracePoint:
-        return self.points[-1]
+        return len(self.vora_values)
 
 
 @dataclass(frozen=True)
@@ -171,21 +159,19 @@ class FilterSolution:
     correction: CorrectionMatrix
     score: VoraScore
     trace: ConvergenceTrace
-    iterations: int
     converged: bool
     polish: Polish | None = None
     line_search_trials: int | None = None
 
-    def __post_init__(self):
-        if len(self.trace) != self.iterations + 1:
-            raise ConsistencyError(
-                f"trace has {len(self.trace)} points for {self.iterations} iterations"
-            )
+    @property
+    def iterations(self) -> int:
+        """Iterations taken after the start: the trace's rows less one."""
+        return len(self.trace) - 1
 
 
 def finish(
     f: np.ndarray, q: SensorSet, v: OrthoBasis,
-    points: list[TracePoint], iterations: int, converged: bool, polish: Polish | None = None,
+    trace: ConvergenceTrace, converged: bool, polish: Polish | None = None,
     line_search_trials: int | None = None,
 ) -> FilterSolution:
     """Package a solver's last filter iterate ``f`` as a ``FilterSolution``.
@@ -204,8 +190,7 @@ def finish(
         filter=filter_curve,
         correction=CorrectionMatrix(m),
         score=VoraScore(score),
-        trace=ConvergenceTrace(tuple(points)),
-        iterations=iterations,
+        trace=trace,
         converged=converged,
         polish=polish,
         line_search_trials=line_search_trials,

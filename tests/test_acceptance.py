@@ -135,7 +135,7 @@ def test_c04_als_monotone_and_fixed_point_on_100_cameras():
         q = SensorSet(DEFAULT_GRID, bump_camera_matrix(gen))
         solution = optimize_als(q, x)
         assert solution.converged
-        assert np.all(np.diff(solution.trace.vora_values()) >= -1e-12)
+        assert np.all(np.diff(solution.trace.vora_values) >= -1e-12)
         swept = solve_f(q, solve_m(solution.filter, q, v), v)
         step = float(np.max(np.abs(swept.values - solution.filter.values)))
         worst_step = max(worst_step, step)
@@ -213,7 +213,7 @@ def test_c07_canon_vora_values_match_published_numbers():
     assert abs(float(ga.score) - 0.9952) < 0.001
 
     target = float(als.score) - 1e-4
-    reached = iterations_to_reach(als.trace.vora_values(), target)
+    reached = iterations_to_reach(als.trace.vora_values, target)
     assert reached <= 30
     report(
         "ACCEPTANCE 07 PASS: Canon baseline "
@@ -264,8 +264,8 @@ def test_c09_als_converges_in_fewer_iterations_than_fixed_step_ga():
         ga = optimize_ga(q, x, GaConfig(step_rule="fixed", fixed_step=0.1))
         common_final = min(float(als.score), float(ga.score))
         target = common_final - 1e-4
-        als_iterations = iterations_to_reach(als.trace.vora_values(), target)
-        ga_iterations = iterations_to_reach(ga.trace.vora_values(), target)
+        als_iterations = iterations_to_reach(als.trace.vora_values, target)
+        ga_iterations = iterations_to_reach(ga.trace.vora_values, target)
         assert als_iterations < ga_iterations
         margins.append((als_iterations, ga_iterations))
     report(f"ACCEPTANCE 09 PASS: ALS beats fixed-step GA on {label}; (ALS, GA) iterations {margins[:5]}...")

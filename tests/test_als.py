@@ -19,10 +19,10 @@ from specfilter.als import (
     solve_f,
     solve_m,
 )
-from specfilter.errors import ConsistencyError, RankDeficient
+from specfilter.errors import ConsistencyError, RankDeficient, ShapeError
 from specfilter.gradient import GaConfig, optimize_ga
 from specfilter.ingest import builtin_cmf
-from specfilter.solution import ConvergenceTrace, TracePoint, random_filter
+from specfilter.solution import ConvergenceTrace, random_filter
 from specfilter.spectra import (
     DEFAULT_GRID,
     CorrectionMatrix,
@@ -232,9 +232,9 @@ class TestTraceRebuild:
                 got = _trace(row, initial, run, moments)
                 want = reference_trace(row, initial, run, qc, vb)
                 assert len(got) == len(want)
-                for p, (i, score, residual, f) in zip(got, want):
-                    assert (p.iteration, p.vora_value, p.residual) == (i, score, residual)
-                    assert p.filter_values.tobytes() == f.tobytes()
+                for k, (i, score, residual, f) in enumerate(want):
+                    assert (k, got.vora_values[k], got.residuals[k]) == (i, score, residual)
+                    assert got.filters[k].tobytes() == f.tobytes()
         expected = CAPPED if max_iterations == 3 else CONVERGED
         assert (True, expected) in outcomes
 
@@ -246,7 +246,7 @@ class TestPolish:
             q, x = SensorSet(TOY_GRID, qm), SensorSet(TOY_GRID, xm)
             solution = optimize_als(q, x, AlsConfig(max_iterations=4000), starts=32, seed=index)
             assert solution.converged
-            f, vb = solution.trace.final().filter_values, orthonormalize(x).basis
+            f, vb = solution.trace.filters[-1], orthonormalize(x).basis
             polished, polish = _polish_to_fixed_point(f, Moments.of(qm, vb))
             assert polish.met_tolerance
             assert polish.iterations < als.POLISH_MAX_SWEEPS
@@ -259,7 +259,7 @@ class TestPolish:
     def test_a_lower_scoring_extrapolation_is_refused(self, bump_camera, monkeypatch):
         vb = orthonormalize(builtin_cmf()).basis
         qc = bump_camera.channels
-        f = optimize_als(bump_camera, builtin_cmf()).trace.final().filter_values
+        f = optimize_als(bump_camera, builtin_cmf()).trace.filters[-1]
         # Every extrapolation is thrown far off, so each must fall back to the
         # plain sweep: the polish is then plain fixed-point iteration.
         monkeypatch.setattr(np.linalg, "lstsq", lambda a, b, rcond=None: (np.full(a.shape[1], 50.0),))
@@ -289,15 +289,15 @@ class TestOptimizeAls:
         # Both optimizers score their start with basis_score, so traces from
         # the same start share their first Vora-Value bit for bit.
         x = builtin_cmf()
-        als_start = optimize_als(bump_camera, x).trace[0]
-        ga_start = optimize_ga(bump_camera, x, GaConfig(max_iterations=1)).trace[0]
-        assert als_start.vora_value == ga_start.vora_value
+        als_start = optimize_als(bump_camera, x).trace.vora_values[0]
+        ga_start = optimize_ga(bump_camera, x, GaConfig(max_iterations=1)).trace.vora_values[0]
+        assert als_start == ga_start
 
     def test_improves_and_reports_consistently(self, bump_camera):
         x = builtin_cmf()
         solution = optimize_als(bump_camera, x)
         assert solution.converged
-        assert float(solution.score) > solution.trace[0].vora_value
+        assert float(solution.score) > solution.trace.vora_values[0]
         recomputed = vora_by_projector(apply_filter(solution.filter, bump_camera), x)
         assert abs(float(solution.score) - float(recomputed)) < 1e-12
         assert len(solution.trace) == solution.iterations + 1
@@ -306,9 +306,9 @@ class TestOptimizeAls:
     def test_trace_monotone_and_residual_affine(self, bump_camera):
         x = builtin_cmf()
         solution = optimize_als(bump_camera, x)
-        values = solution.trace.vora_values()
+        values = solution.trace.vora_values
         assert np.all(np.diff(values) >= -1e-12)
-        residuals = solution.trace.residuals()
+        residuals = solution.trace.residuals
         assert np.all(np.diff(residuals) <= 1e-12)
         # Once the transform is optimal for its filter, residual = 3 - 3 vora.
         assert abs(residuals[-1] - (3.0 - 3.0 * values[-1])) < 1e-6
@@ -327,7 +327,7 @@ class TestOptimizeAls:
         a = optimize_als(bump_camera, x)
         b = optimize_als(bump_camera, x_mixed)
         la = min(len(a.trace), len(b.trace))
-        assert np.max(np.abs(a.trace.vora_values()[:la] - b.trace.vora_values()[:la])) < 1e-10
+        assert np.max(np.abs(a.trace.vora_values[:la] - b.trace.vora_values[:la])) < 1e-10
 
     def test_nonconvergence_flag(self, bump_camera):
         x = builtin_cmf()
@@ -386,16 +386,16 @@ class TestMultistart:
         """Multistart must be bit for bit the sequential run it picks, and return the runs."""
         runs = self.sequential_runs(q, x, config, starts, seed)
         # The winner has the highest last trace score, the first such start on ties.
-        best = max((r for r in runs if r is not None), key=lambda r: r.trace.final().vora_value)
+        best = max((r for r in runs if r is not None), key=lambda r: r.trace.vora_values[-1])
         got = optimize_als(q, x, config, starts=starts, seed=seed)
         assert np.array_equal(got.filter.values, best.filter.values)
         assert np.array_equal(got.correction.m, best.correction.m)
         assert float(got.score) == float(best.score)
         assert (got.iterations, got.converged) == (best.iterations, best.converged)
         assert len(got.trace) == len(best.trace)
-        for p, r in zip(got.trace, best.trace):
-            assert (p.iteration, p.vora_value, p.residual) == (r.iteration, r.vora_value, r.residual)
-            assert np.array_equal(p.filter_values, r.filter_values)
+        assert np.array_equal(got.trace.vora_values, best.trace.vora_values)
+        assert np.array_equal(got.trace.residuals, best.trace.residuals)
+        assert np.array_equal(got.trace.filters, best.trace.filters)
         return runs, best
 
     def test_matches_best_sequential_run(self, rng):
@@ -419,7 +419,7 @@ class TestMultistart:
         assert not best.converged
         assert best.iterations == 3
         # A capped run is not polished: its filter is the last traced one, scaled.
-        last = best.trace.final().filter_values
+        last = best.trace.filters[-1]
         assert np.array_equal(best.filter.values, last / np.max(last))
 
     def test_rank_deficient_starts_are_skipped(self, bump_camera):
@@ -477,16 +477,44 @@ class TestMultistart:
 
 class TestSolutionTypes:
     def test_trace_rejects_decreasing_vora(self):
-        points = (
-            TracePoint(0, 0.9, 0.3, np.ones(4)),
-            TracePoint(1, 0.8, 0.6, np.ones(4)),
-        )
-        with pytest.raises(ConsistencyError):
-            ConvergenceTrace(points)
+        with pytest.raises(ConsistencyError, match="at iteration 1$"):
+            ConvergenceTrace([0.9, 0.8], [0.3, 0.6], np.ones((2, 4)))
 
     def test_trace_accepts_round_off_dips(self):
-        points = (
-            TracePoint(0, 0.9, 0.3, np.ones(4)),
-            TracePoint(1, 0.9 - 5e-13, 0.3, np.ones(4)),
-        )
-        assert len(ConvergenceTrace(points)) == 2
+        assert len(ConvergenceTrace([0.9, 0.9 - 5e-13], [0.3, 0.3], np.ones((2, 4)))) == 2
+
+    @pytest.mark.parametrize(
+        "vora_values, residuals, filters",
+        [([0.9, 0.95], [0.3], np.ones((2, 4))), ([0.9, 0.95], [0.3, 0.15], np.ones((3, 4)))],
+        ids=["residuals", "filters"],
+    )
+    def test_trace_rejects_a_row_count_mismatch(self, vora_values, residuals, filters):
+        with pytest.raises(ShapeError, match="rows"):
+            ConvergenceTrace(vora_values, residuals, filters)
+
+    def test_trace_rejects_an_empty_trace(self):
+        with pytest.raises(ValueError, match="at least the initial point"):
+            ConvergenceTrace([], [], np.empty((0, 4)))
+
+    def test_trace_holds_read_only_copies(self):
+        vora_values, residuals, filters = np.array([0.9, 0.95]), np.array([0.3, 0.15]), np.ones((2, 4))
+        trace = ConvergenceTrace(vora_values, residuals, filters)
+        vora_values[:] = 0.0
+        residuals[:] = 0.0
+        filters[:] = 0.0
+        assert trace.vora_values.tolist() == [0.9, 0.95]
+        assert trace.residuals.tolist() == [0.3, 0.15]
+        assert np.all(trace.filters == 1.0)
+        for column in (trace.vora_values, trace.residuals, trace.filters):
+            with pytest.raises(ValueError):
+                column[0] = 0.5
+
+    @pytest.mark.parametrize("optimize, config", [(optimize_als, AlsConfig), (optimize_ga, GaConfig)],
+                             ids=["als", "ga"])
+    @pytest.mark.parametrize("max_iterations", [1, 3, 10_000])
+    def test_iterations_are_the_trace_rows_less_one(self, bump_camera, optimize, config, max_iterations):
+        solution = optimize(bump_camera, builtin_cmf(), config(max_iterations=max_iterations))
+        assert solution.iterations == len(solution.trace) - 1
+        assert solution.trace.filters.shape == (len(solution.trace), DEFAULT_GRID.count)
+        if not solution.converged:
+            assert solution.iterations == max_iterations

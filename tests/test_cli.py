@@ -24,7 +24,7 @@ from specfilter.ingest import (
     read_spectral_csv,
     serialize_spectral_csv,
 )
-from specfilter.solution import ConvergenceTrace, TracePoint
+from specfilter.solution import ConvergenceTrace
 from specfilter.spectra import DEFAULT_GRID, SensorSet, SpectralCurve, apply_filter
 
 from conftest import bump_camera_matrix
@@ -213,9 +213,9 @@ class TestOptimizeCommand:
         assert written.columns[:, 0].tobytes() == solution.filter.values.tobytes()
 
         written = read_spectral_csv(os.path.join(out, "iteration_filters.csv"))
-        assert written.column_names == tuple(f"iter{p.iteration}" for p in solution.trace)
+        assert written.column_names == tuple(f"iter{i}" for i in range(len(solution.trace)))
         assert written.wavelengths.tobytes() == wavelengths
-        assert written.columns.tobytes() == np.column_stack([p.filter_values for p in solution.trace]).tobytes()
+        assert written.columns.tobytes() == solution.trace.filters.T.tobytes()
 
     def test_multistart_flag_runs(self, tmp_path, camera_csv):
         out = str(tmp_path / "out")
@@ -249,7 +249,7 @@ class TestOptimizeCommand:
     @pytest.mark.parametrize("optimizer", ["als", "ga"])
     def test_random_starts_are_all_distinct(self, tmp_path, camera_csv, monkeypatch, optimizer):
         # The filters each start actually runs from: ALS sweeps its whole
-        # stack at once, gradient ascent records each start as iteration 0.
+        # stack at once, gradient ascent ascends from each start in turn.
         starts = []
         if optimizer == "als":
             real_sweep = specfilter.als._sweep
@@ -260,13 +260,13 @@ class TestOptimizeCommand:
 
             monkeypatch.setattr(specfilter.als, "_sweep", sweep)
         else:
-            def trace_point(iteration, *args):
-                point = TracePoint(iteration, *args)
-                if iteration == 0:
-                    starts.append(point.filter_values)
-                return point
+            real_ascend = specfilter.gradient._ascend
 
-            monkeypatch.setattr(specfilter.gradient, "TracePoint", trace_point)
+            def ascend(f, *args):
+                starts.append(f.copy())
+                return real_ascend(f, *args)
+
+            monkeypatch.setattr(specfilter.gradient, "_ascend", ascend)
         out = str(tmp_path / "out")
         argv = ["optimize", "--camera", camera_csv, "--optimizer", optimizer, "--max-iters", "50",
                 "--init", "random", "--starts", "3", "--seed", "3", "--out", out]
@@ -703,10 +703,10 @@ class TestTraceCompareCommand:
 
 def cell_by_cell_iteration_filters_csv(solution):
     """The iteration-filters table formatted one ``repr(float(cell))`` at a time."""
-    header = "wavelength," + ",".join(f"iter{p.iteration}" for p in solution.trace)
+    header = "wavelength," + ",".join(f"iter{i}" for i in range(len(solution.trace)))
     lines = [header]
     for i, wl in enumerate(solution.filter.grid.wavelengths()):
-        cells = [repr(float(wl))] + [repr(float(p.filter_values[i])) for p in solution.trace]
+        cells = [repr(float(wl))] + [repr(float(row[i])) for row in solution.trace.filters]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
@@ -714,20 +714,19 @@ def cell_by_cell_iteration_filters_csv(solution):
 def test_iteration_filters_csv_equals_the_cell_by_cell_formatter():
     q = SensorSet(DEFAULT_GRID, bump_camera_matrix(np.random.default_rng(3)))
     solution = optimize_ga(q, builtin_cmf(), GaConfig(max_iterations=200))
-    final = solution.trace.final()
+    trace = solution.trace
     odd = [np.full(31, -0.0), np.full(31, 5e-324), np.full(31, 1e300),
            np.resize([-0.0, 0.0, 5e-324, -2.5e-310, 1e300, -1e300, 0.1, 1 / 3], 31)]
-    points = list(solution.trace) + [
-        TracePoint(final.iteration + 1 + k, final.vora_value, final.residual, values)
-        for k, values in enumerate(odd)
-    ]
-    extended = dataclasses.replace(
-        solution, trace=ConvergenceTrace(tuple(points)), iterations=solution.iterations + len(odd)
-    )
+    extended = dataclasses.replace(solution, trace=ConvergenceTrace(
+        np.append(trace.vora_values, [trace.vora_values[-1]] * len(odd)),
+        np.append(trace.residuals, [trace.residuals[-1]] * len(odd)),
+        np.concatenate([trace.filters, odd]),
+    ))
+    assert extended.iterations == solution.iterations + len(odd)
     table = SpectralTable(
         extended.filter.grid.wavelengths(),
-        tuple(f"iter{p.iteration}" for p in extended.trace),
-        np.column_stack([p.filter_values for p in extended.trace]),
+        tuple(f"iter{i}" for i in range(len(extended.trace))),
+        extended.trace.filters.T,
     )
     text = serialize_spectral_csv(table)
     assert text == cell_by_cell_iteration_filters_csv(extended)

@@ -76,7 +76,7 @@ class TestOptimizeGa:
         x = builtin_cmf()
         solution = optimize_ga(bump_camera, x)
         assert solution.converged
-        assert np.all(np.diff(solution.trace.vora_values()) >= -1e-12)
+        assert np.all(np.diff(solution.trace.vora_values) >= -1e-12)
 
     def test_agrees_with_als_at_convergence(self, bump_camera):
         x = builtin_cmf()
@@ -106,8 +106,8 @@ class TestOptimizeGa:
         q = SensorSet(TOY_GRID, qm)
         x = SensorSet(TOY_GRID, xm)
         solution = optimize_ga(q, x, GaConfig(step_rule="fixed", fixed_step=0.1))
-        assert float(solution.score) > solution.trace[0].vora_value
-        assert np.all(np.diff(solution.trace.vora_values()) >= -1e-12)
+        assert float(solution.score) > solution.trace.vora_values[0]
+        assert np.all(np.diff(solution.trace.vora_values) >= -1e-12)
 
     def test_first_step_overshoot_is_not_convergence(self, bump_camera):
         x = builtin_cmf()
@@ -143,7 +143,8 @@ class TestOptimizeGa:
 
         monkeypatch.setattr(specfilter.gradient, "basis_score", counted)
         # A large first step makes the line search backtrack.
-        solution = optimize_ga(bump_camera, x, GaConfig(initial_step=100.0))
+        monkeypatch.setattr(specfilter.gradient, "INITIAL_STEP", 100.0)
+        solution = optimize_ga(bump_camera, x)
         assert solution.converged
         assert solution.line_search_trials > solution.iterations > 0
         # Every scoring call but the start's is a trial.
@@ -172,7 +173,7 @@ class TestOptimizeGa:
         got = optimize_ga(bump_camera, x, config, starts=3, seed=7)
         assert got.filter.values.tobytes() == best.filter.values.tobytes()
         assert (float(got.score), got.iterations, got.converged) == (float(best.score), best.iterations, best.converged)
-        assert got.trace.vora_values().tobytes() == best.trace.vora_values().tobytes()
+        assert got.trace.vora_values.tobytes() == best.trace.vora_values.tobytes()
 
     @pytest.mark.parametrize("module", [specfilter.als, specfilter.gradient], ids=["als", "ga"])
     def test_every_start_losing_rank_raises(self, bump_camera, monkeypatch, module):
@@ -207,8 +208,6 @@ class TestOptimizeGa:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             GaConfig(step_rule="newton")
-        with pytest.raises(ValueError):
-            GaConfig(shrink=1.0)
         with pytest.raises(ValueError):
             GaConfig(epsilon=-1.0)
         with pytest.raises(ValueError):

@@ -100,9 +100,8 @@ class TestParseSpectralCsv:
 
     def test_non_uniform_spacing_flagged_not_fatal(self):
         table = parse_spectral_csv("400,1\n405,2\n420,3\n")
-        assert not table.is_uniform
-        with pytest.raises(ValueError):
-            _ = table.grid
+        resampled = table.resampled_columns(WavelengthGrid(400, 5, 5))
+        assert resampled[:, 0].tolist() == pytest.approx([1.0, 2.0, 2 + 1 / 3, 2 + 2 / 3, 3.0], rel=1e-15)
 
     def test_round_trip_is_bit_exact(self, rng):
         table = SpectralTable(
