@@ -89,17 +89,6 @@ def _report_json(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _evaluation_payload(report: EvaluationReport) -> dict:
-    return {
-        "vora_value": float(report.vora),
-        "delta_e": dataclasses.asdict(report.delta_e),
-        "pair_count": report.pair_count,
-        "negative_xyz_count": report.negative_xyz_count,
-        "correction_mode": report.correction_mode,
-        "provenance": dict(report.provenance),
-    }
-
-
 def cmd_optimize(args) -> int:
     camera = _load_camera(args.camera)
     cmf = load_cmf(args.cmf)
@@ -109,7 +98,8 @@ def cmd_optimize(args) -> int:
     if args.optimizer == "als":
         config, solve = AlsConfig(**stopping), optimize_als
     else:
-        config = GaConfig(step_rule=args.step_rule, fixed_step=args.fixed_step, **stopping)
+        fixed_step = args.fixed_step if args.step_rule == "fixed" else None
+        config = GaConfig(fixed_step=fixed_step, **stopping)
         solve = optimize_ga
     solution = solve(camera, cmf, config, starts=args.starts, seed=args.seed)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
@@ -195,21 +185,8 @@ def cmd_evaluate(args) -> int:
     scenes = load_scene_set(manifest, DEFAULT_GRID)
     filter_curve = _load_filter(args.filter) if args.filter else None
 
-    provenance = (
-        ("camera", camera_path),
-        ("cmf", cmf_choice),
-        ("illuminants", manifest.illuminants or ""),
-        ("reflectances", manifest.reflectances or ""),
-    )
     started = time.perf_counter()
-    report = evaluate(
-        camera,
-        filter_curve,
-        cmf,
-        scenes,
-        correction_mode=args.correction,
-        provenance=provenance,
-    )
+    report = evaluate(camera, filter_curve, cmf, scenes, correction_mode=args.correction)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
 
     os.makedirs(args.out, exist_ok=True)
@@ -234,7 +211,19 @@ def cmd_evaluate(args) -> int:
             "digest": _digest(chunks),
         },
         "camera_channel_peaks": [float(v) for v in camera.channel_peaks()],
-        "evaluation": _evaluation_payload(report),
+        "evaluation": {
+            "vora_value": float(report.vora),
+            "delta_e": dataclasses.asdict(report.delta_e),
+            "pair_count": report.pair_count,
+            "negative_xyz_count": report.negative_xyz_count,
+            "correction_mode": report.correction_mode,
+            "provenance": {
+                "camera": camera_path,
+                "cmf": cmf_choice,
+                "illuminants": manifest.illuminants or "",
+                "reflectances": manifest.reflectances or "",
+            },
+        },
         "timing_ms": elapsed_ms,
     }
     _write(os.path.join(args.out, "report.json"), _report_json(payload))

@@ -97,7 +97,6 @@ class EvaluationReport:
     pair_count: int
     negative_xyz_count: int
     correction_mode: str
-    provenance: tuple[tuple[str, str], ...] = ()
 
 
 def fit_correction(responses: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -204,7 +203,6 @@ def evaluate(
     observer: SensorSet,
     scenes: SceneSet,
     correction_mode: str = "per-illuminant",
-    provenance: tuple[tuple[str, str], ...] = (),
 ) -> EvaluationReport:
     """Color-error statistics of a (possibly filtered) camera over a scene set.
 
@@ -212,10 +210,12 @@ def evaluate(
     reflectances, fit the correction matrix (per illuminant, or one global fit
     over all pairs when ``correction_mode="global"``), convert both sides to
     CIELAB against that illuminant's perfect-diffuser white point, and pool
-    the color differences.  A bad white point is reported before any
-    correction fit can fail.  Negative corrected XYZ components pass through
-    the linear Lab segment and are tallied in the report.  Scoring many
-    filters against one scene set is cheaper through one ``SceneEngine``.
+    the color differences.  A filter that leaves the camera rank deficient
+    is rejected first, by ``apply_filter``; a bad white point is reported
+    next, before any correction fit can fail.  Negative corrected XYZ
+    components pass through the linear Lab segment and are tallied in the
+    report.  Scoring many filters against one scene set is cheaper through
+    one ``SceneEngine``.
     """
     require_same_grid(camera.grid, observer.grid, scenes.grid)
     effective = camera if filter is None else apply_filter(filter, camera)
@@ -226,5 +226,4 @@ def evaluate(
         pair_count=int(pooled.size),
         negative_xyz_count=negative,
         correction_mode=correction_mode,
-        provenance=tuple(provenance),
     )

@@ -38,23 +38,20 @@ MIN_STEP = 1e-14
 class GaConfig(SolverConfig):
     """Step rule and stopping rule for gradient ascent.
 
-    ``step_rule="backtracking"`` (default) starts each iteration at
-    ``INITIAL_STEP`` and shrinks by ``SHRINK`` until the Armijo sufficient-
-    increase test with constant ``SUFFICIENT_INCREASE`` passes, which makes
-    the Vora-Value trace monotone.  ``step_rule="fixed"`` takes ``fixed_step``
-    unconditionally and reproduces the slow-convergence behaviour of plain
-    ascent.  Stopping mirrors the ALS rule: quit when an iteration improves
-    the Vora-Value by less than ``epsilon``.
+    By default each iteration starts at ``INITIAL_STEP`` and shrinks by
+    ``SHRINK`` until the Armijo sufficient-increase test with constant
+    ``SUFFICIENT_INCREASE`` passes, which makes the Vora-Value trace
+    monotone.  A given ``fixed_step`` is taken unconditionally instead and
+    reproduces the slow-convergence behaviour of plain ascent.  Stopping
+    mirrors the ALS rule: quit when an iteration improves the Vora-Value by
+    less than ``epsilon``.
     """
 
-    step_rule: str = "backtracking"
-    fixed_step: float = 0.1
+    fixed_step: float | None = None
 
     def __post_init__(self):
         super().__post_init__()
-        if self.step_rule not in ("backtracking", "fixed"):
-            raise ValueError(f"unknown step rule {self.step_rule!r}")
-        if not (self.fixed_step > 0):
+        if self.fixed_step is not None and not (self.fixed_step > 0):
             raise ValueError("step parameters must be positive")
 
 
@@ -116,7 +113,7 @@ def _ascend(f: np.ndarray, q: SensorSet, v: OrthoBasis, config: GaConfig) -> Fil
         grad = _gradient_arrays(f, qc, vb, m)
         grad_norm_sq = float(grad @ grad)
 
-        if config.step_rule == "fixed":
+        if config.fixed_step is not None:
             candidate = f + config.fixed_step * grad
             new_m, new_score, full = basis_score(candidate, qc, vb)
             trials += 1

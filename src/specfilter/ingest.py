@@ -10,7 +10,7 @@ a uniform grid by linear interpolation when loaded into typed objects.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -148,16 +148,19 @@ class DatasetManifest:
     cmf: str = "cie1931"
     illuminants: str | None = None
     reflectances: str | None = None
-    extra: tuple[tuple[str, str], ...] = field(default_factory=tuple)
 
 
-_MANIFEST_KEYS = {"camera", "cmf", "illuminants", "reflectances"}
+_MANIFEST_KEYS = ("camera", "cmf", "illuminants", "reflectances")
 
 
 def parse_manifest(text: str, base_dir: str = ".") -> DatasetManifest:
-    """Parse ``key = value`` manifest lines; unknown keys are kept as extras."""
+    """Parse ``key = value`` manifest lines.
+
+    Raises ``ParseError`` with the line number for a line without ``=``, a
+    key other than the four ``DatasetManifest`` fields, or a repeated key.
+    """
     values: dict[str, str] = {}
-    extra: list[tuple[str, str]] = []
+    lines: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -166,10 +169,11 @@ def parse_manifest(text: str, base_dir: str = ".") -> DatasetManifest:
             raise ParseError(f"expected 'key = value', got {line!r}", lineno)
         key, _, value = line.partition("=")
         key, value = key.strip().lower(), value.strip()
-        if key in _MANIFEST_KEYS:
-            values[key] = value
-        else:
-            extra.append((key, value))
+        if key not in _MANIFEST_KEYS:
+            raise ParseError(f"unknown key {key!r} (expected one of {', '.join(_MANIFEST_KEYS)})", lineno)
+        if key in values:
+            raise ParseError(f"key {key!r} repeats line {lines[key]}", lineno)
+        values[key], lines[key] = value, lineno
 
     def resolve(key: str) -> str | None:
         if key not in values:
@@ -181,13 +185,17 @@ def parse_manifest(text: str, base_dir: str = ".") -> DatasetManifest:
         cmf=values.get("cmf", "cie1931"),
         illuminants=resolve("illuminants"),
         reflectances=resolve("reflectances"),
-        extra=tuple(extra),
     )
 
 
 def read_manifest(path: str) -> DatasetManifest:
+    """``parse_manifest`` of a file; its ``ParseError`` names the file."""
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_manifest(handle.read(), base_dir=os.path.dirname(os.path.abspath(path)))
+        text = handle.read()
+    try:
+        return parse_manifest(text, base_dir=os.path.dirname(os.path.abspath(path)))
+    except ParseError as exc:
+        raise ParseError(exc.reason, exc.line, path) from None
 
 
 def read_spectral_csv(path: str) -> SpectralTable:

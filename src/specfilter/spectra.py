@@ -10,7 +10,7 @@ to share between threads.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,17 +80,15 @@ class SpectralCurve:
 class SensorSet:
     """Three-channel spectral sensitivities, one wavelength per row.
 
-    Columns must be linearly independent; construction fails with
-    ``RankDeficient`` otherwise.  Pass ``require_full_rank=False`` for
-    intermediate products (e.g. a filtered camera) that may legitimately have
-    lost rank; consumers that need rank 3 re-validate.
+    Columns must be linearly independent: construction fails with
+    ``RankDeficient`` otherwise, so every sensor set is rank 3, a filtered
+    camera from ``apply_filter`` included.
     """
 
     grid: WavelengthGrid
     channels: np.ndarray
-    require_full_rank: InitVar[bool] = True
 
-    def __post_init__(self, require_full_rank: bool):
+    def __post_init__(self):
         channels = _readonly(self.channels)
         if channels.ndim != 2 or channels.shape != (self.grid.count, 3):
             raise ShapeError(
@@ -98,8 +96,8 @@ class SensorSet:
             )
         if not np.all(np.isfinite(channels)):
             raise ValueError("sensor sensitivities must be finite")
-        if require_full_rank:
-            require_rank3(channels, "sensor matrix")
+        if not full_rank(channels, channels.T @ channels):
+            raise RankDeficient("sensor matrix is rank deficient (columns are numerically dependent)")
         object.__setattr__(self, "channels", channels)
 
     def channel_peaks(self) -> np.ndarray:
@@ -199,12 +197,6 @@ def full_rank(a: np.ndarray, gram: np.ndarray) -> np.bool_ | np.ndarray:
     return full[()]
 
 
-def require_rank3(matrix: np.ndarray, name: str) -> None:
-    """Raise ``RankDeficient`` naming ``name`` unless the n-by-3 matrix has full column rank."""
-    if not full_rank(matrix, matrix.T @ matrix):
-        raise RankDeficient(f"{name} is rank deficient (columns are numerically dependent)")
-
-
 def require_same_grid(*grids: WavelengthGrid) -> None:
     first = grids[0]
     for other in grids[1:]:
@@ -219,7 +211,6 @@ def orthonormalize(x: SensorSet) -> OrthoBasis:
     follow the convention diag(R) > 0, so an already-orthonormal input maps to
     itself with T = I.
     """
-    require_rank3(x.channels, "sensor matrix")
     q, r = np.linalg.qr(x.channels)
     signs = np.sign(np.diag(r))
     signs[signs == 0.0] = 1.0
@@ -231,17 +222,15 @@ def orthonormalize(x: SensorSet) -> OrthoBasis:
 def apply_filter(f: SpectralCurve, q: SensorSet) -> SensorSet:
     """Sensitivities seen through a transmissive filter: row i scaled by f[i].
 
-    The result may be rank deficient (a filter can zero out a channel), so it
-    is returned unvalidated; callers that need rank 3 re-check it.
+    The result is a validated ``SensorSet``, so a filter that zeroes out a
+    channel raises ``RankDeficient`` here.
     """
     require_same_grid(f.grid, q.grid)
-    return SensorSet(q.grid, f.values[:, None] * q.channels, require_full_rank=False)
+    return SensorSet(q.grid, f.values[:, None] * q.channels)
 
 
 def resample(c: SpectralCurve, target: WavelengthGrid) -> SpectralCurve:
     """Linearly interpolate a curve onto another grid; no extrapolation."""
-    if c.grid == target:
-        return SpectralCurve(target, c.values)
     values = interp_columns(c.grid.wavelengths(), c.values[:, None], target)[:, 0]
     return SpectralCurve(target, values)
 

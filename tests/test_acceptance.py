@@ -116,10 +116,8 @@ def test_c03_vora_value_invariances():
 
         f = gen.uniform(0.1, 1.0, 31)
         scale = float(gen.uniform(1e-3, 1e3))
-        base = float(vora_value(SensorSet(grid, f[:, None] * q.channels, require_full_rank=False), x))
-        scaled = float(
-            vora_value(SensorSet(grid, (scale * f)[:, None] * q.channels, require_full_rank=False), x)
-        )
+        base = float(vora_value(SensorSet(grid, f[:, None] * q.channels), x))
+        scaled = float(vora_value(SensorSet(grid, (scale * f)[:, None] * q.channels), x))
         assert abs(scaled - base) < 1e-10
     elapsed = time.perf_counter() - started
     report(f"ACCEPTANCE 03 PASS: Vora-Value bounds/symmetry/invariances on 500 cases, {elapsed:.2f}s")
@@ -261,7 +259,7 @@ def test_c09_als_converges_in_fewer_iterations_than_fixed_step_ga():
         q = SensorSet(grid, qm)
         x = SensorSet(grid, xm)
         als = optimize_als(q, x)
-        ga = optimize_ga(q, x, GaConfig(step_rule="fixed", fixed_step=0.1))
+        ga = optimize_ga(q, x, GaConfig(fixed_step=0.1))
         common_final = min(float(als.score), float(ga.score))
         target = common_final - 1e-4
         als_iterations = iterations_to_reach(als.trace.vora_values, target)

@@ -187,6 +187,24 @@ class TestOptimizeCommand:
         assert report["solution"]["iterations"] == 0
         assert report["solution"]["converged"] is False
 
+    def test_fixed_step_is_read_only_under_the_fixed_rule(self, tmp_path, camera_csv, capsys):
+        def run(*flags):
+            out = str(tmp_path / "".join(["ga", *flags]))
+            code = main(["optimize", "--camera", camera_csv, "--optimizer", "ga", *flags, "--out", out])
+            return code, out
+
+        code, ignored = run("--fixed-step", "0")
+        assert code == 0
+        _, default = run()
+        for name in ("filter.csv", "trace.csv"):
+            assert read(os.path.join(ignored, name)) == read(os.path.join(default, name))
+        assert json.loads(read(os.path.join(ignored, "report.json")))["config"]["step_rule"] == "backtracking"
+        capsys.readouterr()
+        code, out = run("--step-rule", "fixed", "--fixed-step", "0")
+        assert code == 1
+        assert "error: step parameters must be positive" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_missing_camera_exits_1(self, tmp_path):
         code = main(["optimize", "--camera", str(tmp_path / "nope.csv"), "--out", str(tmp_path)])
         assert code == 1
@@ -321,6 +339,29 @@ class TestEvaluateCommand:
         assert code == 0
         report = json.loads(read(os.path.join(out, "report.json")))
         assert report["evaluation"]["vora_value"] > 0.9
+
+    def test_report_names_its_inputs(self, tmp_path, camera_csv, scene_manifest):
+        out = str(tmp_path / "out")
+        assert main(["evaluate", "--camera", camera_csv, "--scenes", scene_manifest, "--out", out]) == 0
+        report = json.loads(read(os.path.join(out, "report.json")))
+        assert report["evaluation"]["provenance"] == {
+            "camera": camera_csv,
+            "cmf": "cie1931",
+            "illuminants": str(tmp_path / "lights.csv"),
+            "reflectances": str(tmp_path / "surfaces.csv"),
+        }
+
+    def test_channel_zeroing_filter_exits_1(self, tmp_path, camera_csv, scene_manifest, capsys):
+        zero = tmp_path / "zero.csv"
+        zero.write_text(serialize_spectral_csv(
+            SpectralTable(DEFAULT_GRID.wavelengths(), ("transmittance",), np.zeros((31, 1)))))
+        out = str(tmp_path / "out")
+        code = main(["evaluate", "--camera", camera_csv, "--scenes", scene_manifest,
+                     "--filter", str(zero), "--out", out])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error: sensor matrix is rank deficient (columns are numerically dependent)\n"
+        assert not os.path.exists(out)
 
     def test_invalid_manifest_exits_1(self, tmp_path, camera_csv):
         bad = tmp_path / "bad.txt"

@@ -105,17 +105,17 @@ class TestOptimizeGa:
         qm, xm = solvable_toy_pair(rng)
         q = SensorSet(TOY_GRID, qm)
         x = SensorSet(TOY_GRID, xm)
-        solution = optimize_ga(q, x, GaConfig(step_rule="fixed", fixed_step=0.1))
+        solution = optimize_ga(q, x, GaConfig(fixed_step=0.1))
         assert float(solution.score) > solution.trace.vora_values[0]
         assert np.all(np.diff(solution.trace.vora_values) >= -1e-12)
 
     def test_first_step_overshoot_is_not_convergence(self, bump_camera):
         x = builtin_cmf()
-        overshot = optimize_ga(bump_camera, x, GaConfig(step_rule="fixed", fixed_step=1000.0))
+        overshot = optimize_ga(bump_camera, x, GaConfig(fixed_step=1000.0))
         assert overshot.iterations == 0
         assert not overshot.converged
         # An overshoot after accepted steps still ends the run as converged.
-        later = optimize_ga(bump_camera, x, GaConfig(step_rule="fixed", fixed_step=50.0))
+        later = optimize_ga(bump_camera, x, GaConfig(fixed_step=50.0))
         assert later.iterations > 0
         assert later.converged
 
@@ -133,7 +133,7 @@ class TestOptimizeGa:
 
     def test_line_search_trials_counted(self, bump_camera, monkeypatch):
         x = builtin_cmf()
-        capped = optimize_ga(bump_camera, x, GaConfig(step_rule="fixed", fixed_step=0.1, max_iterations=5))
+        capped = optimize_ga(bump_camera, x, GaConfig(fixed_step=0.1, max_iterations=5))
         assert (capped.converged, capped.iterations, capped.line_search_trials) == (False, 5, 5)
         calls = []
 
@@ -207,8 +207,7 @@ class TestOptimizeGa:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            GaConfig(step_rule="newton")
-        with pytest.raises(ValueError):
             GaConfig(epsilon=-1.0)
         with pytest.raises(ValueError):
             GaConfig(fixed_step=0.0)
+        assert GaConfig().fixed_step is None

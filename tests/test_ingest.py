@@ -187,13 +187,28 @@ class TestBuiltinCmf:
 
 class TestManifest:
     def test_parse_and_resolve_paths(self, tmp_path):
-        text = "# toy manifest\ncamera = cam.csv\ncmf = cie1931\nilluminants = lights.csv\nreflectances = surfaces.csv\nnote = hello\n"
+        text = "# toy manifest\ncamera = cam.csv\ncmf = cie1931\nilluminants = lights.csv\nreflectances = surfaces.csv\n"
         manifest = parse_manifest(text, base_dir=str(tmp_path))
         assert manifest.camera == str(tmp_path / "cam.csv")
         assert manifest.cmf == "cie1931"
         assert manifest.illuminants == str(tmp_path / "lights.csv")
         assert manifest.reflectances == str(tmp_path / "surfaces.csv")
-        assert manifest.extra == (("note", "hello"),)
+
+    @pytest.mark.parametrize("text, line, reason", [
+        ("camera = cam.csv\nnote = hello\n", 2, "unknown key 'note'"),
+        ("illuminants = lights.csv\n# comment\nreflectance = surfaces.csv\n", 3, "unknown key 'reflectance'"),
+        ("illuminants = missing.csv\nilluminants = lights.csv\n", 2, "key 'illuminants' repeats line 1"),
+    ], ids=["unknown", "misspelled", "repeated"])
+    def test_unknown_or_repeated_key_rejected(self, tmp_path, text, line, reason):
+        path = tmp_path / "scenes.txt"
+        path.write_text(text)
+        with pytest.raises(ParseError) as caught:
+            read_manifest(str(path))
+        assert (caught.value.path, caught.value.line) == (str(path), line)
+        assert caught.value.reason.startswith(reason)
+        assert str(caught.value).startswith(f"{path}: line {line}: {reason}")
+        if reason.startswith("unknown"):
+            assert "camera, cmf, illuminants, reflectances" in caught.value.reason
 
     def test_bad_line_rejected(self):
         with pytest.raises(ParseError, match="line 1"):

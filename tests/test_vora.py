@@ -108,9 +108,8 @@ class TestVoraValue:
 
     def test_rank_deficient_rejected(self):
         x = builtin_cmf()
-        zeroed = apply_filter(SpectralCurve.constant(DEFAULT_GRID, 0.0), x)
         with pytest.raises(RankDeficient):
-            vora_value(zeroed, x)
+            vora_value(apply_filter(SpectralCurve.constant(DEFAULT_GRID, 0.0), x), x)
 
     def test_basis_score_matches_projector_route(self, rng):
         x = builtin_cmf()
