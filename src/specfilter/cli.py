@@ -28,6 +28,10 @@ from .solution import ConvergenceTrace, require_monotone
 from .spectra import DEFAULT_GRID, SensorSet, SpectralCurve
 
 
+# Step size of --step-rule fixed when --fixed-step is not given.
+DEFAULT_FIXED_STEP = 0.1
+
+
 def _fmt(value: float) -> str:
     """Shortest decimal that round-trips the float exactly."""
     return repr(float(value))
@@ -93,12 +97,17 @@ def cmd_optimize(args) -> int:
     camera = _load_camera(args.camera)
     cmf = load_cmf(args.cmf)
 
+    if args.fixed_step is not None and (args.optimizer, args.step_rule) != ("ga", "fixed"):
+        print(f"warning: --fixed-step {args.fixed_step} is unused; it applies only to "
+              "--optimizer ga --step-rule fixed", file=sys.stderr)
     started = time.perf_counter()
     stopping = dict(epsilon=args.epsilon, max_iterations=args.max_iters, initial_filter=args.init)
     if args.optimizer == "als":
         config, solve = AlsConfig(**stopping), optimize_als
     else:
-        fixed_step = args.fixed_step if args.step_rule == "fixed" else None
+        fixed_step = None
+        if args.step_rule == "fixed":
+            fixed_step = DEFAULT_FIXED_STEP if args.fixed_step is None else args.fixed_step
         config = GaConfig(fixed_step=fixed_step, **stopping)
         solve = optimize_ga
     solution = solve(camera, cmf, config, starts=args.starts, seed=args.seed)
@@ -136,6 +145,8 @@ def cmd_optimize(args) -> int:
             "converged": solution.converged,
             "polish": dataclasses.asdict(solution.polish) if solution.polish else None,
             "line_search_trials": solution.line_search_trials,
+            "row_sweeps": solution.row_sweeps,
+            "extrapolations": solution.extrapolations,
             "correction_matrix": [[float(v) for v in row] for row in solution.correction.m],
         },
         "outputs": {
@@ -345,7 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
     opt.add_argument("--starts", type=int, default=1, help="starts: --init's filter, then seeded random ones")
     opt.add_argument("--step-rule", choices=("backtracking", "fixed"), default="backtracking",
                      help="gradient-ascent step rule (ga only)")
-    opt.add_argument("--fixed-step", type=float, default=0.1, help="step size for --step-rule fixed")
+    opt.add_argument("--fixed-step", type=float,
+                     help=f"step size for --step-rule fixed (default {DEFAULT_FIXED_STEP})")
     opt.add_argument("--out", default=".", help="output directory")
     opt.set_defaults(func=cmd_optimize)
 

@@ -158,10 +158,11 @@ def parse_manifest(text: str, base_dir: str = ".") -> DatasetManifest:
 
     Raises ``ParseError`` with the line number for a line without ``=``, a
     key other than the four ``DatasetManifest`` fields, or a repeated key.
+    A leading UTF-8 byte-order mark is ignored.
     """
     values: dict[str, str] = {}
     lines: dict[str, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -189,9 +190,13 @@ def parse_manifest(text: str, base_dir: str = ".") -> DatasetManifest:
 
 
 def read_manifest(path: str) -> DatasetManifest:
-    """``parse_manifest`` of a file; its ``ParseError`` names the file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
+    """``parse_manifest`` of a UTF-8 file; its ``ParseError`` names the file."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not valid UTF-8: {exc}", path=path) from None
     try:
         return parse_manifest(text, base_dir=os.path.dirname(os.path.abspath(path)))
     except ParseError as exc:

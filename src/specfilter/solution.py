@@ -152,7 +152,9 @@ class FilterSolution:
     ``polish`` is set for converged ALS runs only, which are polished to the
     fixed point after their last recorded sweep.
     ``line_search_trials`` is set for gradient ascent only: how many trial
-    filters it scored after the start.
+    filters it scored after the start.  ``row_sweeps`` (sweeps summed over
+    all starts) and ``extrapolations`` (accelerated sweeps the winner
+    recorded) are set for ALS only.
     """
 
     filter: SpectralCurve
@@ -162,6 +164,8 @@ class FilterSolution:
     converged: bool
     polish: Polish | None = None
     line_search_trials: int | None = None
+    row_sweeps: int | None = None
+    extrapolations: int | None = None
 
     @property
     def iterations(self) -> int:
@@ -170,14 +174,14 @@ class FilterSolution:
 
 
 def finish(
-    f: np.ndarray, q: SensorSet, v: OrthoBasis,
-    trace: ConvergenceTrace, converged: bool, polish: Polish | None = None,
-    line_search_trials: int | None = None,
+    f: np.ndarray, q: SensorSet, v: OrthoBasis, trace: ConvergenceTrace, converged: bool, **work
 ) -> FilterSolution:
     """Package a solver's last filter iterate ``f`` as a ``FilterSolution``.
 
     ``v`` is the orthonormal observer basis the correction matrix maps onto;
     the reported score is the rescaled filter's ``basis_score`` against it.
+    ``work`` sets the solver's own fields: ``polish``, ``line_search_trials``,
+    ``row_sweeps`` and ``extrapolations``.
     """
     peak = float(np.max(f))
     if peak <= 0.0:
@@ -192,6 +196,5 @@ def finish(
         score=VoraScore(score),
         trace=trace,
         converged=converged,
-        polish=polish,
-        line_search_trials=line_search_trials,
+        **work,
     )

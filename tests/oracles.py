@@ -6,18 +6,22 @@ normal-equation assembly, the Vora-Value from its projector definition
 rather than the package's 3x3 form, and the global-optimum search from
 vectorized random sampling plus coordinate scans over raw arrays.  The
 exceptions are the ``*_reference`` copies of optimizer hot-loop code as first
-written, which pin that code's output bits rather than check its mathematics,
-and ``filtered_camera_sweep``, an ALS sweep taken on the filtered camera
-itself, which bounds the round-off of the package's moment route.
+written, which pin that code's output bits rather than check its mathematics;
+``filtered_camera_sweep``, an ALS sweep taken on the filtered camera
+itself, which bounds the round-off of the package's moment route; and
+``plain_als_sweep``, the paper's unaccelerated ALS loop on the package's own
+half-steps, which the accelerated loop must never do worse than.
 """
 
 from fractions import Fraction
 
 import numpy as np
 
+from specfilter.als import CAPPED, CONVERGED, RANK_LOSS, _filter
 from specfilter.errors import RankDeficient, ShapeError
+from specfilter.solution import MONOTONE_SLACK
 from specfilter.spectra import RANK_TOLERANCE, apply_filter, orthonormalize, rank_ratio, require_same_grid
-from specfilter.vora import VoraScore, vora_value
+from specfilter.vora import VoraScore, basis_score, moment_score, vora_value
 
 
 def cofactor_inverse_3x3(m):
@@ -132,6 +136,46 @@ def filtered_camera_sweep(f, qc, vb):
     m = np.linalg.solve(a_t @ a, w)
     qm = qc @ m
     return m, np.sum(m * w, axis=(-2, -1)) / 3.0, np.sum(qm * vb, axis=-1) / np.sum(qm * qm, axis=-1)
+
+
+def plain_als_sweep(initial, moments, epsilon, max_iterations):
+    """Plain ALS from each row of ``initial`` in lockstep, as the paper sweeps: no extrapolation.
+
+    Each sweep takes the filter half-step from every live row's transform
+    and scores it with ``moment_score``; the starts are scored by
+    ``basis_score``.  A row stops once a sweep gains less than ``epsilon``
+    (converged), at ``max_iterations`` (capped), or on rank loss; a
+    full-rank sweep that lowers a Vora-Value by more than ``MONOTONE_SLACK``
+    raises ``AssertionError``.
+
+    Returns ``(history, final, stop, outcome)``: per sweep i (0 is the start)
+    the rows it swept with their transforms and Vora-Values for their
+    sweep-i filters, and per row its last Vora-Value, the sweep it stopped
+    at and why.
+    """
+    qc, vb = moments.camera, moments.basis
+    m, score, full = basis_score(initial, qc, vb)
+    rows = np.arange(len(initial))
+    history = [(rows, m, score)]
+    final, stop = score.copy(), np.zeros(len(initial), dtype=int)
+    outcome = np.where(full, CAPPED, RANK_LOSS)
+    rows, m, score = rows[full], m[full], score[full]
+    for i in range(1, max_iterations + 1):
+        if not rows.size:
+            break
+        m, swept, full = moment_score(_filter(qc, m, vb)[0], moments)
+        delta, score = swept - score, swept
+        history.append((rows, m, score))
+        assert not np.any(full & (delta < -MONOTONE_SLACK)), f"plain ALS dropped at sweep {i}"
+        going = full & ~(delta < epsilon)
+        if not going.all():
+            done = rows[~going]
+            outcome[done] = np.where(full[~going], CONVERGED, RANK_LOSS)
+            final[done], stop[done] = score[~going], i
+            rows, m, score = rows[going], m[going], score[going]
+    else:
+        final[rows], stop[rows] = score, max_iterations
+    return history, final, stop, outcome
 
 
 def exact_row_form_filter(qc, m, vb, degenerate_norm):

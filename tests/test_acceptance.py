@@ -24,7 +24,7 @@ from specfilter.spectra import (
     apply_filter,
     orthonormalize,
 )
-from specfilter.vora import vora_value
+from specfilter.vora import Moments, vora_value
 
 from conftest import (
     TOY_GRID,
@@ -36,6 +36,7 @@ from conftest import (
 from oracles import (
     central_difference_gradient,
     iterations_to_reach,
+    plain_als_sweep,
     projector,
     random_search_best,
     residual_identity_check,
@@ -265,8 +266,21 @@ def test_c09_als_converges_in_fewer_iterations_than_fixed_step_ga():
         als_iterations = iterations_to_reach(als.trace.vora_values, target)
         ga_iterations = iterations_to_reach(ga.trace.vora_values, target)
         assert als_iterations < ga_iterations
-        margins.append((als_iterations, ga_iterations))
-    report(f"ACCEPTANCE 09 PASS: ALS beats fixed-step GA on {label}; (ALS, GA) iterations {margins[:5]}...")
+        # The paper's claim is about plain ALS, which the solver accelerates:
+        # the unaccelerated sweeps from the same start must beat GA too.
+        config = AlsConfig()
+        moments = Moments.of(qm, orthonormalize(x).basis)
+        history = plain_als_sweep(config.start_stack(grid, 1, 0), moments, config.epsilon,
+                                  config.max_iterations)[0]
+        plain = [float(score[0]) for _, _, score in history]
+        plain_target = min(plain[-1], float(ga.score)) - 1e-4
+        plain_iterations = iterations_to_reach(plain, plain_target)
+        assert plain_iterations < iterations_to_reach(ga.trace.vora_values, plain_target)
+        margins.append((als_iterations, plain_iterations, ga_iterations))
+    report(
+        f"ACCEPTANCE 09 PASS: ALS and plain ALS beat fixed-step GA on {label}; "
+        f"(ALS, plain ALS, GA) iterations {margins[:5]}..."
+    )
 
 
 def test_c10_cli_outputs_are_byte_identical(tmp_path):

@@ -1,3 +1,4 @@
+import functools
 from dataclasses import replace
 
 import numpy as np
@@ -10,9 +11,10 @@ from specfilter.als import (
     CAPPED,
     CONVERGED,
     DEGENERATE_ROW_NORM,
+    RANK_LOSS,
     AlsConfig,
     _filter,
-    _polish_to_fixed_point,
+    _polish,
     _sweep,
     _trace,
     optimize_als,
@@ -22,7 +24,7 @@ from specfilter.als import (
 from specfilter.errors import ConsistencyError, RankDeficient, ShapeError
 from specfilter.gradient import GaConfig, optimize_ga
 from specfilter.ingest import builtin_cmf
-from specfilter.solution import ConvergenceTrace, random_filter
+from specfilter.solution import MONOTONE_SLACK, ConvergenceTrace, random_filter
 from specfilter.spectra import (
     DEFAULT_GRID,
     CorrectionMatrix,
@@ -34,7 +36,7 @@ from specfilter.spectra import (
 from specfilter.vora import Moments, basis_score, moment_score
 
 from conftest import TOY_GRID, bump_camera_matrix, solvable_toy_pair
-from oracles import cofactor_inverse_3x3, exact_row_form_filter, vora_by_projector
+from oracles import cofactor_inverse_3x3, exact_row_form_filter, plain_als_sweep, vora_by_projector
 from test_acceptance import make_toys
 
 
@@ -129,13 +131,15 @@ class TestStackedHalfSteps:
         filters = 1.0 - rng.random((starts, 31))
         filters[0, 2:] = 0.0  # a rank-deficient start
         m, scores, full = basis_score(filters, qc, vb)
-        stepped = _filter(qc, m, vb)
+        stepped, numerators = _filter(qc, m, vb)
         for k in range(starts):
             m_k, score_k, full_k = basis_score(filters[k], qc, vb)
             assert np.array_equal(m[k], m_k)
             assert scores[k] == score_k
             assert full[k] == full_k
-            assert np.array_equal(stepped[k], _filter(qc, m_k, vb))
+            f_k, numerator_k = _filter(qc, m_k, vb)
+            assert np.array_equal(stepped[k], f_k)
+            assert np.array_equal(numerators[k], numerator_k)
         assert not full[0]
 
     @settings(max_examples=200, deadline=None)
@@ -155,9 +159,25 @@ class TestStackedHalfSteps:
         vb[rng.random(n) < 0.2] = -0.0
         m = rng.standard_normal((3, 3) if stack is None else (stack, 3, 3))
         m[..., rng.integers(3)] *= rng.random() < 0.3  # sometimes a zero column
-        got, want = _filter(qc, m, vb), sum_form_filter(qc, m, vb)
+        (got, numerator), want = _filter(qc, m, vb), sum_form_filter(qc, m, vb)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+        assert numerator.tobytes() == np.sum((qc @ m) * vb, axis=-1).tobytes()
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), stack=st.integers(1, 6))
+    def test_numerators_give_the_minimized_residual(self, seed, stack):
+        # min_f ||diag(f) Q M - V||^2 = ||V||^2 - sum_i numerator_i f_i, the
+        # residual the accelerated sweep compares its candidates by.
+        rng = np.random.default_rng(seed)
+        qc = bump_camera_matrix(rng)
+        qc[rng.integers(31)] = 0.0
+        vb = orthonormalize(builtin_cmf()).basis
+        m = np.eye(3) + 0.3 * rng.standard_normal((stack, 3, 3))
+        f, numerator = _filter(qc, m, vb)
+        deviation = (f[..., None] * qc) @ m - vb
+        direct = np.sum(deviation * deviation, axis=(-2, -1))
+        assert np.max(np.abs(3.0 - np.sum(numerator * f, axis=-1) - direct)) < 1e-12
 
 
 class TestFilterHalfStepDigits:
@@ -179,17 +199,16 @@ class TestFilterHalfStepDigits:
             kappa = np.linalg.cond(m)
             assert kappa > kappa_floor
             want = exact_row_form_filter(qc, m, vb, DEGENERATE_ROW_NORM)
-            got = _filter(qc, m, vb)
+            got = _filter(qc, m, vb)[0]
             assert got[5] == want[5] == 0.0
             assert np.max(np.abs(got - want)) <= 4 * np.finfo(float).eps * kappa * np.max(np.abs(want))
 
 
 def reference_trace(row, initial, run, qc, vb):
-    """The trace rebuilt one sweep at a time, as a sequential run records it."""
-    history, _, stop, _ = run
+    """The trace rebuilt one sweep at a time, each filter from the transform its sweep took."""
 
     def swept(i):
-        rows, transforms, scores = history[i]
+        rows, transforms, scores = run.history[i]
         k = rows.tolist().index(row)
         return transforms[k], float(scores[k])
 
@@ -199,11 +218,10 @@ def reference_trace(row, initial, run, qc, vb):
 
     f, (m, score) = initial[row], swept(0)
     points = [(0, score, residual(f, m), f)]
-    for i in range(1, int(stop[row]) + 1):
-        f = _filter(qc, m, vb)
-        transform, score = swept(i)
+    for i in range(1, int(run.stop[row]) + 1):
+        m, score = swept(i)
+        f = _filter(qc, m, vb)[0]
         points.append((i, score, residual(f, m), f))
-        m = transform
     return points
 
 
@@ -217,7 +235,7 @@ class TestTraceRebuild:
         for seed in (4, 5):
             qm, xm = solvable_toy_pair(np.random.default_rng(seed))
             cases.append((qm, np.linalg.qr(xm)[0], seed))
-        outcomes = set()
+        outcomes, extrapolated = set(), 0
         for qc, vb, seed in cases:
             rng = np.random.default_rng(seed)
             initial = np.vstack([np.ones(len(qc)), 1.0 - rng.random((7, len(qc)))])
@@ -229,51 +247,133 @@ class TestTraceRebuild:
                 if run[3][row] > CAPPED:
                     continue
                 outcomes.add((row == winner, int(run[3][row])))
+                extrapolated += int(run.extrapolations[row])
                 got = _trace(row, initial, run, moments)
                 want = reference_trace(row, initial, run, qc, vb)
                 assert len(got) == len(want)
                 for k, (i, score, residual, f) in enumerate(want):
                     assert (k, got.vora_values[k], got.residuals[k]) == (i, score, residual)
                     assert got.filters[k].tobytes() == f.tobytes()
+                    # Each recorded score is that of the rebuilt filter: the
+                    # history holds the transform the sweep actually took.
+                    assert abs(basis_score(f, qc, vb)[1] - score) < 1e-12
+                assert np.all(np.diff(got.residuals) <= 1e-12)
         expected = CAPPED if max_iterations == 3 else CONVERGED
         assert (True, expected) in outcomes
+        assert extrapolated > 0
+
+
+def refuse_every_extrapolation(monkeypatch, guard):
+    """Patch the sweep so that each extrapolation fails ``guard``.
+
+    Returns None, or for the residual guard the list that collects the
+    extrapolations' rank flags.
+    """
+    if guard == "rank":
+        # A zero transform pins every filter entry to 0.
+        monkeypatch.setattr(als, "_extrapolate", lambda taken, images, latest: np.zeros((len(taken), 3, 3)))
+        return None
+    # Thrown far off, the extrapolation scores lower and leaves a larger residual.
+    monkeypatch.setattr(als, "_extrapolate", lambda taken, images, latest: images[:, latest].reshape(-1, 3, 3) + 50.0)
+    if guard == "score":
+        return None
+    # Its Vora-Value is inflated to pass the score test: only the residual test refuses it.
+    real, ranks = als.moment_score, []
+
+    def inflating(f, moments):
+        m, score, full = real(f, moments)
+        if f.ndim == 3 and f.shape[1] == 2:
+            score = score.copy()
+            score[:, 1] += 1.0
+            ranks.extend(full[:, 1].tolist())
+        return m, score, full
+
+    monkeypatch.setattr(als, "moment_score", inflating)
+    return ranks
+
+
+@functools.cache
+def toy_runs():
+    """(camera, observer, config, starts, seed, solution) for the acceptance suite's toy pairs, as C06 runs them."""
+    runs = []
+    for index, (qm, xm) in enumerate(make_toys()):
+        q, x, config = SensorSet(TOY_GRID, qm), SensorSet(TOY_GRID, xm), AlsConfig(max_iterations=4000)
+        runs.append((q, x, config, 32, index, optimize_als(q, x, config, starts=32, seed=index)))
+    return runs
 
 
 class TestPolish:
     def test_toy_winners_reach_the_fixed_point_without_losing_score(self):
         # The multistart winners of the acceptance suite's toy pairs, polished afresh.
-        for index, (qm, xm) in enumerate(make_toys()):
-            q, x = SensorSet(TOY_GRID, qm), SensorSet(TOY_GRID, xm)
-            solution = optimize_als(q, x, AlsConfig(max_iterations=4000), starts=32, seed=index)
+        for q, x, _, _, _, solution in toy_runs():
+            qm = q.channels
             assert solution.converged
             f, vb = solution.trace.filters[-1], orthonormalize(x).basis
-            polished, polish = _polish_to_fixed_point(f, Moments.of(qm, vb))
+            polished, polish = _polish(f, Moments.of(qm, vb))
             assert polish.met_tolerance
             assert polish.iterations < als.POLISH_MAX_SWEEPS
             assert basis_score(polished, qm, vb)[1] >= basis_score(f, qm, vb)[1]
             normalized = polished / np.max(polished)
-            swept = _filter(qm, basis_score(normalized, qm, vb)[0], vb)
+            swept = _filter(qm, basis_score(normalized, qm, vb)[0], vb)[0]
             assert np.max(np.abs(swept - normalized)) < 1e-8
 
-
-    def test_a_lower_scoring_extrapolation_is_refused(self, bump_camera, monkeypatch):
+    @staticmethod
+    def assert_polish_is_plain_iteration(camera, monkeypatch, guard):
         vb = orthonormalize(builtin_cmf()).basis
-        qc = bump_camera.channels
-        f = optimize_als(bump_camera, builtin_cmf()).trace.filters[-1]
-        # Every extrapolation is thrown far off, so each must fall back to the
-        # plain sweep: the polish is then plain fixed-point iteration.
-        monkeypatch.setattr(np.linalg, "lstsq", lambda a, b, rcond=None: (np.full(a.shape[1], 50.0),))
+        qc = camera.channels
+        f = optimize_als(camera, builtin_cmf(), AlsConfig(epsilon=1e-5)).trace.filters[-1]
+        # Every extrapolation fails one safeguard, so each must fall back to
+        # the plain sweep: the polish is then plain fixed-point iteration.
+        ranks = refuse_every_extrapolation(monkeypatch, guard)
         moments = Moments.of(qc, vb)
-        polished, polish = _polish_to_fixed_point(f, moments)
-        plain, sweeps = f, 0
+        polished, polish = _polish(f, moments)
+        m, plain, sweeps = basis_score(f, qc, vb)[0], f, 0
         while True:
-            swept, sweeps = _filter(qc, moment_score(plain, moments)[0], vb), sweeps + 1
+            swept, sweeps = _filter(qc, m, vb)[0], sweeps + 1
             if np.max(np.abs(swept - plain)) < als.POLISH_STEP_TOL * np.max(np.abs(f)):
                 break
-            plain = swept
+            plain, m = swept, moment_score(swept, moments)[0]
         assert polish.met_tolerance
         assert polish.iterations == sweeps > 10
-        assert polished.tobytes() == swept.tobytes()
+        assert polished.tobytes() == plain.tobytes()
+        if ranks is not None:
+            assert ranks and all(ranks)
+
+    def test_a_lower_scoring_extrapolation_is_refused(self, bump_camera, monkeypatch):
+        self.assert_polish_is_plain_iteration(bump_camera, monkeypatch, "score")
+
+    @pytest.mark.parametrize("guard", ["rank", "residual"])
+    def test_a_rank_losing_or_residual_raising_extrapolation_is_refused(self, bump_camera, monkeypatch, guard):
+        self.assert_polish_is_plain_iteration(bump_camera, monkeypatch, guard)
+
+
+class TestAgainstPlainAls:
+    def test_accelerated_winner_scores_at_least_the_plain_winner(self):
+        # The paper's plain ALS from the same starts, on the C06 toy pairs and
+        # on bump cameras: acceleration may find more, never less.
+        cases = [run[:5] + (run[5].score,) for run in toy_runs()]
+        for seed in range(8):
+            camera = SensorSet(DEFAULT_GRID, bump_camera_matrix(np.random.default_rng(seed)))
+            solution = optimize_als(camera, builtin_cmf(), starts=8, seed=seed)
+            cases.append((camera, builtin_cmf(), AlsConfig(), 8, seed, solution.score))
+        for q, x, config, starts, seed, score in cases:
+            initial = config.start_stack(q.grid, starts, seed)
+            moments = Moments.of(q.channels, orthonormalize(x).basis)
+            _, final, _, outcome = plain_als_sweep(initial, moments, config.epsilon, config.max_iterations)
+            assert float(score) >= np.max(final[outcome != RANK_LOSS]) - MONOTONE_SLACK
+
+    def test_work_record_counts_the_run(self, bump_camera):
+        x = builtin_cmf()
+        single = optimize_als(bump_camera, x)
+        assert single.row_sweeps == single.iterations
+        assert 0 < single.extrapolations < single.iterations
+        config, v = AlsConfig(), orthonormalize(x)
+        initial = config.start_stack(DEFAULT_GRID, 6, 4)
+        run = _sweep(initial, Moments.of(bump_camera.channels, v.basis), config.epsilon, config.max_iterations)
+        solution = optimize_als(bump_camera, x, config, starts=6, seed=4)
+        winner = int(np.argmax(run.final))
+        assert solution.row_sweeps == int(run.stop.sum())
+        assert (solution.iterations, solution.extrapolations) == (run.stop[winner], run.extrapolations[winner])
 
 
 class TestOptimizeAls:

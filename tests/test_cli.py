@@ -160,6 +160,51 @@ class TestOptimizeCommand:
         assert isinstance(ga["line_search_trials"], int)
         assert ga["line_search_trials"] >= ga["iterations"]
 
+    def test_report_records_the_als_work(self, tmp_path, camera_csv):
+        def solution(*flags):
+            out = str(tmp_path / "-".join(flags))
+            assert main(["optimize", "--camera", camera_csv, *flags, "--out", out]) == 0
+            return json.loads(read(os.path.join(out, "report.json")))["solution"]
+
+        camera = load_sensor_set(read_spectral_csv(camera_csv), DEFAULT_GRID)
+        als = solution("--optimizer", "als", "--starts", "4", "--seed", "2")
+        library = optimize_als(camera, builtin_cmf(), starts=4, seed=2)
+        assert (als["row_sweeps"], als["extrapolations"]) == (library.row_sweeps, library.extrapolations)
+        assert als["row_sweeps"] >= als["iterations"] + 3
+        assert 0 < als["extrapolations"] < als["iterations"]
+        single = solution("--optimizer", "als")
+        assert single["row_sweeps"] == single["iterations"]
+        ga = solution("--optimizer", "ga")
+        assert (ga["row_sweeps"], ga["extrapolations"]) == (None, None)
+
+    @pytest.mark.parametrize("flags", [["--optimizer", "ga"], ["--optimizer", "als"],
+                                       ["--optimizer", "als", "--step-rule", "fixed"]],
+                             ids=["ga backtracking", "als", "als fixed rule"])
+    def test_an_unused_fixed_step_warns(self, tmp_path, camera_csv, capsys, flags):
+        def run(name, *extra):
+            out = str(tmp_path / name)
+            code = main(["optimize", "--camera", camera_csv, *flags, *extra, "--out", out])
+            report = json.loads(read(os.path.join(out, "report.json")))
+            del report["timing_ms"]
+            files = [read(os.path.join(out, n)) for n in ("filter.csv", "trace.csv", "iteration_filters.csv")]
+            return code, report, files, capsys.readouterr()
+
+        code, report, files, streams = run("given", "--fixed-step", "0.5")
+        assert streams.err == ("warning: --fixed-step 0.5 is unused; it applies only to "
+                               "--optimizer ga --step-rule fixed\n")
+        assert (code, report, files) == run("plain")[:3]
+
+    def test_fixed_step_defaults_to_its_documented_value(self, tmp_path, camera_csv, capsys):
+        def run(name, *extra):
+            out = str(tmp_path / name)
+            argv = ["optimize", "--camera", camera_csv, "--optimizer", "ga", "--step-rule", "fixed",
+                    "--max-iters", "300", *extra, "--out", out]
+            return main(argv), read(os.path.join(out, "trace.csv")), capsys.readouterr().err
+
+        code, trace, err = run("default")
+        assert (code, trace) == run("given", "--fixed-step", str(specfilter.cli.DEFAULT_FIXED_STEP))[:2]
+        assert "--fixed-step" not in err
+
     def test_nonconvergence_exits_2(self, tmp_path, camera_csv, capsys):
         out = str(tmp_path / "out")
         code = main(
@@ -273,7 +318,10 @@ class TestOptimizeCommand:
             real_sweep = specfilter.als._sweep
 
             def sweep(initial, *args):
-                starts.extend(initial.copy())
+                # The first call is the multistart screen; the winner's polish
+                # runs the same loop from its one filter afterwards.
+                if not starts:
+                    starts.extend(initial.copy())
                 return real_sweep(initial, *args)
 
             monkeypatch.setattr(specfilter.als, "_sweep", sweep)

@@ -1,4 +1,5 @@
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from specfilter.errors import OutOfRange, ParseError, RankDeficient, ShapeError
 from specfilter.ingest import (
+    DatasetManifest,
     SpectralTable,
     builtin_cmf,
     load_cmf,
@@ -214,6 +216,14 @@ class TestManifest:
         with pytest.raises(ParseError, match="line 1"):
             parse_manifest("camera cam.csv")
 
+    def test_manifest_that_is_not_utf8_names_the_file(self, tmp_path):
+        path = tmp_path / "scenes.txt"
+        path.write_bytes(b"illuminants = \xff.csv\n")
+        with pytest.raises(ParseError) as caught:
+            read_manifest(str(path))
+        assert (caught.value.path, caught.value.line) == (str(path), None)
+        assert str(caught.value).startswith(f"{path}: not valid UTF-8: ")
+
     def test_read_manifest_and_load_scene_set(self, tmp_path, rng):
         illum = rng.uniform(0.5, 2.0, size=(31, 2))
         refl = rng.uniform(0.0, 1.0, size=(31, 5))
@@ -254,6 +264,21 @@ class TestShippedFixtures:
         assert scenes.reflectances.shape[1] == 12
         reflectance_block = scenes.reflectances
         assert reflectance_block.min() >= 0.0 and reflectance_block.max() <= 1.0
+
+
+    def test_manifest_with_a_byte_order_mark_reads_as_without(self, tmp_path):
+        for name in ("synthetic_camera.csv", "illuminants.csv", "reflectances.csv"):
+            shutil.copy(os.path.join(self.FIXTURES, name), tmp_path)
+        with open(os.path.join(self.FIXTURES, "scenes.txt"), "rb") as handle:
+            (tmp_path / "scenes.txt").write_bytes(b"\xef\xbb\xbf" + handle.read())
+        manifest = read_manifest(str(tmp_path / "scenes.txt"))
+        assert manifest == DatasetManifest(
+            camera=str(tmp_path / "synthetic_camera.csv"),
+            cmf="cie1931",
+            illuminants=str(tmp_path / "illuminants.csv"),
+            reflectances=str(tmp_path / "reflectances.csv"),
+        )
+        assert len(load_scene_set(manifest, DEFAULT_GRID).illuminants) == 3
 
 
 class TestMeasuredDatasetPlumbing:

@@ -238,7 +238,7 @@ class TestMomentScore:
             assert full.all()
             assert np.max(np.abs(m - ref_m)) <= 1e-12 * np.max(np.abs(ref_m))
             assert np.max(np.abs(scores - ref_scores) / ref_scores) <= 1e-12
-            swept = _filter(qc, m, vb)
+            swept = _filter(qc, m, vb)[0]
             assert np.max(np.abs(swept - ref_next)) <= 1e-12 * np.max(np.abs(ref_next))
 
 
