@@ -7,7 +7,7 @@ filters with CIELAB color-error statistics over illuminant/reflectance
 collections.
 """
 
-from .als import AlsConfig, optimize_als, solve_f, solve_m
+from .als import AlsConfig, optimize_als
 from .colorimetry import (
     DeltaEStats,
     EvaluationReport,
@@ -27,7 +27,7 @@ from .errors import (
     ShapeError,
     SpecFilterError,
 )
-from .gradient import GaConfig, optimize_ga, vora_gradient
+from .gradient import GaConfig, optimize_ga
 from .ingest import (
     DatasetManifest,
     SpectralTable,
@@ -51,7 +51,6 @@ from .spectra import (
     WavelengthGrid,
     apply_filter,
     orthonormalize,
-    resample,
 )
 from .vora import VoraScore, vora_value
 
@@ -98,11 +97,7 @@ __all__ = [
     "random_filter",
     "read_manifest",
     "read_spectral_csv",
-    "resample",
     "serialize_spectral_csv",
-    "solve_f",
-    "solve_m",
-    "vora_gradient",
     "vora_value",
     "xyz_to_lab",
 ]

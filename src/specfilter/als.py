@@ -28,14 +28,7 @@ import numpy as np
 from .errors import ConsistencyError, RankDeficient
 from .solution import (MONOTONE_SLACK, ConvergenceTrace, FilterSolution, Polish, SolverConfig,
                        every_start_lost_rank, finish)
-from .spectra import (
-    CorrectionMatrix,
-    OrthoBasis,
-    SensorSet,
-    SpectralCurve,
-    orthonormalize,
-    require_same_grid,
-)
+from .spectra import OrthoBasis, SensorSet, orthonormalize, require_same_grid
 from .vora import Moments, basis_score, moment_score
 
 # Rows of QM with squared norm below this contribute nothing; their filter
@@ -91,21 +84,6 @@ def _filter(qc: np.ndarray, m: np.ndarray, vb: np.ndarray) -> tuple[np.ndarray, 
     if degenerate.any():
         return np.where(degenerate, 0.0, numerator / np.where(degenerate, 1.0, denominator)), numerator
     return numerator / denominator, numerator
-
-
-def solve_m(f: SpectralCurve, q: SensorSet, v: OrthoBasis) -> CorrectionMatrix:
-    """Least-squares 3x3 transform M minimizing ||diag(f) Q M - V||^2_F."""
-    require_same_grid(f.grid, q.grid, v.grid)
-    m, _, full = basis_score(f.values, q.channels, v.basis)
-    if not full:
-        raise RankDeficient("filtered camera is rank deficient (columns are numerically dependent)")
-    return CorrectionMatrix(m)
-
-
-def solve_f(q: SensorSet, m: CorrectionMatrix, v: OrthoBasis) -> SpectralCurve:
-    """Per-row filter entries minimizing ||diag(f) (Q M) - V||^2_F; see ``_filter``."""
-    require_same_grid(q.grid, v.grid)
-    return SpectralCurve(q.grid, _filter(q.channels, m.m, v.basis)[0])
 
 
 def optimize_als(

@@ -79,12 +79,15 @@ class DeltaEStats:
     @classmethod
     def from_samples(cls, delta_e: np.ndarray) -> "DeltaEStats":
         median, p95, p99 = np.percentile(delta_e, (50, 95, 99))
+        low, high = float(np.min(delta_e)), float(np.max(delta_e))
         return cls(
-            mean=float(np.mean(delta_e)),
+            # Round-off can carry the float mean of a near-constant sample
+            # past its extremes; the exact mean lies between them.
+            mean=min(max(float(np.mean(delta_e)), low), high),
             median=float(median),
             p95=float(p95),
             p99=float(p99),
-            max=float(np.max(delta_e)),
+            max=high,
         )
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import RankDeficient
 from .solution import ConvergenceTrace, FilterSolution, SolverConfig, every_start_lost_rank, finish
-from .spectra import OrthoBasis, SensorSet, SpectralCurve, orthonormalize, require_same_grid
+from .spectra import OrthoBasis, SensorSet, orthonormalize, require_same_grid
 from .vora import basis_score
 
 # Backtracking line search: each iteration tries INITIAL_STEP first and
@@ -59,16 +59,6 @@ def _gradient_arrays(f: np.ndarray, qc: np.ndarray, vb: np.ndarray, m: np.ndarra
     """Gradient of the Vora-Value at filter ``f``, given its full-rank ``basis_score`` transform ``m``."""
     c = (vb - (f[:, None] * qc) @ m) @ m.T
     return (2.0 / 3.0) * (qc * c).sum(axis=1)
-
-
-def vora_gradient(f: SpectralCurve, q: SensorSet, x: SensorSet) -> np.ndarray:
-    """Partial derivatives of the Vora-Value with respect to each filter entry."""
-    require_same_grid(f.grid, q.grid, x.grid)
-    vb = orthonormalize(x).basis
-    m, _, full = basis_score(f.values, q.channels, vb)
-    if not full:
-        raise RankDeficient("filtered camera is rank deficient")
-    return _gradient_arrays(f.values, q.channels, vb, m)
 
 
 def optimize_ga(

@@ -142,7 +142,10 @@ def builtin_cmf() -> SensorSet:
 
 @dataclass(frozen=True)
 class DatasetManifest:
-    """Paths (resolved against the manifest's directory) naming a dataset."""
+    """Paths (resolved against the manifest's directory) naming a dataset.
+
+    ``cmf`` is ``cie1931`` or ``file:<path>``, its path resolved likewise.
+    """
 
     camera: str | None = None
     cmf: str = "cie1931"
@@ -181,9 +184,12 @@ def parse_manifest(text: str, base_dir: str = ".") -> DatasetManifest:
             return None
         return os.path.normpath(os.path.join(base_dir, values[key]))
 
+    cmf = values.get("cmf", "cie1931")
+    if cmf.startswith("file:"):
+        cmf = "file:" + os.path.normpath(os.path.join(base_dir, cmf[len("file:"):]))
     return DatasetManifest(
         camera=resolve("camera"),
-        cmf=values.get("cmf", "cie1931"),
+        cmf=cmf,
         illuminants=resolve("illuminants"),
         reflectances=resolve("reflectances"),
     )

@@ -8,6 +8,7 @@ Luther residuals, and the T x n filter stack) whose row i is iteration i; a
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -40,6 +41,14 @@ def require_monotone(iterations: Sequence[int], vora_values: np.ndarray, prefix:
         )
 
 
+def _require_integer(name: str, value) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is a Python or numpy integer."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def random_filter(grid: WavelengthGrid, rng: np.random.Generator) -> SpectralCurve:
     """A random starting filter with entries uniform in (0, 1]."""
     return SpectralCurve(grid, 1.0 - rng.random(grid.count))
@@ -63,6 +72,7 @@ class SolverConfig:
     def __post_init__(self):
         if not (self.epsilon > 0):
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        _require_integer("max_iterations", self.max_iterations)
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if not isinstance(self.initial_filter, SpectralCurve) and self.initial_filter not in ("ones", "random"):
@@ -75,6 +85,7 @@ class SolverConfig:
         draw, all from one ``default_rng(seed)``: under ``"random"`` row 0 is
         its first draw and the later rows continue the same stream.
         """
+        _require_integer("starts", starts)
         if starts < 1:
             raise ValueError(f"need at least one start, got {starts}")
         rng = np.random.default_rng(seed)

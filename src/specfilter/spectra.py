@@ -71,10 +71,6 @@ class SpectralCurve:
             raise ValueError("curve values must be finite")
         object.__setattr__(self, "values", values)
 
-    @classmethod
-    def constant(cls, grid: WavelengthGrid, value: float = 1.0) -> "SpectralCurve":
-        return cls(grid, np.full(grid.count, float(value)))
-
 
 @dataclass(frozen=True)
 class SensorSet:
@@ -107,25 +103,19 @@ class SensorSet:
 
 @dataclass(frozen=True)
 class OrthoBasis:
-    """An orthonormal basis V = X T of a sensor set's column space."""
+    """An orthonormal n-by-3 basis V of a sensor set's column space: V^T V = I."""
 
     grid: WavelengthGrid
     basis: np.ndarray
-    source_transform: np.ndarray
 
     def __post_init__(self):
         basis = _readonly(self.basis)
-        transform = _readonly(self.source_transform)
-        if basis.shape != (self.grid.count, 3) or transform.shape != (3, 3):
-            raise ShapeError(
-                f"basis must be {self.grid.count}x3 with a 3x3 transform, "
-                f"got {basis.shape} and {transform.shape}"
-            )
+        if basis.shape != (self.grid.count, 3):
+            raise ShapeError(f"basis must be {self.grid.count}x3, got {basis.shape}")
         gram = basis.T @ basis
         if np.max(np.abs(gram - np.eye(3))) > 1e-12:
             raise ValueError("basis columns are not orthonormal to 1e-12")
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "source_transform", transform)
 
 
 @dataclass(frozen=True)
@@ -141,10 +131,6 @@ class CorrectionMatrix:
         if not np.all(np.isfinite(m)):
             raise ValueError("correction matrix entries must be finite")
         object.__setattr__(self, "m", m)
-
-    @classmethod
-    def identity(cls) -> "CorrectionMatrix":
-        return cls(np.eye(3))
 
 
 def rank_ratio(matrix: np.ndarray) -> float:
@@ -205,18 +191,15 @@ def require_same_grid(*grids: WavelengthGrid) -> None:
 
 
 def orthonormalize(x: SensorSet) -> OrthoBasis:
-    """Orthonormal basis of a sensor set's column space via thin QR.
+    """Orthonormal basis V of a sensor set's column space via thin QR.
 
-    Returns V and the 3x3 transform T with V = X T, V^T V = I.  Column signs
-    follow the convention diag(R) > 0, so an already-orthonormal input maps to
-    itself with T = I.
+    Column signs follow the convention diag(R) > 0, so an already-orthonormal
+    input maps to itself.
     """
     q, r = np.linalg.qr(x.channels)
     signs = np.sign(np.diag(r))
     signs[signs == 0.0] = 1.0
-    basis = q * signs
-    transform = np.linalg.solve(r, np.diag(signs))
-    return OrthoBasis(x.grid, basis, transform)
+    return OrthoBasis(x.grid, q * signs)
 
 
 def apply_filter(f: SpectralCurve, q: SensorSet) -> SensorSet:
@@ -227,12 +210,6 @@ def apply_filter(f: SpectralCurve, q: SensorSet) -> SensorSet:
     """
     require_same_grid(f.grid, q.grid)
     return SensorSet(q.grid, f.values[:, None] * q.channels)
-
-
-def resample(c: SpectralCurve, target: WavelengthGrid) -> SpectralCurve:
-    """Linearly interpolate a curve onto another grid; no extrapolation."""
-    values = interp_columns(c.grid.wavelengths(), c.values[:, None], target)[:, 0]
-    return SpectralCurve(target, values)
 
 
 def interp_columns(

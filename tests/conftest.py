@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+from specfilter.gradient import _gradient_arrays
 from specfilter.spectra import DEFAULT_GRID, SensorSet, WavelengthGrid
 from specfilter.vora import basis_score
 
@@ -41,6 +42,11 @@ def solvable_toy_pair(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]
         vx, _ = np.linalg.qr(xm)
         if basis_score(np.ones(4), qm, vx)[1] <= 0.99:
             return qm, xm
+
+
+def ga_gradient(f: np.ndarray, qc: np.ndarray, vb: np.ndarray) -> np.ndarray:
+    """The Vora-Value gradient gradient ascent takes at a full-rank filter ``f``."""
+    return _gradient_arrays(f, qc, vb, basis_score(f, qc, vb)[0])
 
 
 def bump_camera_matrix(rng: np.random.Generator, grid: WavelengthGrid = DEFAULT_GRID) -> np.ndarray:

@@ -18,8 +18,6 @@ from specfilter.als import (
     _sweep,
     _trace,
     optimize_als,
-    solve_f,
-    solve_m,
 )
 from specfilter.errors import ConsistencyError, RankDeficient, ShapeError
 from specfilter.gradient import GaConfig, optimize_ga
@@ -27,7 +25,6 @@ from specfilter.ingest import builtin_cmf
 from specfilter.solution import MONOTONE_SLACK, ConvergenceTrace, random_filter
 from specfilter.spectra import (
     DEFAULT_GRID,
-    CorrectionMatrix,
     SensorSet,
     SpectralCurve,
     apply_filter,
@@ -50,74 +47,72 @@ def sum_form_filter(qc, m, vb):
 
 
 class TestSolveM:
+    """The transform half-step: ``basis_score``'s least-squares M."""
+
     def test_identity_when_camera_is_the_basis(self):
         v = orthonormalize(builtin_cmf())
-        q = SensorSet(DEFAULT_GRID, v.basis)
-        m = solve_m(SpectralCurve.constant(DEFAULT_GRID, 1.0), q, v)
-        assert np.max(np.abs(m.m - np.eye(3))) < 1e-12
+        m = basis_score(np.ones(31), v.basis, v.basis)[0]
+        assert np.max(np.abs(m - np.eye(3))) < 1e-12
 
     def test_recovers_known_mixing_inverse(self):
         v = orthonormalize(builtin_cmf())
         a = np.array([[1.0, 0.2, 0.0], [0.1, 0.8, 0.3], [0.0, 0.4, 1.1]])
-        q = SensorSet(DEFAULT_GRID, v.basis @ a)
-        m = solve_m(SpectralCurve.constant(DEFAULT_GRID, 1.0), q, v)
-        assert np.max(np.abs(m.m - cofactor_inverse_3x3(a))) < 1e-10
+        m = basis_score(np.ones(31), v.basis @ a, v.basis)[0]
+        assert np.max(np.abs(m - cofactor_inverse_3x3(a))) < 1e-10
 
     def test_residual_orthogonal_to_column_space(self, rng, bump_camera):
         v = orthonormalize(builtin_cmf())
-        f = SpectralCurve(DEFAULT_GRID, rng.uniform(0.2, 1.0, 31))
-        m = solve_m(f, bump_camera, v)
-        fq = f.values[:, None] * bump_camera.channels
-        assert np.max(np.abs(fq.T @ (fq @ m.m - v.basis))) < 1e-9
+        f = rng.uniform(0.2, 1.0, 31)
+        m = basis_score(f, bump_camera.channels, v.basis)[0]
+        fq = f[:, None] * bump_camera.channels
+        assert np.max(np.abs(fq.T @ (fq @ m - v.basis))) < 1e-9
 
     def test_local_optimality_probe(self, rng, bump_camera):
         v = orthonormalize(builtin_cmf())
-        f = SpectralCurve(DEFAULT_GRID, rng.uniform(0.2, 1.0, 31))
-        m = solve_m(f, bump_camera, v)
-        fq = f.values[:, None] * bump_camera.channels
-        best = float(np.sum((fq @ m.m - v.basis) ** 2))
+        f = rng.uniform(0.2, 1.0, 31)
+        m = basis_score(f, bump_camera.channels, v.basis)[0]
+        fq = f[:, None] * bump_camera.channels
+        best = float(np.sum((fq @ m - v.basis) ** 2))
         for _ in range(50):
-            perturbed = m.m + rng.choice([-1e-3, 1e-3], size=(3, 3))
+            perturbed = m + rng.choice([-1e-3, 1e-3], size=(3, 3))
             assert best < float(np.sum((fq @ perturbed - v.basis) ** 2))
 
     def test_rank_deficient_rejected(self):
         x = builtin_cmf()
         v = orthonormalize(x)
-        with pytest.raises(RankDeficient):
-            solve_m(SpectralCurve.constant(DEFAULT_GRID, 0.0), x, v)
+        assert not basis_score(np.zeros(31), x.channels, v.basis)[2]
 
 
 class TestSolveF:
+    """The filter half-step: ``_filter``'s per-row least-squares entries."""
+
     def test_exact_match_gives_unit_filter(self):
         v = orthonormalize(builtin_cmf())
-        q = SensorSet(DEFAULT_GRID, v.basis)
-        f = solve_f(q, CorrectionMatrix.identity(), v)
-        assert np.max(np.abs(f.values - 1.0)) < 1e-12
+        f = _filter(v.basis, np.eye(3), v.basis)[0]
+        assert np.max(np.abs(f - 1.0)) < 1e-12
 
     def test_doubled_source_halves_filter(self):
         v = orthonormalize(builtin_cmf())
-        q = SensorSet(DEFAULT_GRID, 2.0 * v.basis)
-        f = solve_f(q, CorrectionMatrix.identity(), v)
-        assert np.max(np.abs(f.values - 0.5)) < 1e-12
+        f = _filter(2.0 * v.basis, np.eye(3), v.basis)[0]
+        assert np.max(np.abs(f - 0.5)) < 1e-12
 
     def test_each_row_beats_dense_grid_search(self, rng, bump_camera):
         v = orthonormalize(builtin_cmf())
-        m = CorrectionMatrix(np.eye(3) + 0.1 * rng.standard_normal((3, 3)))
-        f = solve_f(bump_camera, m, v)
-        qm = bump_camera.channels @ m.m
+        m = np.eye(3) + 0.1 * rng.standard_normal((3, 3))
+        f = _filter(bump_camera.channels, m, v.basis)[0]
+        qm = bump_camera.channels @ m
         grid_points = np.arange(-10.0, 10.0 + 1e-9, 1e-4)
         for i in range(0, 31, 7):
             errors = np.sum((grid_points[:, None] * qm[i] - v.basis[i]) ** 2, axis=1)
             best = grid_points[int(np.argmin(errors))]
-            assert abs(f.values[i] - best) < 1e-3
+            assert abs(f[i] - best) < 1e-3
 
     def test_degenerate_row_pinned_to_zero(self):
         v = orthonormalize(builtin_cmf())
         channels = v.basis.copy()
         channels[7] = 0.0
-        q = SensorSet(DEFAULT_GRID, channels)
-        f = solve_f(q, CorrectionMatrix.identity(), v)
-        assert f.values[7] == 0.0
+        f = _filter(channels, np.eye(3), v.basis)[0]
+        assert f[7] == 0.0
 
 
 class TestStackedHalfSteps:
@@ -417,8 +412,9 @@ class TestOptimizeAls:
         x = builtin_cmf()
         v = orthonormalize(x)
         solution = optimize_als(bump_camera, x)
-        swept = solve_f(bump_camera, solve_m(solution.filter, bump_camera, v), v)
-        assert np.max(np.abs(swept.values - solution.filter.values)) < 1e-8
+        f, qc = solution.filter.values, bump_camera.channels
+        swept = _filter(qc, basis_score(f, qc, v.basis)[0], v.basis)[0]
+        assert np.max(np.abs(swept - f)) < 1e-8
 
     def test_target_basis_equivalence(self, rng, bump_camera):
         x = builtin_cmf()
@@ -437,7 +433,7 @@ class TestOptimizeAls:
 
     def test_initial_rank_loss_reports_iteration(self):
         x = builtin_cmf()
-        dead = SpectralCurve.constant(DEFAULT_GRID, 0.0)
+        dead = SpectralCurve(DEFAULT_GRID, np.zeros(31))
         with pytest.raises(RankDeficient, match="iteration 0"):
             optimize_als(x, x, AlsConfig(initial_filter=dead))
 
@@ -523,7 +519,7 @@ class TestMultistart:
         assert np.array_equal(best.filter.values, last / np.max(last))
 
     def test_rank_deficient_starts_are_skipped(self, bump_camera):
-        dead = SpectralCurve.constant(DEFAULT_GRID, 0.0)
+        dead = SpectralCurve(DEFAULT_GRID, np.zeros(31))
         runs, _ = self.assert_equals_best_sequential_run(
             bump_camera, builtin_cmf(), AlsConfig(initial_filter=dead), 6, 12
         )

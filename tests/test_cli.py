@@ -399,6 +399,23 @@ class TestEvaluateCommand:
             "reflectances": str(tmp_path / "surfaces.csv"),
         }
 
+    def test_manifest_cmf_file_resolves_against_the_manifest(self, tmp_path, camera_csv, scene_manifest, monkeypatch):
+        (tmp_path / "observer.csv").write_text(serialize_spectral_csv(
+            SpectralTable(DEFAULT_GRID.wavelengths(), ("x", "y", "z"), builtin_cmf().channels)))
+        with open(scene_manifest, "a") as handle:
+            handle.write("cmf = file:observer.csv\n")
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        out = str(tmp_path / "out")
+        assert main(["evaluate", "--camera", camera_csv, "--scenes", scene_manifest, "--out", out]) == 0
+        report = json.loads(read(os.path.join(out, "report.json")))
+        assert report["evaluation"]["provenance"]["cmf"] == f"file:{tmp_path / 'observer.csv'}"
+        builtin = str(tmp_path / "builtin")
+        assert main(["evaluate", "--camera", camera_csv, "--scenes", scene_manifest, "--cmf", "cie1931",
+                     "--out", builtin]) == 0
+        assert read(os.path.join(out, "evaluation.csv")) == read(os.path.join(builtin, "evaluation.csv"))
+
     def test_channel_zeroing_filter_exits_1(self, tmp_path, camera_csv, scene_manifest, capsys):
         zero = tmp_path / "zero.csv"
         zero.write_text(serialize_spectral_csv(

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from specfilter.solution import random_filter
 from specfilter.cli import PAIR_BUDGET
@@ -286,6 +288,21 @@ class TestDeltaEStats:
             stats = DeltaEStats.from_samples(rng.uniform(0.0, 30.0, 500))
             assert stats.median <= stats.p95 <= stats.p99 <= stats.max
             assert stats.mean <= stats.max
+
+    @settings(max_examples=300, deadline=None)
+    @given(value=st.floats(0.0, 1e3), size=st.integers(1, 40), ulps=st.integers(0, 4),
+           seed=st.integers(0, 2**32 - 1))
+    @example(value=0.1, size=3, ulps=0, seed=0)
+    @example(value=0.7, size=7, ulps=0, seed=0)
+    @example(value=1.3, size=10, ulps=0, seed=0)
+    def test_from_samples_of_a_near_constant_sample(self, value, size, ulps, seed):
+        # Each sample lies within ``ulps`` steps of ``value``.
+        samples = value + np.random.default_rng(seed).integers(0, ulps + 1, size) * np.spacing(value)
+        stats = DeltaEStats.from_samples(samples)
+        low, high, mean = float(samples.min()), float(samples.max()), float(np.mean(samples))
+        assert low <= stats.mean <= high
+        if low <= mean <= high:
+            assert stats.mean == mean
 
     def test_from_samples_matches_one_percentile_per_call(self, rng):
         for size in (3, 4, 36, 501, 20_000):

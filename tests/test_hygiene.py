@@ -1,8 +1,10 @@
-"""Import hygiene of the package source, checked with the standard library's ``ast``.
+"""Import and definition hygiene of the package source, checked with the standard library's ``ast``.
 
 A module may not import a name it never uses: a dead import hides which
 modules really depend on each other.  Modules that re-export names through
-``__all__`` are exempt, and every name they export must resolve.
+``__all__`` are exempt, and every name they export must resolve.  A
+function, class or method that nothing in the package reads is dead code,
+whatever the tests call.
 """
 
 import ast
@@ -64,13 +66,37 @@ def _module_level_names(tree: ast.Module) -> list[str]:
     return names
 
 
+# Every name the package reads, as a variable or as an attribute.  Imports,
+# the re-exports of ``__init__.py`` among them, and assignments are not reads.
+READ = {node.id if isinstance(node, ast.Name) else node.attr
+        for tree in TREES.values() for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+
+
 def test_no_orphaned_private_helpers():
     # A private helper that nothing in the package reads any more was left
     # behind by the code that used to call it.  Tests do not count as
     # readers, and neither does an assignment to an attribute of that name.
-    read = {node.id if isinstance(node, ast.Name) else node.attr
-            for tree in TREES.values() for node in ast.walk(tree)
-            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
     orphans = sorted(f"{module}: {name}" for module, tree in TREES.items() for name in _module_level_names(tree)
-                     if name.startswith("_") and not name.startswith("__") and name not in read)
+                     if name.startswith("_") and not name.startswith("__") and name not in READ)
     assert not orphans, f"private module-level names nothing in the package reads: {', '.join(orphans)}"
+
+
+def _definitions(tree: ast.Module) -> list[str]:
+    """Names of a module's top-level functions and classes, and of its classes' methods, dunders aside."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            names.extend(item.name for item in node.body if isinstance(item, ast.FunctionDef))
+    return [name for name in names if not (name.startswith("__") and name.endswith("__"))]
+
+
+def test_every_definition_is_read_in_the_package():
+    # The package holds what its command line runs.  A public function,
+    # class or method read only by tests is a wrapper around a kernel the
+    # tests can call themselves.
+    unread = sorted(f"{module}: {name}" for module, tree in TREES.items() for name in _definitions(tree)
+                    if name not in READ)
+    assert not unread, f"definitions nothing in the package reads: {', '.join(unread)}"

@@ -109,7 +109,7 @@ class TestVoraValue:
     def test_rank_deficient_rejected(self):
         x = builtin_cmf()
         with pytest.raises(RankDeficient):
-            vora_value(apply_filter(SpectralCurve.constant(DEFAULT_GRID, 0.0), x), x)
+            vora_value(apply_filter(SpectralCurve(DEFAULT_GRID, np.zeros(31)), x), x)
 
     def test_basis_score_matches_projector_route(self, rng):
         x = builtin_cmf()
@@ -247,8 +247,8 @@ class TestLutherResidual:
         x = builtin_cmf()
         v = orthonormalize(x)
         q = SensorSet(DEFAULT_GRID, v.basis)
-        f = SpectralCurve.constant(DEFAULT_GRID, 1.0)
-        assert luther_residual(f, q, CorrectionMatrix.identity(), v) == 0.0
+        f = SpectralCurve(DEFAULT_GRID, np.ones(31))
+        assert luther_residual(f, q, CorrectionMatrix(np.eye(3)), v) == 0.0
 
     def test_nonnegative(self, rng, bump_camera):
         v = orthonormalize(builtin_cmf())
@@ -276,7 +276,7 @@ class TestLutherResidual:
 class TestResidualIdentity:
     def test_exact_camera_gives_zero(self):
         x = builtin_cmf()
-        lhs, rhs = residual_identity_check(SpectralCurve.constant(DEFAULT_GRID, 1.0), x, x)
+        lhs, rhs = residual_identity_check(SpectralCurve(DEFAULT_GRID, np.ones(31)), x, x)
         assert abs(lhs) < 1e-12 and abs(rhs) < 1e-12
 
     def test_holds_on_random_instances(self):
