@@ -88,6 +88,8 @@ class SolverConfig:
         _require_integer("starts", starts)
         if starts < 1:
             raise ValueError(f"need at least one start, got {starts}")
+        if not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
         rng = np.random.default_rng(seed)
         stack = np.empty((starts, grid.count))
         if isinstance(self.initial_filter, SpectralCurve):

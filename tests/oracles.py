@@ -10,7 +10,9 @@ written, which pin that code's output bits rather than check its mathematics;
 ``filtered_camera_sweep``, an ALS sweep taken on the filtered camera
 itself, which bounds the round-off of the package's moment route; and
 ``plain_als_sweep``, the paper's unaccelerated ALS loop on the package's own
-half-steps, which the accelerated loop must never do worse than.
+half-steps, which the accelerated loop must never do worse than; and
+``plain_ga_ascend``, gradient ascent's loop as first written on the
+reference kernels, which pins the whole run's bits.
 """
 
 from fractions import Fraction
@@ -19,6 +21,7 @@ import numpy as np
 
 from specfilter.als import CAPPED, CONVERGED, RANK_LOSS, _filter
 from specfilter.errors import RankDeficient, ShapeError
+from specfilter.gradient import INITIAL_STEP, MIN_STEP, SHRINK, SUFFICIENT_INCREASE
 from specfilter.solution import MONOTONE_SLACK
 from specfilter.spectra import RANK_TOLERANCE, apply_filter, orthonormalize, rank_ratio, require_same_grid
 from specfilter.vora import VoraScore, basis_score, moment_score, vora_value
@@ -197,6 +200,58 @@ def gradient_arrays_reference(f, qc, vb, m):
     """``gradient._gradient_arrays`` as first written, with ``np.sum``."""
     c = (vb - (f[:, None] * qc) @ m) @ m.T
     return (2.0 / 3.0) * np.sum(qc * c, axis=1)
+
+
+def plain_ga_ascend(f, qc, vb, fixed_step, epsilon, max_iterations):
+    """One gradient-ascent run from filter ``f`` as first written, on the reference kernels.
+
+    Every trial is scored by ``basis_score_reference`` and every gradient taken
+    by ``gradient_arrays_reference``; the step rule (backtracking, or
+    ``fixed_step`` when given) and the stopping rule are the package's.
+    Returns ``(filters, vora_values, trials, converged)``: the T x n iterates,
+    their Vora-Values and the number of trial filters scored after the start.
+    """
+    m, score, full = basis_score_reference(f, qc, vb)
+    if not full:
+        raise RankDeficient("initial filter leaves the camera rank deficient (iteration 0)")
+    score = float(score)
+    scores, filters = [score], [f]
+    converged, trials = False, 0
+    for i in range(1, max_iterations + 1):
+        grad = gradient_arrays_reference(f, qc, vb, m)
+        grad_norm_sq = float(grad @ grad)
+        if fixed_step is not None:
+            candidate = f + fixed_step * grad
+            new_m, new_score, full = basis_score_reference(candidate, qc, vb)
+            trials += 1
+            if not full:
+                raise RankDeficient(f"filter lost a camera channel at iteration {i}")
+            new_score = float(new_score)
+            if new_score < score:
+                converged = i > 1
+                break
+        else:
+            step, candidate = INITIAL_STEP, None
+            while step >= MIN_STEP:
+                trial = f + step * grad
+                trial_m, trial_score, full = basis_score_reference(trial, qc, vb)
+                trials += 1
+                if full and trial_score >= score + SUFFICIENT_INCREASE * step * grad_norm_sq:
+                    candidate, new_m, new_score = trial, trial_m, float(trial_score)
+                    break
+                step *= SHRINK
+            if candidate is None:
+                converged = True
+                break
+        f, m = candidate, new_m
+        scores.append(new_score)
+        filters.append(f)
+        delta = new_score - score
+        score = new_score
+        if delta < epsilon:
+            converged = True
+            break
+    return np.array(filters), np.array(scores), trials, converged
 
 
 def random_search_best(camera, observer, rng, samples=100_000):

@@ -310,6 +310,14 @@ class TestOptimizeCommand:
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize("optimizer", ["als", "ga"])
+    def test_negative_seed_exits_1(self, tmp_path, camera_csv, capsys, optimizer):
+        out = str(tmp_path / "out")
+        code = main(["optimize", "--camera", camera_csv, "--optimizer", optimizer, "--seed", "-1", "--out", out])
+        assert code == 1
+        assert "error: seed must be a non-negative integer, got -1" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("optimizer", ["als", "ga"])
     def test_random_starts_are_all_distinct(self, tmp_path, camera_csv, monkeypatch, optimizer):
         # The filters each start actually runs from: ALS sweeps its whole
         # stack at once, gradient ascent ascends from each start in turn.

@@ -15,7 +15,7 @@ from specfilter.spectra import DEFAULT_GRID, SensorSet, SpectralCurve, apply_fil
 from specfilter.vora import basis_score, vora_value
 
 from conftest import TOY_GRID, bump_camera_matrix, ga_gradient, solvable_toy_pair
-from oracles import central_difference_gradient, gradient_arrays_reference, vora_by_projector
+from oracles import central_difference_gradient, gradient_arrays_reference, plain_ga_ascend, vora_by_projector
 
 
 def objective(camera):
@@ -152,6 +152,24 @@ class TestOptimizeGa:
         assert solution.line_search_trials == len(calls) - 1
         assert optimize_als(bump_camera, x).line_search_trials is None
 
+    @pytest.mark.parametrize("fixed_step", [None, 0.1])
+    @pytest.mark.parametrize("camera", ["fixture", 7, 10])
+    def test_whole_run_matches_the_reference_loop(self, bump_camera, camera, fixed_step):
+        # GA is chaotic in the last bit, so its hot loop must keep every bit of
+        # the loop as first written, not only its kernels'.  The backtracking
+        # runs on cameras 7 and 10 shrink the step (3.0 and 3.6 trials per
+        # iteration); the fixture camera's takes every first step.
+        q = bump_camera if camera == "fixture" else SensorSet(
+            DEFAULT_GRID, bump_camera_matrix(np.random.default_rng(camera)))
+        x = builtin_cmf()
+        config = GaConfig(fixed_step=fixed_step)
+        solution = optimize_ga(q, x, config)
+        filters, scores, trials, converged = plain_ga_ascend(
+            np.ones(31), q.channels, orthonormalize(x).basis, fixed_step, config.epsilon, config.max_iterations)
+        assert solution.trace.filters.tobytes() == filters.tobytes()
+        assert solution.trace.vora_values.tobytes() == scores.tobytes()
+        assert (solution.line_search_trials, solution.converged) == (trials, converged)
+
     def test_initial_rank_loss_reported(self):
         x = builtin_cmf()
         dead = SpectralCurve(DEFAULT_GRID, np.zeros(31))
@@ -218,6 +236,16 @@ class TestOptimizeGa:
         with pytest.raises(ValueError, match=f"^{field} must be an integer, got {re.escape(repr(value))}$"):
             optimize(bump_camera, builtin_cmf(), config(max_iterations=counts["max_iterations"]),
                      starts=counts["starts"])
+
+    @pytest.mark.parametrize("seed", [1.5, -1, "3", np.int64(2)])
+    @pytest.mark.parametrize("solver", ["als", "ga"])
+    def test_seed_must_be_a_non_negative_integer(self, bump_camera, solver, seed):
+        optimize, config = (optimize_als, AlsConfig) if solver == "als" else (optimize_ga, GaConfig)
+        if isinstance(seed, np.integer):
+            assert optimize(bump_camera, builtin_cmf(), config(max_iterations=3), starts=2, seed=seed).iterations <= 3
+            return
+        with pytest.raises(ValueError, match=f"^seed must be a non-negative integer, got {re.escape(repr(seed))}$"):
+            optimize(bump_camera, builtin_cmf(), config(max_iterations=3), starts=2, seed=seed)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

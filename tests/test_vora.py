@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -169,9 +171,9 @@ class TestBasisScoreBits:
         ref_m, ref_score, ref_full = basis_score_reference(f, qc, vb)
         assert isinstance(full, np.bool_)
         assert full == ref_full
-        if full:
-            assert m.tobytes() == ref_m.tobytes()
-            assert score.tobytes() == ref_score.tobytes()
+        # A rank-deficient G is solved as the identity; those bits are pinned too.
+        assert m.tobytes() == ref_m.tobytes()
+        assert score.tobytes() == ref_score.tobytes()
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -185,10 +187,37 @@ class TestBasisScoreBits:
         filters = np.stack([scale * _score_test_filter(rng, kind) for kind, scale in rows])
         m, scores, full = basis_score(filters, qc, vb)
         ref_m, ref_scores, ref_full = basis_score_reference(filters, qc, vb)
-        # A rank-deficient row's transform and score are meaningless; only its flag counts.
+        # Identity-substituted rows included: their M and score mean nothing, but
+        # they pin the solve to np.linalg.solve's bits all the same.
         assert full.tolist() == ref_full.tolist()
-        assert m[full].tobytes() == ref_m[full].tobytes()
-        assert scores[full].tobytes() == ref_scores[full].tobytes()
+        assert m.tobytes() == ref_m.tobytes()
+        assert scores.tobytes() == ref_scores.tobytes()
+
+
+class TestScoreSolve:
+    """``_score`` calls the LAPACK gufunc behind ``np.linalg.solve``; it must keep the public solve's bits."""
+
+    def test_stack_with_identity_substituted_rows(self, rng):
+        qc = bump_camera_matrix(rng)
+        vb = orthonormalize(builtin_cmf()).basis
+        filters = 1.0 - rng.random((6, 31))
+        filters[1] = 0.0
+        filters[4] = _score_test_filter(rng, "two bands")
+        m, scores, full = basis_score(filters, qc, vb)
+        ref_m, ref_scores, ref_full = basis_score_reference(filters, qc, vb)
+        assert full.tolist() == ref_full.tolist() == [True, False, True, True, False, True]
+        assert m.tobytes() == ref_m.tobytes()
+        assert scores.tobytes() == ref_scores.tobytes()
+
+    def test_rank_deficient_filters_warn_nothing(self, rng):
+        qc = bump_camera_matrix(rng)
+        vb = orthonormalize(builtin_cmf()).basis
+        filters = 1.0 - rng.random((4, 31))
+        filters[2] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not basis_score(np.zeros(31), qc, vb)[2]
+            assert moment_score(filters, Moments.of(qc, vb))[2].tolist() == [True, True, False, True]
 
 
 class TestMomentScore:
