@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConsistencyError, RankDeficient
-from .solution import (MONOTONE_SLACK, ConvergenceTrace, FilterSolution, Polish, SolverConfig,
+from .solution import (MONOTONE_SLACK, ConvergenceTrace, FilterSolution, Polish, SolverConfig, Stop,
                        every_start_lost_rank, finish)
 from .spectra import OrthoBasis, SensorSet, orthonormalize, require_same_grid
 from .vora import Moments, basis_score, moment_score
@@ -51,9 +51,6 @@ ANDERSON_RIDGE = 1e-12
 # bounded so pathological instances cannot spin.
 POLISH_STEP_TOL = 1e-9
 POLISH_MAX_SWEEPS = 5000
-
-# Why a row of the lockstep sweep stopped; converged and capped rows have a solution.
-CONVERGED, CAPPED, RANK_LOSS = range(3)
 
 
 @dataclass(frozen=True)
@@ -97,8 +94,8 @@ def optimize_als(
     single-start run from the winning start gives.  A start that loses rank
     is passed over; ``RankDeficient`` (tagged with the iteration index) is
     raised only when every start does.  A sweep that lowers a Vora-Value
-    raises ``ConsistencyError`` (see ``_sweep``).  Returns with
-    ``converged=False`` when ``max_iterations`` is reached first.
+    raises ``ConsistencyError`` (see ``_sweep``).  Returns with stop
+    ``CAPPED`` when ``max_iterations`` is reached first.
     """
     config = config or AlsConfig()
     require_same_grid(q.grid, x.grid)
@@ -106,7 +103,7 @@ def optimize_als(
     v = orthonormalize(x)
     moments = Moments.of(q.channels, v.basis)
     run = _sweep(initial, moments, config.epsilon, config.max_iterations)
-    lost = run.outcome == RANK_LOSS
+    lost = run.outcome == Stop.RANK_LOSS
     if lost.all():
         i = int(run.stop[0])
         raise every_start_lost_rank(starts, RankDeficient(
@@ -123,7 +120,8 @@ class _Run(NamedTuple):
     order, with the transforms their sweep-i filters were formed from (at
     i = 0 the start's own ``basis_score`` transform) and those filters'
     Vora-Values: K x 10 floats per sweep.  Per row: its last Vora-Value, the
-    sweep it stopped at, why, and how many extrapolated sweeps it took.
+    sweep it stopped at, why (a ``Stop``: converged, capped or rank loss),
+    and how many extrapolated sweeps it took.
     """
 
     history: list
@@ -162,7 +160,7 @@ def _sweep(initial: np.ndarray, moments: Moments, epsilon: float, max_iterations
     rows = np.arange(len(initial))
     history = [(rows, m, score)]
     final, stop = score.copy(), np.zeros(len(initial), dtype=int)
-    outcome = np.where(full, CAPPED, RANK_LOSS)
+    outcome = np.where(full, Stop.CAPPED, Stop.RANK_LOSS)
     extrapolations = np.zeros(len(initial), dtype=int)
     tolerance = step_tol * np.max(np.abs(initial), axis=-1)
     rows, image, score, f, tolerance = rows[full], m[full], score[full], initial[full], tolerance[full]
@@ -202,7 +200,9 @@ def _sweep(initial: np.ndarray, moments: Moments, epsilon: float, max_iterations
             f = swept[k, pick]
         if not going.all():
             done = rows[~going]
-            outcome[done] = np.where(full[~going], CONVERGED, RANK_LOSS)
+            # Assigned, not np.where'd: numpy takes Enum operands slowly.
+            outcome[done] = Stop.CONVERGED
+            outcome[done[~full[~going]]] = Stop.RANK_LOSS
             final[done], stop[done] = score[~going], i
             rows, image, score, f, tolerance = rows[going], image[going], score[going], f[going], tolerance[going]
             taken, images, k = taken[going], images[going], k[:len(rows)]
@@ -237,11 +237,11 @@ def _solution(
 ) -> FilterSolution:
     """Solution of a converged or capped ``_sweep`` row, polished if converged."""
     trace = _trace(row, initial, run, moments)
-    converged = bool(run.outcome[row] == CONVERGED)
+    stop = Stop(run.outcome[row])
     f, polish = trace.filters[-1], None
-    if converged:
+    if stop == Stop.CONVERGED:
         f, polish = _polish(f, moments)
-    return finish(f, q, v, trace, converged, polish=polish,
+    return finish(f, q, v, trace, stop, polish=polish,
                   row_sweeps=int(run.stop.sum()), extrapolations=int(run.extrapolations[row]))
 
 
@@ -283,9 +283,9 @@ def _polish(f: np.ndarray, moments: Moments) -> tuple[np.ndarray, Polish]:
     """
     run = _sweep(f[None], moments, -np.inf, POLISH_MAX_SWEEPS, POLISH_STEP_TOL)
     sweeps = int(run.stop[0])
-    last = sweeps - int(run.outcome[0] != CAPPED)
+    last = sweeps - int(Stop(run.outcome[0]) != Stop.CAPPED)
     if last > 0:
         polished = _filter(moments.camera, run.history[last][1][0], moments.basis)[0]
         if basis_score(polished, moments.camera, moments.basis)[1] >= run.history[0][2][0]:
             f = polished
-    return f, Polish(sweeps, bool(run.outcome[0] == CONVERGED))
+    return f, Polish(sweeps, Stop(run.outcome[0]) == Stop.CONVERGED)

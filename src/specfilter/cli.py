@@ -24,12 +24,19 @@ from .errors import RankDeficient, SpecFilterError
 from .gradient import GaConfig, optimize_ga
 from .ingest import (SpectralTable, load_cmf, load_scene_set, load_sensor_set, read_manifest,
                      read_spectral_csv, serialize_spectral_csv)
-from .solution import ConvergenceTrace, require_monotone
+from .solution import ConvergenceTrace, Stop, require_monotone
 from .spectra import DEFAULT_GRID, SensorSet, SpectralCurve
 
 
 # Step size of --step-rule fixed when --fixed-step is not given.
 DEFAULT_FIXED_STEP = 0.1
+
+# The warning of each stop reason that leaves a solution unconverged (exit 2),
+# formatted with --max-iters.
+UNCONVERGED_WARNINGS = {
+    Stop.CAPPED: "did not converge within {} iterations",
+    Stop.OVERSHOT: "first fixed step overshot; stopped at iteration 0",
+}
 
 
 def _fmt(value: float) -> str:
@@ -143,6 +150,7 @@ def cmd_optimize(args) -> int:
             "initial_vora_value": float(trace.vora_values[0]),
             "iterations": solution.iterations,
             "converged": solution.converged,
+            "stop": solution.stop.name.lower(),
             "polish": dataclasses.asdict(solution.polish) if solution.polish else None,
             "line_search_trials": solution.line_search_trials,
             "row_sweeps": solution.row_sweeps,
@@ -159,11 +167,7 @@ def cmd_optimize(args) -> int:
     _write(os.path.join(args.out, "report.json"), _report_json(payload))
 
     if not solution.converged:
-        # Only a fixed step that overshoots at once stops unconverged before the cap.
-        if solution.iterations < args.max_iters:
-            print("warning: first fixed step overshot; stopped at iteration 0", file=sys.stderr)
-        else:
-            print(f"warning: did not converge within {args.max_iters} iterations", file=sys.stderr)
+        print("warning: " + UNCONVERGED_WARNINGS[solution.stop].format(args.max_iters), file=sys.stderr)
         return 2
     print(
         f"{args.optimizer}: vora_value {float(solution.score):.6f} "

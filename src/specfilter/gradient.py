@@ -11,6 +11,15 @@ which is the projector-differential contraction rearranged so no n-by-n
 matrix is ever formed.  The derivation is self-certified: the test suite
 requires agreement with central finite differences before the gradient is
 trusted.
+
+Each iteration runs one trial loop over a step schedule: the backtracking
+line search's halving steps, or a fixed step as a one-trial schedule with
+Armijo constant 0, which accepts any trial that does not lower the
+Vora-Value.  The run's ``Stop`` is set where the loop ends: ``CONVERGED`` on
+the ``epsilon`` rule, ``STATIONARY`` when no backtracking trial is accepted,
+``OVERSHOT`` when the first fixed step lowers the Vora-Value (a later
+overshoot ends the run as ``CONVERGED``), and ``CAPPED`` at
+``max_iterations``.
 """
 
 from __future__ import annotations
@@ -20,14 +29,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RankDeficient
-from .solution import ConvergenceTrace, FilterSolution, SolverConfig, every_start_lost_rank, finish
+from .solution import ConvergenceTrace, FilterSolution, SolverConfig, Stop, every_start_lost_rank, finish
 from .spectra import OrthoBasis, SensorSet, orthonormalize, require_same_grid
 from .vora import basis_score
 
 # Backtracking line search: each iteration tries INITIAL_STEP first and
 # multiplies the step by SHRINK until the Armijo test with constant
 # SUFFICIENT_INCREASE passes.  It gives up once the step underflows MIN_STEP;
-# the iterate is then numerically stationary.
+# the iterate is then numerically stationary.  The schedule is built on each
+# run from these names, so a patched value takes effect.
 INITIAL_STEP = 1.0
 SHRINK = 0.5
 SUFFICIENT_INCREASE = 1e-4
@@ -41,10 +51,10 @@ class GaConfig(SolverConfig):
     By default each iteration starts at ``INITIAL_STEP`` and shrinks by
     ``SHRINK`` until the Armijo sufficient-increase test with constant
     ``SUFFICIENT_INCREASE`` passes, which makes the Vora-Value trace
-    monotone.  A given ``fixed_step`` is taken unconditionally instead and
-    reproduces the slow-convergence behaviour of plain ascent.  Stopping
-    mirrors the ALS rule: quit when an iteration improves the Vora-Value by
-    less than ``epsilon``.
+    monotone.  A given ``fixed_step`` is the only trial instead, taken
+    unless it lowers the Vora-Value, and reproduces the slow-convergence
+    behaviour of plain ascent.  Stopping mirrors the ALS rule: quit when an
+    iteration improves the Vora-Value by less than ``epsilon``.
     """
 
     fixed_step: float | None = None
@@ -89,58 +99,56 @@ def optimize_ga(
 
 
 def _ascend(f: np.ndarray, q: SensorSet, v: OrthoBasis, config: GaConfig) -> FilterSolution:
-    """One gradient-ascent run from filter ``f`` against the orthonormal observer basis ``v``."""
+    """One gradient-ascent run from filter ``f`` against the orthonormal observer basis ``v``.
+
+    Each iteration takes the first trial of the step schedule that keeps the
+    camera at full rank and passes the Armijo test.
+    """
     qc, vb = q.channels, v.basis
     m, score, full = basis_score(f, qc, vb)
     if not full:
         raise RankDeficient("initial filter leaves the camera rank deficient (iteration 0)")
     score = float(score)
     scores, filters = [score], [f]
+    if config.fixed_step is None:
+        steps, step, armijo = [], INITIAL_STEP, SUFFICIENT_INCREASE
+        while step >= MIN_STEP:
+            steps.append(step)
+            step *= SHRINK
+    else:
+        steps, armijo = (config.fixed_step,), 0.0
 
-    converged = False
-    trials = 0
+    stop, trials = Stop.CAPPED, 0
     for i in range(1, config.max_iterations + 1):
         grad = _gradient_arrays(f, qc, vb, m)
         grad_norm_sq = float(grad @ grad)
-
-        if config.fixed_step is not None:
-            candidate = f + config.fixed_step * grad
-            new_m, new_score, full = basis_score(candidate, qc, vb)
+        for step in steps:
+            trial = f + step * grad
+            new_m, new_score, full = basis_score(trial, qc, vb)
             trials += 1
-            if not full:
-                raise RankDeficient(f"filter lost a camera channel at iteration {i}")
-            new_score = float(new_score)
-            if new_score < score:
-                # Fixed step overshot: keep the better iterate and stop.  An
-                # overshoot on the very first step has reached nothing.
-                converged = i > 1
+            if full and new_score >= score + armijo * step * grad_norm_sq:
                 break
         else:
-            step = INITIAL_STEP
-            candidate = None
-            while step >= MIN_STEP:
-                trial = f + step * grad
-                trial_m, trial_score, full = basis_score(trial, qc, vb)
-                trials += 1
-                if full and trial_score >= score + SUFFICIENT_INCREASE * step * grad_norm_sq:
-                    candidate, new_m, new_score = trial, trial_m, float(trial_score)
-                    break
-                step *= SHRINK
-            if candidate is None:
+            if config.fixed_step is None:
                 # No step yields sufficient increase: numerically stationary.
-                converged = True
-                break
+                stop = Stop.STATIONARY
+            elif not full:
+                raise RankDeficient(f"filter lost a camera channel at iteration {i}")
+            else:
+                # Fixed step overshot: keep the better iterate and stop.  An
+                # overshoot on the very first step has reached nothing.
+                stop = Stop.OVERSHOT if i == 1 else Stop.CONVERGED
+            break
 
-        f, m = candidate, new_m
+        f, m, new_score = trial, new_m, float(new_score)
         scores.append(new_score)
         filters.append(f)
         delta = new_score - score
         score = new_score
         if delta < config.epsilon:
-            converged = True
+            stop = Stop.CONVERGED
             break
 
     scores = np.array(scores)
     trace = ConvergenceTrace(scores, 3.0 - 3.0 * scores, filters)
-    return finish(f, q, v, trace, converged, line_search_trials=trials)
-
+    return finish(f, q, v, trace, stop, line_search_trials=trials)

@@ -3,12 +3,14 @@ gradient-ascent solvers.
 
 A solver's history is a ``ConvergenceTrace`` of three columns (Vora-Values,
 Luther residuals, and the T x n filter stack) whose row i is iteration i; a
-``FilterSolution``'s iteration count is that trace's length less one.
+``FilterSolution``'s iteration count is that trace's length less one.  Why a
+solver stopped is a ``Stop``, set by the solver where it stops; whether the
+solution converged follows from it.
 """
 
 from __future__ import annotations
 
-import operator
+import enum
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -41,12 +43,15 @@ def require_monotone(iterations: Sequence[int], vora_values: np.ndarray, prefix:
         )
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _require_integer(name: str, value) -> None:
-    """Raise ``ValueError`` naming ``name`` unless ``value`` is a Python or numpy integer."""
-    try:
-        operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is an integer."""
+    if not _is_integer(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def random_filter(grid: WavelengthGrid, rng: np.random.Generator) -> SpectralCurve:
@@ -88,7 +93,7 @@ class SolverConfig:
         _require_integer("starts", starts)
         if starts < 1:
             raise ValueError(f"need at least one start, got {starts}")
-        if not isinstance(seed, (int, np.integer)) or seed < 0:
+        if not _is_integer(seed) or seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
         rng = np.random.default_rng(seed)
         stack = np.empty((starts, grid.count))
@@ -145,6 +150,20 @@ class ConvergenceTrace:
         return len(self.vora_values)
 
 
+class Stop(enum.IntEnum):
+    """Why a solve stopped.
+
+    ``CONVERGED``: an iteration gained less than ``epsilon``, or a fixed
+    gradient-ascent step overshot after accepted steps.  ``STATIONARY``: no
+    line-search trial gave sufficient increase.  ``OVERSHOT``: the first fixed
+    step overshot, which has reached nothing.  ``CAPPED``: ``max_iterations``
+    came first.  ``RANK_LOSS``: the filter lost a camera channel; no solution
+    carries it, but ALS keeps it per start.
+    """
+
+    CONVERGED, STATIONARY, OVERSHOT, CAPPED, RANK_LOSS = range(5)
+
+
 @dataclass(frozen=True)
 class Polish:
     """How an ALS fixed-point polish ended: its sweeps and whether it met its step tolerance."""
@@ -159,11 +178,9 @@ class FilterSolution:
 
     The reported filter is rescaled so its maximum entry is 1, or its largest
     magnitude when no entry is positive (the correction matrix absorbs the
-    scale, and the Vora-Value is unchanged).  ``converged`` is False when the
-    iteration cap was reached first, and also when a fixed gradient-ascent
-    step overshoots on its very first step, which has reached nothing.
-    ``polish`` is set for converged ALS runs only, which are polished to the
-    fixed point after their last recorded sweep.
+    scale, and the Vora-Value is unchanged).  ``stop`` says why the solver
+    stopped.  ``polish`` is set for converged ALS runs only, which are
+    polished to the fixed point after their last recorded sweep.
     ``line_search_trials`` is set for gradient ascent only: how many trial
     filters it scored after the start.  ``row_sweeps`` (sweeps summed over
     all starts) and ``extrapolations`` (accelerated sweeps the winner
@@ -174,7 +191,7 @@ class FilterSolution:
     correction: CorrectionMatrix
     score: VoraScore
     trace: ConvergenceTrace
-    converged: bool
+    stop: Stop
     polish: Polish | None = None
     line_search_trials: int | None = None
     row_sweeps: int | None = None
@@ -185,9 +202,14 @@ class FilterSolution:
         """Iterations taken after the start: the trace's rows less one."""
         return len(self.trace) - 1
 
+    @property
+    def converged(self) -> bool:
+        """Whether the solver stopped at an optimum: on its stopping rule or at a stationary point."""
+        return self.stop in (Stop.CONVERGED, Stop.STATIONARY)
+
 
 def finish(
-    f: np.ndarray, q: SensorSet, v: OrthoBasis, trace: ConvergenceTrace, converged: bool, **work
+    f: np.ndarray, q: SensorSet, v: OrthoBasis, trace: ConvergenceTrace, stop: Stop, **work
 ) -> FilterSolution:
     """Package a solver's last filter iterate ``f`` as a ``FilterSolution``.
 
@@ -208,6 +230,6 @@ def finish(
         correction=CorrectionMatrix(m),
         score=VoraScore(score),
         trace=trace,
-        converged=converged,
+        stop=stop,
         **work,
     )

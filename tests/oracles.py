@@ -19,12 +19,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from specfilter.als import CAPPED, CONVERGED, RANK_LOSS, _filter
+from specfilter.als import _filter
 from specfilter.errors import RankDeficient, ShapeError
 from specfilter.gradient import INITIAL_STEP, MIN_STEP, SHRINK, SUFFICIENT_INCREASE
-from specfilter.solution import MONOTONE_SLACK
+from specfilter.solution import MONOTONE_SLACK, Stop
 from specfilter.spectra import RANK_TOLERANCE, apply_filter, orthonormalize, rank_ratio, require_same_grid
 from specfilter.vora import VoraScore, basis_score, moment_score, vora_value
+
+CAPPED, CONVERGED, RANK_LOSS = Stop.CAPPED, Stop.CONVERGED, Stop.RANK_LOSS
 
 
 def cofactor_inverse_3x3(m):

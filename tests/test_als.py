@@ -8,10 +8,7 @@ from hypothesis import strategies as st
 
 import specfilter.als as als
 from specfilter.als import (
-    CAPPED,
-    CONVERGED,
     DEGENERATE_ROW_NORM,
-    RANK_LOSS,
     AlsConfig,
     _filter,
     _polish,
@@ -22,7 +19,7 @@ from specfilter.als import (
 from specfilter.errors import ConsistencyError, RankDeficient, ShapeError
 from specfilter.gradient import GaConfig, optimize_ga
 from specfilter.ingest import builtin_cmf
-from specfilter.solution import MONOTONE_SLACK, ConvergenceTrace, random_filter
+from specfilter.solution import MONOTONE_SLACK, ConvergenceTrace, Stop, random_filter
 from specfilter.spectra import (
     DEFAULT_GRID,
     SensorSet,
@@ -35,6 +32,8 @@ from specfilter.vora import Moments, basis_score, moment_score
 from conftest import TOY_GRID, bump_camera_matrix, solvable_toy_pair
 from oracles import cofactor_inverse_3x3, exact_row_form_filter, plain_als_sweep, vora_by_projector
 from test_acceptance import make_toys
+
+CAPPED, CONVERGED, RANK_LOSS = Stop.CAPPED, Stop.CONVERGED, Stop.RANK_LOSS
 
 
 def sum_form_filter(qc, m, vb):

@@ -141,6 +141,7 @@ class TestOptimizeCommand:
 
         code, polish, trace = run("als")
         assert code == 0
+        assert json.loads(read(str(tmp_path / "als" / "report.json")))["solution"]["stop"] == "converged"
         assert polish["met_tolerance"] is True
         assert 1 <= polish["iterations"] < specfilter.als.POLISH_MAX_SWEEPS
         assert run("ga", "--optimizer", "ga")[:2] == (0, None)
@@ -149,7 +150,7 @@ class TestOptimizeCommand:
         monkeypatch.setattr(specfilter.als, "POLISH_MAX_SWEEPS", 1)
         assert run("short") == (0, {"iterations": 1, "met_tolerance": False}, trace)
 
-    def test_report_records_line_search_trials(self, tmp_path, camera_csv):
+    def test_report_records_line_search_trials(self, tmp_path, camera_csv, monkeypatch):
         def solution(*flags):
             out = str(tmp_path / "-".join(flags))
             assert main(["optimize", "--camera", camera_csv, *flags, "--out", out]) == 0
@@ -159,6 +160,23 @@ class TestOptimizeCommand:
         ga = solution("--optimizer", "ga")
         assert isinstance(ga["line_search_trials"], int)
         assert ga["line_search_trials"] >= ga["iterations"]
+        assert (ga["converged"], ga["stop"]) == (True, "converged")
+
+        # Every trial scoring below the start leaves the line search no step:
+        # the run stops stationary after the whole halving schedule, converged.
+        real, calls = specfilter.gradient.basis_score, []
+
+        def every_trial_lower(*args):
+            calls.append(None)
+            m, score, full = real(*args)
+            return m, (score - 1.0 if len(calls) > 1 else score), full
+
+        monkeypatch.setattr(specfilter.gradient, "basis_score", every_trial_lower)
+        out = str(tmp_path / "stationary")
+        assert main(["optimize", "--camera", camera_csv, "--optimizer", "ga", "--out", out]) == 0
+        stationary = json.loads(read(os.path.join(out, "report.json")))["solution"]
+        assert (stationary["converged"], stationary["stop"], stationary["iterations"]) == (True, "stationary", 0)
+        assert stationary["line_search_trials"] == len(calls) - 1 == 47
 
     def test_report_records_the_als_work(self, tmp_path, camera_csv):
         def solution(*flags):
@@ -206,14 +224,15 @@ class TestOptimizeCommand:
         assert "--fixed-step" not in err
 
     def test_nonconvergence_exits_2(self, tmp_path, camera_csv, capsys):
-        out = str(tmp_path / "out")
-        code = main(
-            ["optimize", "--camera", camera_csv, "--optimizer", "als", "--max-iters", "2", "--out", out]
-        )
-        assert code == 2
-        assert "did not converge within 2 iterations" in capsys.readouterr().err
-        report = json.loads(read(os.path.join(out, "report.json")))
-        assert report["solution"]["converged"] is False
+        for optimizer in ("als", "ga"):
+            out = str(tmp_path / optimizer)
+            code = main(
+                ["optimize", "--camera", camera_csv, "--optimizer", optimizer, "--max-iters", "2", "--out", out]
+            )
+            assert code == 2
+            assert capsys.readouterr().err == "warning: did not converge within 2 iterations\n"
+            report = json.loads(read(os.path.join(out, "report.json")))
+            assert (report["solution"]["converged"], report["solution"]["stop"]) == (False, "capped")
 
     def test_first_step_overshoot_warning_names_the_overshoot(self, tmp_path, capsys):
         camera = os.path.join(os.path.dirname(__file__), "..", "fixtures", "synthetic_camera.csv")
@@ -230,7 +249,16 @@ class TestOptimizeCommand:
         assert "within" not in err
         report = json.loads(read(os.path.join(out, "report.json")))
         assert report["solution"]["iterations"] == 0
-        assert report["solution"]["converged"] is False
+        assert (report["solution"]["converged"], report["solution"]["stop"]) == (False, "overshot")
+        # On this camera a fixed step of 20 takes 12 steps and overshoots on
+        # the 13th: an overshoot after accepted steps is convergence.
+        out = str(tmp_path / "later")
+        code = main(["optimize", "--camera", camera, "--optimizer", "ga",
+                     "--step-rule", "fixed", "--fixed-step", "20", "--out", out])
+        assert (code, capsys.readouterr().err) == (0, "")
+        report = json.loads(read(os.path.join(out, "report.json")))
+        assert (report["solution"]["iterations"], report["solution"]["line_search_trials"]) == (12, 13)
+        assert (report["solution"]["converged"], report["solution"]["stop"]) == (True, "converged")
 
     def test_fixed_step_is_read_only_under_the_fixed_rule(self, tmp_path, camera_csv, capsys):
         def run(*flags):
@@ -315,6 +343,24 @@ class TestOptimizeCommand:
         code = main(["optimize", "--camera", camera_csv, "--optimizer", optimizer, "--seed", "-1", "--out", out])
         assert code == 1
         assert "error: seed must be a non-negative integer, got -1" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_fixed_step_rank_loss_exits_1(self, tmp_path, camera_csv, capsys, monkeypatch):
+        # Every start's first trial, its second scoring call, loses rank.
+        real, calls = specfilter.gradient.basis_score, []
+
+        def second_call_loses_rank(*args):
+            calls.append(None)
+            m, score, full = real(*args)
+            return m, score, full and len(calls) % 2 == 1
+
+        monkeypatch.setattr(specfilter.gradient, "basis_score", second_call_loses_rank)
+        out = str(tmp_path / "out")
+        code = main(["optimize", "--camera", camera_csv, "--optimizer", "ga", "--step-rule", "fixed",
+                     "--starts", "3", "--out", out])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: all 3 starts lost rank; start 0: filter lost a camera channel at iteration 1\n")
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize("optimizer", ["als", "ga"])

@@ -210,6 +210,25 @@ class TestOptimizeGa:
         with pytest.raises(RankDeficient, match=f"^{message}$"):
             optimize(bump_camera, builtin_cmf())
 
+    def test_fixed_step_rank_loss_names_its_iteration(self, bump_camera, monkeypatch):
+        # Every start's second scoring call, its first trial, loses rank.
+        real, calls = specfilter.gradient.basis_score, []
+
+        def second_call_loses_rank(*args):
+            calls.append(None)
+            m, score, full = real(*args)
+            return m, score, full and len(calls) % 2 == 1
+
+        monkeypatch.setattr(specfilter.gradient, "basis_score", second_call_loses_rank)
+        config = GaConfig(fixed_step=0.1)
+        message = re.escape("filter lost a camera channel at iteration 1")
+        with pytest.raises(RankDeficient, match=f"^{message}$"):
+            optimize_ga(bump_camera, builtin_cmf(), config)
+        calls.clear()
+        with pytest.raises(RankDeficient, match=f"^all 3 starts lost rank; start 0: {message}$"):
+            optimize_ga(bump_camera, builtin_cmf(), config, starts=3)
+        assert len(calls) == 6
+
     def test_multistart_not_worse_than_single(self, rng):
         qm, xm = solvable_toy_pair(rng)
         q = SensorSet(TOY_GRID, qm)
@@ -224,7 +243,7 @@ class TestOptimizeGa:
         with pytest.raises(ValueError):
             optimize_ga(bump_camera, builtin_cmf(), starts=starts)
 
-    @pytest.mark.parametrize("value", [1e4, 2.0, np.float64(3.0)])
+    @pytest.mark.parametrize("value", [1e4, 2.0, np.float64(3.0), True])
     @pytest.mark.parametrize("field", ["max_iterations", "starts"])
     @pytest.mark.parametrize("solver", ["als", "ga"])
     def test_non_integer_counts_rejected(self, bump_camera, solver, field, value):
@@ -237,7 +256,7 @@ class TestOptimizeGa:
             optimize(bump_camera, builtin_cmf(), config(max_iterations=counts["max_iterations"]),
                      starts=counts["starts"])
 
-    @pytest.mark.parametrize("seed", [1.5, -1, "3", np.int64(2)])
+    @pytest.mark.parametrize("seed", [1.5, -1, "3", np.int64(2), True, False])
     @pytest.mark.parametrize("solver", ["als", "ga"])
     def test_seed_must_be_a_non_negative_integer(self, bump_camera, solver, seed):
         optimize, config = (optimize_als, AlsConfig) if solver == "als" else (optimize_ga, GaConfig)
