@@ -28,9 +28,6 @@ from .solution import ConvergenceTrace, Stop, require_monotone
 from .spectra import DEFAULT_GRID, SensorSet, SpectralCurve
 
 
-# Step size of --step-rule fixed when --fixed-step is not given.
-DEFAULT_FIXED_STEP = 0.1
-
 # The warning of each stop reason that leaves a solution unconverged (exit 2),
 # formatted with --max-iters.
 UNCONVERGED_WARNINGS = {
@@ -65,7 +62,7 @@ def _file_bytes(path: str) -> bytes:
 
 
 def _load_camera(path: str) -> SensorSet:
-    return load_sensor_set(read_spectral_csv(path), DEFAULT_GRID)
+    return load_sensor_set(read_spectral_csv(path))
 
 
 def _trace_csv(trace: ConvergenceTrace) -> str:
@@ -104,19 +101,16 @@ def cmd_optimize(args) -> int:
     camera = _load_camera(args.camera)
     cmf = load_cmf(args.cmf)
 
-    if args.fixed_step is not None and (args.optimizer, args.step_rule) != ("ga", "fixed"):
-        print(f"warning: --fixed-step {args.fixed_step} is unused; it applies only to "
-              "--optimizer ga --step-rule fixed", file=sys.stderr)
+    if args.fixed_step is not None and args.optimizer == "als":
+        print(f"warning: --fixed-step {args.fixed_step} is unused; it applies only to --optimizer ga",
+              file=sys.stderr)
     started = time.perf_counter()
     stopping = dict(epsilon=args.epsilon, max_iterations=args.max_iters, initial_filter=args.init)
     if args.optimizer == "als":
-        config, solve = AlsConfig(**stopping), optimize_als
+        config, solve, step_rule = AlsConfig(**stopping), optimize_als, None
     else:
-        fixed_step = None
-        if args.step_rule == "fixed":
-            fixed_step = DEFAULT_FIXED_STEP if args.fixed_step is None else args.fixed_step
-        config = GaConfig(fixed_step=fixed_step, **stopping)
-        solve = optimize_ga
+        config, solve = GaConfig(fixed_step=args.fixed_step, **stopping), optimize_ga
+        step_rule = "backtracking" if args.fixed_step is None else "fixed"
     solution = solve(camera, cmf, config, starts=args.starts, seed=args.seed)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
 
@@ -142,7 +136,8 @@ def cmd_optimize(args) -> int:
             "init": args.init,
             "seed": args.seed,
             "starts": args.starts,
-            "step_rule": args.step_rule if args.optimizer == "ga" else None,
+            "step_rule": step_rule,
+            "fixed_step": args.fixed_step if step_rule == "fixed" else None,
         },
         "camera_channel_peaks": [float(v) for v in camera.channel_peaks()],
         "solution": {
@@ -186,7 +181,7 @@ def _load_filter(path: str) -> SpectralCurve:
     table = read_spectral_csv(path)
     if table.columns.shape[1] != 1:
         raise SpecFilterError(f"filter file must have exactly one data column: {path}")
-    return SpectralCurve(DEFAULT_GRID, table.resampled_columns(DEFAULT_GRID)[:, 0])
+    return SpectralCurve(DEFAULT_GRID, table.resampled_columns()[:, 0])
 
 
 def cmd_evaluate(args) -> int:
@@ -197,7 +192,7 @@ def cmd_evaluate(args) -> int:
     cmf_choice = args.cmf or manifest.cmf
     camera = _load_camera(camera_path)
     cmf = load_cmf(cmf_choice)
-    scenes = load_scene_set(manifest, DEFAULT_GRID)
+    scenes = load_scene_set(manifest)
     filter_curve = _load_filter(args.filter) if args.filter else None
 
     started = time.perf_counter()
@@ -267,7 +262,7 @@ def _read_trace(path: str) -> list[tuple[int, float]]:
 def _read_iteration_filters(path: str) -> tuple[tuple[str, ...], np.ndarray]:
     """Column names and one row per recorded iteration, resampled onto the working grid."""
     table = read_spectral_csv(path)
-    return table.column_names, table.resampled_columns(DEFAULT_GRID).T
+    return table.column_names, table.resampled_columns().T
 
 
 # Illuminant-reflectance pairs scored per SceneEngine.delta_e call: about 113
@@ -309,7 +304,7 @@ def cmd_trace_compare(args) -> int:
         manifest = read_manifest(args.scenes)
         camera = _load_camera(args.camera)
         cmf = load_cmf(args.cmf or manifest.cmf)
-        scenes = load_scene_set(manifest, DEFAULT_GRID)
+        scenes = load_scene_set(manifest)
     # Built on the first filters file only: without one, nothing is scored and
     # a scene set the engine would reject does not fail the run.
     engine = None
@@ -358,10 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
     opt.add_argument("--init", choices=("ones", "random"), default="ones")
     opt.add_argument("--seed", type=int, default=0)
     opt.add_argument("--starts", type=int, default=1, help="starts: --init's filter, then seeded random ones")
-    opt.add_argument("--step-rule", choices=("backtracking", "fixed"), default="backtracking",
-                     help="gradient-ascent step rule (ga only)")
     opt.add_argument("--fixed-step", type=float,
-                     help=f"step size for --step-rule fixed (default {DEFAULT_FIXED_STEP})")
+                     help="take this fixed step in place of the backtracking line search (ga only)")
     opt.add_argument("--out", default=".", help="output directory")
     opt.set_defaults(func=cmd_optimize)
 
@@ -398,7 +391,13 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, the code of an unconverged solve here.
+        if exc.code != 2:
+            raise
+        return 1
     try:
         return args.func(args)
     except (SpecFilterError, OSError, ValueError) as exc:

@@ -61,8 +61,8 @@ class GaConfig(SolverConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.fixed_step is not None and not (self.fixed_step > 0):
-            raise ValueError("step parameters must be positive")
+        if self.fixed_step is not None and (isinstance(self.fixed_step, bool) or not 0 < self.fixed_step < np.inf):
+            raise ValueError(f"fixed_step must be positive and finite, got {self.fixed_step!r}")
 
 
 def _gradient_arrays(f: np.ndarray, qc: np.ndarray, vb: np.ndarray, m: np.ndarray) -> np.ndarray:

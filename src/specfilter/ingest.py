@@ -3,8 +3,10 @@
 The one canonical file format is a comma-separated table whose first column
 is wavelength in nm, one spectrum per remaining column.  A header row is
 optional (detected by a non-numeric first cell) and ``#`` lines are comments.
-Non-uniform wavelength spacing is accepted at parse time; data is brought onto
-a uniform grid by linear interpolation when loaded into typed objects.
+Non-uniform wavelength spacing is accepted at parse time.  Every loader
+brings its data onto the working grid, ``DEFAULT_GRID`` (400-700 nm every
+10 nm), by linear interpolation; ``spectra.interp_columns`` resamples onto
+any other grid.
 """
 
 from __future__ import annotations
@@ -17,12 +19,7 @@ import numpy as np
 from .cie1931 import CIE_1931_2DEG_400_700_10NM
 from .colorimetry import SceneSet
 from .errors import ParseError, ShapeError
-from .spectra import (
-    DEFAULT_GRID,
-    SensorSet,
-    WavelengthGrid,
-    interp_columns,
-)
+from .spectra import DEFAULT_GRID, SensorSet, interp_columns
 
 
 @dataclass(frozen=True)
@@ -50,8 +47,9 @@ class SpectralTable:
         object.__setattr__(self, "columns", columns)
         object.__setattr__(self, "column_names", tuple(self.column_names))
 
-    def resampled_columns(self, target: WavelengthGrid) -> np.ndarray:
-        return interp_columns(self.wavelengths, self.columns, target)
+    def resampled_columns(self) -> np.ndarray:
+        """The data columns resampled onto ``DEFAULT_GRID``."""
+        return interp_columns(self.wavelengths, self.columns, DEFAULT_GRID)
 
 
 def parse_spectral_csv(data: bytes | str) -> SpectralTable:
@@ -126,13 +124,13 @@ def serialize_spectral_csv(table: SpectralTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_sensor_set(table: SpectralTable, target: WavelengthGrid = DEFAULT_GRID) -> SensorSet:
-    """Resample a three-column table onto a grid and validate it as a sensor set."""
+def load_sensor_set(table: SpectralTable) -> SensorSet:
+    """Resample a three-column table onto ``DEFAULT_GRID`` and validate it as a sensor set."""
     if table.columns.shape[1] != 3:
         raise ShapeError(
             f"a sensor set needs exactly 3 data columns, got {table.columns.shape[1]}"
         )
-    return SensorSet(target, table.resampled_columns(target))
+    return SensorSet(DEFAULT_GRID, table.resampled_columns())
 
 
 def builtin_cmf() -> SensorSet:
@@ -218,28 +216,19 @@ def read_spectral_csv(path: str) -> SpectralTable:
         raise ParseError(exc.reason, exc.line, path) from None
 
 
-def load_cmf(choice: str, target: WavelengthGrid = DEFAULT_GRID) -> SensorSet:
+def load_cmf(choice: str) -> SensorSet:
     """Resolve a CMF choice: ``cie1931`` or ``file:<path>`` to a spectral CSV."""
     if choice == "cie1931":
-        if target == DEFAULT_GRID:
-            return builtin_cmf()
-        table = SpectralTable(
-            CIE_1931_2DEG_400_700_10NM[:, 0],
-            ("x_bar", "y_bar", "z_bar"),
-            CIE_1931_2DEG_400_700_10NM[:, 1:],
-        )
-        return load_sensor_set(table, target)
+        return builtin_cmf()
     if choice.startswith("file:"):
-        return load_sensor_set(read_spectral_csv(choice[len("file:"):]), target)
+        return load_sensor_set(read_spectral_csv(choice[len("file:"):]))
     raise ValueError(f"unknown CMF choice {choice!r} (use 'cie1931' or 'file:<path>')")
 
 
-def load_scene_set(
-    manifest: DatasetManifest, grid: WavelengthGrid = DEFAULT_GRID
-) -> SceneSet:
-    """Load the manifest's illuminant and reflectance collections onto one grid."""
+def load_scene_set(manifest: DatasetManifest) -> SceneSet:
+    """Load the manifest's illuminant and reflectance collections onto ``DEFAULT_GRID``."""
     if manifest.illuminants is None or manifest.reflectances is None:
         raise ValueError("manifest must name both illuminants and reflectances files")
-    illuminants = read_spectral_csv(manifest.illuminants).resampled_columns(grid).T
-    reflectances = read_spectral_csv(manifest.reflectances).resampled_columns(grid)
-    return SceneSet(illuminants, reflectances, grid)
+    illuminants = read_spectral_csv(manifest.illuminants).resampled_columns().T
+    reflectances = read_spectral_csv(manifest.reflectances).resampled_columns()
+    return SceneSet(illuminants, reflectances, DEFAULT_GRID)

@@ -75,7 +75,7 @@ class SolverConfig:
     initial_filter: SpectralCurve | str = "ones"
 
     def __post_init__(self):
-        if not (self.epsilon > 0):
+        if isinstance(self.epsilon, bool) or not (self.epsilon > 0):
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         _require_integer("max_iterations", self.max_iterations)
         if self.max_iterations < 1:

@@ -21,8 +21,8 @@ from .errors import GridMismatch, OutOfRange, RankDeficient, ShapeError
 RANK_TOLERANCE = 1e-10
 
 
-def _readonly(values, dtype=float) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
+def _readonly(values) -> np.ndarray:
+    arr = np.array(values, dtype=float)
     arr.setflags(write=False)
     return arr
 

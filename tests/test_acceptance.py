@@ -200,7 +200,7 @@ def test_c06_toy_scale_agreement_with_random_search_oracle():
 
 def load_canon() -> SensorSet:
     (path,) = require_dataset(CANON_FILE)
-    return load_sensor_set(read_spectral_csv(path), DEFAULT_GRID)
+    return load_sensor_set(read_spectral_csv(path))
 
 
 def test_c07_canon_vora_values_match_published_numbers():
@@ -225,8 +225,8 @@ def test_c07_canon_vora_values_match_published_numbers():
 
 def load_scenes() -> SceneSet:
     illuminants_path, reflectances_path = require_dataset(ILLUMINANTS_FILE, REFLECTANCES_FILE)
-    illuminants = read_spectral_csv(illuminants_path).resampled_columns(DEFAULT_GRID).T
-    reflectances = read_spectral_csv(reflectances_path).resampled_columns(DEFAULT_GRID)
+    illuminants = read_spectral_csv(illuminants_path).resampled_columns().T
+    reflectances = read_spectral_csv(reflectances_path).resampled_columns()
     return SceneSet(illuminants, reflectances, DEFAULT_GRID)
 
 

@@ -184,7 +184,7 @@ class TestOptimizeCommand:
             assert main(["optimize", "--camera", camera_csv, *flags, "--out", out]) == 0
             return json.loads(read(os.path.join(out, "report.json")))["solution"]
 
-        camera = load_sensor_set(read_spectral_csv(camera_csv), DEFAULT_GRID)
+        camera = load_sensor_set(read_spectral_csv(camera_csv))
         als = solution("--optimizer", "als", "--starts", "4", "--seed", "2")
         library = optimize_als(camera, builtin_cmf(), starts=4, seed=2)
         assert (als["row_sweeps"], als["extrapolations"]) == (library.row_sweeps, library.extrapolations)
@@ -195,9 +195,7 @@ class TestOptimizeCommand:
         ga = solution("--optimizer", "ga")
         assert (ga["row_sweeps"], ga["extrapolations"]) == (None, None)
 
-    @pytest.mark.parametrize("flags", [["--optimizer", "ga"], ["--optimizer", "als"],
-                                       ["--optimizer", "als", "--step-rule", "fixed"]],
-                             ids=["ga backtracking", "als", "als fixed rule"])
+    @pytest.mark.parametrize("flags", [["--optimizer", "als"]], ids=["als"])
     def test_an_unused_fixed_step_warns(self, tmp_path, camera_csv, capsys, flags):
         def run(name, *extra):
             out = str(tmp_path / name)
@@ -208,20 +206,39 @@ class TestOptimizeCommand:
             return code, report, files, capsys.readouterr()
 
         code, report, files, streams = run("given", "--fixed-step", "0.5")
-        assert streams.err == ("warning: --fixed-step 0.5 is unused; it applies only to "
-                               "--optimizer ga --step-rule fixed\n")
+        assert streams.err == "warning: --fixed-step 0.5 is unused; it applies only to --optimizer ga\n"
         assert (code, report, files) == run("plain")[:3]
 
-    def test_fixed_step_defaults_to_its_documented_value(self, tmp_path, camera_csv, capsys):
-        def run(name, *extra):
-            out = str(tmp_path / name)
-            argv = ["optimize", "--camera", camera_csv, "--optimizer", "ga", "--step-rule", "fixed",
-                    "--max-iters", "300", *extra, "--out", out]
-            return main(argv), read(os.path.join(out, "trace.csv")), capsys.readouterr().err
+    def test_report_records_the_step_rule(self, tmp_path, camera_csv, capsys):
+        def config(*flags):
+            out = str(tmp_path / "-".join(flags))
+            assert main(["optimize", "--camera", camera_csv, *flags, "--out", out]) == 0
+            assert capsys.readouterr().err == ""
+            return json.loads(read(os.path.join(out, "report.json")))["config"]
 
-        code, trace, err = run("default")
-        assert (code, trace) == run("given", "--fixed-step", str(specfilter.cli.DEFAULT_FIXED_STEP))[:2]
-        assert "--fixed-step" not in err
+        steps = [(c["step_rule"], c["fixed_step"]) for c in (
+            config("--optimizer", "als"), config("--optimizer", "ga"),
+            config("--optimizer", "ga", "--fixed-step", "0.5"))]
+        assert steps == [(None, None), ("backtracking", None), ("fixed", 0.5)]
+
+    @pytest.mark.parametrize("flags", [["--max-iters", "abc"], ["--max-iterations", "5"], ["--step-rule", "fixed"]],
+                             ids=["bad value", "unknown flag", "removed step rule"])
+    def test_usage_error_exits_1(self, tmp_path, camera_csv, capsys, flags):
+        # Exit 2 means an unconverged solve; argparse's usage message is kept.
+        argv = ["optimize", "--camera", camera_csv, "--optimizer", "ga", *flags, "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: specfilter ") and ": error: " in err.splitlines()[-1]
+        with pytest.raises(SystemExit):
+            specfilter.cli.build_parser().parse_args(argv)
+        assert capsys.readouterr().err == err
+        assert not os.path.exists(tmp_path / "out")
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as caught:
+            main(["optimize", "--help"])
+        assert caught.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: specfilter optimize ")
 
     def test_nonconvergence_exits_2(self, tmp_path, camera_csv, capsys):
         for optimizer in ("als", "ga"):
@@ -240,7 +257,7 @@ class TestOptimizeCommand:
         code = main(
             [
                 "optimize", "--camera", camera, "--optimizer", "ga",
-                "--step-rule", "fixed", "--fixed-step", "50", "--out", out,
+                "--fixed-step", "50", "--out", out,
             ]
         )
         assert code == 2
@@ -254,29 +271,30 @@ class TestOptimizeCommand:
         # the 13th: an overshoot after accepted steps is convergence.
         out = str(tmp_path / "later")
         code = main(["optimize", "--camera", camera, "--optimizer", "ga",
-                     "--step-rule", "fixed", "--fixed-step", "20", "--out", out])
+                     "--fixed-step", "20", "--out", out])
         assert (code, capsys.readouterr().err) == (0, "")
         report = json.loads(read(os.path.join(out, "report.json")))
         assert (report["solution"]["iterations"], report["solution"]["line_search_trials"]) == (12, 13)
         assert (report["solution"]["converged"], report["solution"]["stop"]) == (True, "converged")
 
     def test_fixed_step_is_read_only_under_the_fixed_rule(self, tmp_path, camera_csv, capsys):
-        def run(*flags):
-            out = str(tmp_path / "".join(["ga", *flags]))
-            code = main(["optimize", "--camera", camera_csv, "--optimizer", "ga", *flags, "--out", out])
+        def run(optimizer, *flags):
+            out = str(tmp_path / "".join([optimizer, *flags]))
+            code = main(["optimize", "--camera", camera_csv, "--optimizer", optimizer, *flags, "--out", out])
             return code, out
 
-        code, ignored = run("--fixed-step", "0")
+        code, ignored = run("als", "--fixed-step", "0")
         assert code == 0
-        _, default = run()
+        _, default = run("als")
         for name in ("filter.csv", "trace.csv"):
             assert read(os.path.join(ignored, name)) == read(os.path.join(default, name))
-        assert json.loads(read(os.path.join(ignored, "report.json")))["config"]["step_rule"] == "backtracking"
+        assert json.loads(read(os.path.join(ignored, "report.json")))["config"]["step_rule"] is None
         capsys.readouterr()
-        code, out = run("--step-rule", "fixed", "--fixed-step", "0")
-        assert code == 1
-        assert "error: step parameters must be positive" in capsys.readouterr().err
-        assert not os.path.exists(out)
+        for step in ("0", "-1", "inf", "nan"):
+            code, out = run("ga", "--fixed-step", step)
+            assert code == 1
+            assert capsys.readouterr().err == f"error: fixed_step must be positive and finite, got {float(step)!r}\n"
+            assert not os.path.exists(out)
 
     def test_missing_camera_exits_1(self, tmp_path):
         code = main(["optimize", "--camera", str(tmp_path / "nope.csv"), "--out", str(tmp_path)])
@@ -295,7 +313,7 @@ class TestOptimizeCommand:
         out = str(tmp_path / "out")
         optimizer = "als" if optimize is optimize_als else "ga"
         assert main(["optimize", "--camera", camera_csv, "--optimizer", optimizer, "--out", out]) == 0
-        solution = optimize(load_sensor_set(read_spectral_csv(camera_csv), DEFAULT_GRID), builtin_cmf())
+        solution = optimize(load_sensor_set(read_spectral_csv(camera_csv)), builtin_cmf())
         wavelengths = DEFAULT_GRID.wavelengths().tobytes()
 
         written = read_spectral_csv(os.path.join(out, "filter.csv"))
@@ -356,7 +374,7 @@ class TestOptimizeCommand:
 
         monkeypatch.setattr(specfilter.gradient, "basis_score", second_call_loses_rank)
         out = str(tmp_path / "out")
-        code = main(["optimize", "--camera", camera_csv, "--optimizer", "ga", "--step-rule", "fixed",
+        code = main(["optimize", "--camera", camera_csv, "--optimizer", "ga", "--fixed-step", "0.1",
                      "--starts", "3", "--out", out])
         assert code == 1
         assert capsys.readouterr().err == (
@@ -594,8 +612,8 @@ class TestTraceCompareCommand:
             ]
         )
         assert code == 0
-        camera = load_sensor_set(read_spectral_csv(camera_csv), DEFAULT_GRID)
-        scenes = load_scene_set(read_manifest(scene_manifest), DEFAULT_GRID)
+        camera = load_sensor_set(read_spectral_csv(camera_csv))
+        scenes = load_scene_set(read_manifest(scene_manifest))
         rows = [line.split(",") for line in read(os.path.join(out, "compare.csv")).decode().splitlines()[1:]]
         for optimizer in ("als", "ga"):
             filters = read_spectral_csv(os.path.join(outs[optimizer], "iteration_filters.csv")).columns.T

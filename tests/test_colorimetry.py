@@ -381,8 +381,8 @@ FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 def fixture_camera_and_scenes():
     manifest = read_manifest(os.path.join(FIXTURES, "scenes.txt"))
-    camera = load_sensor_set(read_spectral_csv(manifest.camera), DEFAULT_GRID)
-    return camera, load_scene_set(manifest, DEFAULT_GRID)
+    camera = load_sensor_set(read_spectral_csv(manifest.camera))
+    return camera, load_scene_set(manifest)
 
 
 def loop_delta_es(channels, observer, scenes, correction_mode):

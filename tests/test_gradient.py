@@ -266,6 +266,14 @@ class TestOptimizeGa:
         with pytest.raises(ValueError, match=f"^seed must be a non-negative integer, got {re.escape(repr(seed))}$"):
             optimize(bump_camera, builtin_cmf(), config(max_iterations=3), starts=2, seed=seed)
 
+    @pytest.mark.parametrize("config, field, value", [
+        (AlsConfig, "epsilon", True), (GaConfig, "epsilon", True), (GaConfig, "fixed_step", True),
+        (GaConfig, "fixed_step", 0.0), (GaConfig, "fixed_step", np.inf), (GaConfig, "fixed_step", np.nan)])
+    def test_step_parameters_name_their_field(self, config, field, value):
+        # A bool is not a number here, and an infinite step cannot be taken.
+        with pytest.raises(ValueError, match=f"^{field} must be positive"):
+            config(**{field: value})
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             GaConfig(epsilon=-1.0)

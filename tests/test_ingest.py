@@ -21,7 +21,7 @@ from specfilter.ingest import (
     read_spectral_csv,
     serialize_spectral_csv,
 )
-from specfilter.spectra import DEFAULT_GRID, WavelengthGrid, orthonormalize
+from specfilter.spectra import DEFAULT_GRID, SensorSet, WavelengthGrid, interp_columns, orthonormalize
 from specfilter.vora import vora_value
 
 
@@ -39,7 +39,7 @@ class TestParseSpectralCsv:
         table = parse_spectral_csv(cmf_csv_text())
         assert table.column_names == ("x_bar", "y_bar", "z_bar")
         assert table.columns.shape == (31, 3)
-        sensors = load_sensor_set(table, DEFAULT_GRID)
+        sensors = load_sensor_set(table)
         assert np.allclose(sensors.channels, builtin_cmf().channels)
 
     def test_headerless_file_gets_default_names(self):
@@ -102,7 +102,7 @@ class TestParseSpectralCsv:
 
     def test_non_uniform_spacing_flagged_not_fatal(self):
         table = parse_spectral_csv("400,1\n405,2\n420,3\n")
-        resampled = table.resampled_columns(WavelengthGrid(400, 5, 5))
+        resampled = interp_columns(table.wavelengths, table.columns, WavelengthGrid(400, 5, 5))
         assert resampled[:, 0].tolist() == pytest.approx([1.0, 2.0, 2 + 1 / 3, 2 + 2 / 3, 3.0], rel=1e-15)
 
     def test_round_trip_is_bit_exact(self, rng):
@@ -148,13 +148,13 @@ class TestLoadSensorSet:
         for wl, row in zip(fine.wavelengths(), columns):
             lines.append(f"{wl},{row[0]},{row[1]},{row[2]}")
         table = parse_spectral_csv("\n".join(lines))
-        sensors = load_sensor_set(table, DEFAULT_GRID)
+        sensors = load_sensor_set(table)
         assert np.allclose(sensors.channels, columns[::2], atol=1e-12)
 
     def test_wrong_column_count_rejected(self):
         table = parse_spectral_csv("400,1,2\n410,2,3\n420,3,4\n")
         with pytest.raises(ShapeError):
-            load_sensor_set(table, DEFAULT_GRID)
+            load_sensor_set(table)
 
     def test_rank_deficiency_rejected(self):
         lines = ["wavelength,a,b,c"]
@@ -162,12 +162,12 @@ class TestLoadSensorSet:
             lines.append(f"{wl},1.0,1.0,0.5")
         table = parse_spectral_csv("\n".join(lines))
         with pytest.raises(RankDeficient):
-            load_sensor_set(table, DEFAULT_GRID)
+            load_sensor_set(table)
 
     def test_out_of_range_target_rejected(self):
         table = parse_spectral_csv("450,1,2,3\n460,2,3,4\n470,3,4,5\n")
         with pytest.raises(OutOfRange):
-            load_sensor_set(table, DEFAULT_GRID)
+            load_sensor_set(table)
 
 
 class TestBuiltinCmf:
@@ -241,7 +241,7 @@ class TestManifest:
             "illuminants = lights.csv\nreflectances = surfaces.csv\n"
         )
         manifest = read_manifest(str(tmp_path / "scenes.txt"))
-        scenes = load_scene_set(manifest, DEFAULT_GRID)
+        scenes = load_scene_set(manifest)
         assert len(scenes.illuminants) == 2
         assert scenes.reflectances.shape[1] == 5
         assert np.allclose(scenes.illuminants.T, illum)
@@ -249,7 +249,7 @@ class TestManifest:
     def test_scene_set_requires_both_collections(self):
         manifest = parse_manifest("illuminants = lights.csv\n")
         with pytest.raises(ValueError):
-            load_scene_set(manifest, DEFAULT_GRID)
+            load_scene_set(manifest)
 
 
 class TestShippedFixtures:
@@ -257,8 +257,8 @@ class TestShippedFixtures:
 
     def test_fixture_dataset_loads_end_to_end(self):
         manifest = read_manifest(os.path.join(self.FIXTURES, "scenes.txt"))
-        camera = load_sensor_set(read_spectral_csv(manifest.camera), DEFAULT_GRID)
-        scenes = load_scene_set(manifest, DEFAULT_GRID)
+        camera = load_sensor_set(read_spectral_csv(manifest.camera))
+        scenes = load_scene_set(manifest)
         assert camera.channels.shape == (31, 3)
         assert len(scenes.illuminants) == 3
         assert scenes.reflectances.shape[1] == 12
@@ -278,7 +278,7 @@ class TestShippedFixtures:
             illuminants=str(tmp_path / "illuminants.csv"),
             reflectances=str(tmp_path / "reflectances.csv"),
         )
-        assert len(load_scene_set(manifest, DEFAULT_GRID).illuminants) == 3
+        assert len(load_scene_set(manifest).illuminants) == 3
 
 
 class TestMeasuredDatasetPlumbing:
@@ -314,6 +314,6 @@ class TestLoadCmf:
 
     def test_builtin_resampled_to_coarser_grid(self):
         coarse = WavelengthGrid(400.0, 20.0, 16)
-        sensors = load_cmf("cie1931", coarse)
+        sensors = SensorSet(coarse, interp_columns(DEFAULT_GRID.wavelengths(), builtin_cmf().channels, coarse))
         assert sensors.grid == coarse
         assert np.allclose(sensors.channels, builtin_cmf().channels[::2])
