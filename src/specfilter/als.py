@@ -25,9 +25,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConsistencyError, RankDeficient
+from .errors import ConsistencyError
 from .solution import (MONOTONE_SLACK, ConvergenceTrace, FilterSolution, Polish, SolverConfig, Stop,
-                       every_start_lost_rank, finish)
+                       every_start_lost_rank, finish, lost_rank)
 from .spectra import OrthoBasis, SensorSet, orthonormalize, require_same_grid
 from .vora import Moments, basis_score, moment_score
 
@@ -103,13 +103,9 @@ def optimize_als(
     v = orthonormalize(x)
     moments = Moments.of(q.channels, v.basis)
     run = _sweep(initial, moments, config.epsilon, config.max_iterations)
-    lost = run.outcome == Stop.RANK_LOSS
+    lost = run.outcome == int(Stop.RANK_LOSS)
     if lost.all():
-        i = int(run.stop[0])
-        raise every_start_lost_rank(starts, RankDeficient(
-            "initial filter leaves the camera rank deficient (iteration 0)" if i == 0
-            else f"filter zeroed a camera channel at iteration {i}"
-        ))
+        raise every_start_lost_rank(starts, lost_rank(int(run.stop[0])))
     return _solution(int(np.argmax(np.where(lost, -np.inf, run.final))), initial, run, q, v, moments)
 
 
@@ -160,7 +156,7 @@ def _sweep(initial: np.ndarray, moments: Moments, epsilon: float, max_iterations
     rows = np.arange(len(initial))
     history = [(rows, m, score)]
     final, stop = score.copy(), np.zeros(len(initial), dtype=int)
-    outcome = np.where(full, Stop.CAPPED, Stop.RANK_LOSS)
+    outcome = np.where(full, int(Stop.CAPPED), int(Stop.RANK_LOSS))
     extrapolations = np.zeros(len(initial), dtype=int)
     tolerance = step_tol * np.max(np.abs(initial), axis=-1)
     rows, image, score, f, tolerance = rows[full], m[full], score[full], initial[full], tolerance[full]

@@ -46,13 +46,16 @@ def _write(path: str, text: str) -> None:
         handle.write(text)
 
 
-def _digest(chunks: list[tuple[str, bytes]]) -> str:
+def _digest(camera: str, cmf: str, **files: str | None) -> str:
+    """sha256 over labelled chunks: the camera file, the CMF (its file, or the
+    builtin's name), then each of ``files`` that is given, in order."""
+    cmf_data = _file_bytes(cmf[len("file:"):]) if cmf.startswith("file:") else cmf.encode("utf-8")
+    chunks = [("camera", _file_bytes(camera)), ("cmf", cmf_data)]
+    chunks += [(label, _file_bytes(path)) for label, path in files.items() if path]
     h = hashlib.sha256()
     for label, data in chunks:
-        h.update(label.encode("utf-8"))
-        h.update(b"\x00")
-        h.update(data)
-        h.update(b"\x00")
+        for part in (label.encode("utf-8"), b"\x00", data, b"\x00"):
+            h.update(part)
     return "sha256:" + h.hexdigest()
 
 
@@ -81,20 +84,24 @@ def _stats_row(report: EvaluationReport) -> str:
     )
 
 
-def _stats_table(rows: list[tuple[str, EvaluationReport]]) -> str:
+def _stats_table(name: str, report: EvaluationReport) -> str:
     header = f"{'Method':<14}{'Vora-Value':>12}{'mean':>9}{'median':>9}{'95%':>9}{'99%':>9}{'max':>9}"
-    lines = [header, "-" * len(header)]
-    for name, report in rows:
-        s = report.delta_e
-        lines.append(
-            f"{name:<14}{float(report.vora):>12.4f}{s.mean:>9.3f}{s.median:>9.3f}"
-            f"{s.p95:>9.3f}{s.p99:>9.3f}{s.max:>9.3f}"
-        )
-    return "\n".join(lines) + "\n"
+    s = report.delta_e
+    row = (f"{name:<14}{float(report.vora):>12.4f}{s.mean:>9.3f}{s.median:>9.3f}"
+           f"{s.p95:>9.3f}{s.p99:>9.3f}{s.max:>9.3f}")
+    return "\n".join([header, "-" * len(header), row]) + "\n"
 
 
-def _report_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _write_run(out: str, payload: dict, *files) -> None:
+    """Make ``out``, write each ``(name, format, *args)`` of ``files`` as
+    ``format(*args)``, then ``report.json`` of ``payload``.
+
+    Each text is written as soon as it is formatted, so no two are held at once.
+    """
+    os.makedirs(out, exist_ok=True)
+    for name, fmt, *args in files:
+        _write(os.path.join(out, name), fmt(*args))
+    _write(os.path.join(out, "report.json"), json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def cmd_optimize(args) -> int:
@@ -114,22 +121,11 @@ def cmd_optimize(args) -> int:
     solution = solve(camera, cmf, config, starts=args.starts, seed=args.seed)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
 
-    os.makedirs(args.out, exist_ok=True)
-    wavelengths = solution.filter.grid.wavelengths()
-    filter_table = SpectralTable(wavelengths, ("transmittance",), solution.filter.values[:, None])
     trace = solution.trace
-    iteration_filters = SpectralTable(
-        wavelengths, tuple(f"iter{i}" for i in range(len(trace))), trace.filters.T
-    )
-    _write(os.path.join(args.out, "filter.csv"), serialize_spectral_csv(filter_table))
-    _write(os.path.join(args.out, "trace.csv"), _trace_csv(trace))
-    _write(os.path.join(args.out, "iteration_filters.csv"), serialize_spectral_csv(iteration_filters))
-
-    chunks = [("camera", _file_bytes(args.camera)), ("cmf", _cmf_bytes(args.cmf))]
     payload = {
         "command": "optimize",
         "optimizer": args.optimizer,
-        "inputs": {"camera": args.camera, "cmf": args.cmf, "digest": _digest(chunks)},
+        "inputs": {"camera": args.camera, "cmf": args.cmf, "digest": _digest(args.camera, args.cmf)},
         "config": {
             "epsilon": args.epsilon,
             "max_iterations": args.max_iters,
@@ -159,7 +155,15 @@ def cmd_optimize(args) -> int:
         },
         "timing_ms": elapsed_ms,
     }
-    _write(os.path.join(args.out, "report.json"), _report_json(payload))
+    wavelengths = solution.filter.grid.wavelengths()
+    filter_table = SpectralTable(wavelengths, ("transmittance",), solution.filter.values[:, None])
+    iteration_filters = SpectralTable(
+        wavelengths, tuple(f"iter{i}" for i in range(len(trace))), trace.filters.T
+    )
+    _write_run(args.out, payload,
+               ("filter.csv", serialize_spectral_csv, filter_table),
+               ("trace.csv", _trace_csv, trace),
+               ("iteration_filters.csv", serialize_spectral_csv, iteration_filters))
 
     if not solution.converged:
         print("warning: " + UNCONVERGED_WARNINGS[solution.stop].format(args.max_iters), file=sys.stderr)
@@ -169,12 +173,6 @@ def cmd_optimize(args) -> int:
         f"after {solution.iterations} iterations -> {args.out}"
     )
     return 0
-
-
-def _cmf_bytes(choice: str) -> bytes:
-    if choice.startswith("file:"):
-        return _file_bytes(choice[len("file:"):])
-    return choice.encode("utf-8")
 
 
 def _load_filter(path: str) -> SpectralCurve:
@@ -199,18 +197,6 @@ def cmd_evaluate(args) -> int:
     report = evaluate(camera, filter_curve, cmf, scenes, correction_mode=args.correction)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
 
-    os.makedirs(args.out, exist_ok=True)
-    _write(os.path.join(args.out, "evaluation.csv"), _stats_row(report))
-    label = "filtered" if filter_curve is not None else "baseline"
-    _write(os.path.join(args.out, "evaluation.txt"), _stats_table([(label, report)]))
-
-    chunks = [("camera", _file_bytes(camera_path)), ("cmf", _cmf_bytes(cmf_choice))]
-    if manifest.illuminants:
-        chunks.append(("illuminants", _file_bytes(manifest.illuminants)))
-    if manifest.reflectances:
-        chunks.append(("reflectances", _file_bytes(manifest.reflectances)))
-    if args.filter:
-        chunks.append(("filter", _file_bytes(args.filter)))
     payload = {
         "command": "evaluate",
         "inputs": {
@@ -218,7 +204,8 @@ def cmd_evaluate(args) -> int:
             "cmf": cmf_choice,
             "scenes": args.scenes,
             "filter": args.filter,
-            "digest": _digest(chunks),
+            "digest": _digest(camera_path, cmf_choice, illuminants=manifest.illuminants,
+                              reflectances=manifest.reflectances, filter=args.filter),
         },
         "camera_channel_peaks": [float(v) for v in camera.channel_peaks()],
         "evaluation": {
@@ -236,9 +223,11 @@ def cmd_evaluate(args) -> int:
         },
         "timing_ms": elapsed_ms,
     }
-    _write(os.path.join(args.out, "report.json"), _report_json(payload))
+    label = "filtered" if filter_curve is not None else "baseline"
+    _write_run(args.out, payload,
+               ("evaluation.csv", _stats_row, report), ("evaluation.txt", _stats_table, label, report))
 
-    print(_stats_table([(label, report)]), end="")
+    print(_stats_table(label, report), end="")
     return 0
 
 
@@ -298,16 +287,12 @@ def cmd_trace_compare(args) -> int:
         (args.label_a, args.trace_a, _read_trace(args.trace_a), args.filters_a),
         (args.label_b, args.trace_b, _read_trace(args.trace_b), args.filters_b),
     ]
-
-    scoring = bool(args.scenes and args.camera)
-    if scoring:
+    if args.filters_a or args.filters_b:
+        # Read only to score: without a filters file, inputs the scoring would
+        # reject do not fail the run.
         manifest = read_manifest(args.scenes)
         camera = _load_camera(args.camera)
-        cmf = load_cmf(args.cmf or manifest.cmf)
-        scenes = load_scene_set(manifest)
-    # Built on the first filters file only: without one, nothing is scored and
-    # a scene set the engine would reject does not fail the run.
-    engine = None
+        engine = SceneEngine(load_cmf(args.cmf or manifest.cmf), load_scene_set(manifest), args.correction)
 
     lines = ["iteration,method,vora_value,mean_delta_e"]
     for label, trace_path, rows, filters_path in traces:
@@ -324,8 +309,6 @@ def cmd_trace_compare(args) -> int:
                     raise SpecFilterError(
                         f"{filters_path} column {name} does not match {trace_path} (expected iter{iteration})"
                     )
-            if engine is None:
-                engine = SceneEngine(cmf, scenes, args.correction)
             means = _mean_delta_es(engine, camera, iteration_filters, names, filters_path)
             mean_des = [_fmt(value) for value in means]
         for (iteration, vora), mean_de in zip(rows, mean_des):
@@ -341,10 +324,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="specfilter",
         description="Design and evaluate spectral filters that make a camera more colorimetric.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    opt = sub.add_parser("optimize", help="solve for the filter maximizing the Vora-Value")
+    opt = sub.add_parser("optimize", help="solve for the filter maximizing the Vora-Value", allow_abbrev=False)
     opt.add_argument("--camera", required=True, help="camera sensitivities CSV (wavelength,r,g,b)")
     opt.add_argument("--cmf", default="cie1931", help="cie1931 or file:<path>")
     opt.add_argument("--optimizer", choices=("als", "ga"), default="als")
@@ -358,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     opt.add_argument("--out", default=".", help="output directory")
     opt.set_defaults(func=cmd_optimize)
 
-    ev = sub.add_parser("evaluate", help="color-error statistics over a scene collection")
+    ev = sub.add_parser("evaluate", help="color-error statistics over a scene collection", allow_abbrev=False)
     ev.add_argument("--camera", help="camera CSV (falls back to the manifest's camera)")
     ev.add_argument("--filter", help="filter CSV from a prior optimize run")
     ev.add_argument("--cmf", help="cie1931 or file:<path> (falls back to the manifest)")
@@ -367,7 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--out", default=".", help="output directory")
     ev.set_defaults(func=cmd_evaluate)
 
-    cmp_parser = sub.add_parser("trace-compare", help="merge two convergence traces for plotting")
+    cmp_parser = sub.add_parser("trace-compare", help="merge two convergence traces for plotting",
+                                allow_abbrev=False)
     cmp_parser.add_argument("trace_a")
     cmp_parser.add_argument("trace_b")
     cmp_parser.add_argument("--label-a", default="a")

@@ -29,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RankDeficient
-from .solution import ConvergenceTrace, FilterSolution, SolverConfig, Stop, every_start_lost_rank, finish
+from .solution import (ConvergenceTrace, FilterSolution, SolverConfig, Stop, every_start_lost_rank, finish,
+                       lost_rank)
 from .spectra import OrthoBasis, SensorSet, orthonormalize, require_same_grid
 from .vora import basis_score
 
@@ -85,14 +86,17 @@ def optimize_ga(
     initial = config.start_stack(q.grid, starts, seed)
     v = orthonormalize(x)
     best, first_loss = None, None
-    for f in initial:
-        try:
-            candidate = _ascend(f, q, v, config)
-        except RankDeficient as exc:
-            first_loss = first_loss or exc
-            continue
-        if best is None or candidate.score > best.score:
-            best = candidate
+    # A huge fixed step overflows its trial's scoring; that trial then fails
+    # the rank or Armijo test like any other, so numpy's warning adds nothing.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for f in initial:
+            try:
+                candidate = _ascend(f, q, v, config)
+            except RankDeficient as exc:
+                first_loss = first_loss or exc
+                continue
+            if best is None or candidate.score > best.score:
+                best = candidate
     if best is None:
         raise every_start_lost_rank(starts, first_loss)
     return best
@@ -107,7 +111,7 @@ def _ascend(f: np.ndarray, q: SensorSet, v: OrthoBasis, config: GaConfig) -> Fil
     qc, vb = q.channels, v.basis
     m, score, full = basis_score(f, qc, vb)
     if not full:
-        raise RankDeficient("initial filter leaves the camera rank deficient (iteration 0)")
+        raise lost_rank(0)
     score = float(score)
     scores, filters = [score], [f]
     if config.fixed_step is None:
@@ -133,7 +137,7 @@ def _ascend(f: np.ndarray, q: SensorSet, v: OrthoBasis, config: GaConfig) -> Fil
                 # No step yields sufficient increase: numerically stationary.
                 stop = Stop.STATIONARY
             elif not full:
-                raise RankDeficient(f"filter lost a camera channel at iteration {i}")
+                raise lost_rank(i)
             else:
                 # Fixed step overshot: keep the better iterate and stop.  An
                 # overshoot on the very first step has reached nothing.

@@ -52,6 +52,27 @@ class SpectralTable:
         return interp_columns(self.wavelengths, self.columns, DEFAULT_GRID)
 
 
+def _decode(data: bytes | str) -> str:
+    """``data`` as text: bytes are decoded as UTF-8, raising ``ParseError`` if they are not."""
+    if isinstance(data, str):
+        return data
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not valid UTF-8: {exc}") from None
+
+
+def _lines(text: str):
+    """Each (line number, stripped line) of ``text`` that is neither blank nor a ``#`` comment.
+
+    A leading UTF-8 byte-order mark is ignored.
+    """
+    for lineno, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
+
+
 def parse_spectral_csv(data: bytes | str) -> SpectralTable:
     """Parse a wavelength-first CSV into a validated table.
 
@@ -59,23 +80,11 @@ def parse_spectral_csv(data: bytes | str) -> SpectralTable:
     non-numeric or non-finite cells, a first column that is not strictly
     increasing, or an empty table.  A leading UTF-8 byte-order mark is ignored.
     """
-    if isinstance(data, bytes):
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"not valid UTF-8: {exc}") from None
-    else:
-        text = data
-    text = text.removeprefix("\ufeff")
-
     header: list[str] | None = None
     rows: list[list[float]] = []
     row_lines: list[int] = []
     width = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _lines(_decode(data)):
         cells = [cell.strip() for cell in line.split(",")]
         if width is None:
             if len(cells) < 2:
@@ -163,10 +172,7 @@ def parse_manifest(text: str, base_dir: str = ".") -> DatasetManifest:
     """
     values: dict[str, str] = {}
     lines: dict[str, int] = {}
-    for lineno, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _lines(text):
         if "=" not in line:
             raise ParseError(f"expected 'key = value', got {line!r}", lineno)
         key, _, value = line.partition("=")
@@ -193,27 +199,24 @@ def parse_manifest(text: str, base_dir: str = ".") -> DatasetManifest:
     )
 
 
-def read_manifest(path: str) -> DatasetManifest:
-    """``parse_manifest`` of a UTF-8 file; its ``ParseError`` names the file."""
-    with open(path, "rb") as handle:
-        data = handle.read()
+def _read(path: str, parse):
+    """``parse`` of the bytes of file ``path``; its ``ParseError`` names the file."""
     try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"not valid UTF-8: {exc}", path=path) from None
-    try:
-        return parse_manifest(text, base_dir=os.path.dirname(os.path.abspath(path)))
+        with open(path, "rb") as handle:
+            return parse(handle.read())
     except ParseError as exc:
         raise ParseError(exc.reason, exc.line, path) from None
+
+
+def read_manifest(path: str) -> DatasetManifest:
+    """``parse_manifest`` of a UTF-8 file; its ``ParseError`` names the file."""
+    base_dir = os.path.dirname(os.path.abspath(path))
+    return _read(path, lambda data: parse_manifest(_decode(data), base_dir))
 
 
 def read_spectral_csv(path: str) -> SpectralTable:
     """``parse_spectral_csv`` of a file; its ``ParseError`` names the file."""
-    try:
-        with open(path, "rb") as handle:
-            return parse_spectral_csv(handle.read())
-    except ParseError as exc:
-        raise ParseError(exc.reason, exc.line, path) from None
+    return _read(path, parse_spectral_csv)
 
 
 def load_cmf(choice: str) -> SensorSet:

@@ -109,6 +109,13 @@ class SolverConfig:
         return stack
 
 
+def lost_rank(i: int) -> RankDeficient:
+    """The error of a start whose filter at iteration ``i`` leaves the camera rank deficient."""
+    if i == 0:
+        return RankDeficient("initial filter leaves the camera rank deficient (iteration 0)")
+    return RankDeficient(f"filter lost a camera channel at iteration {i}")
+
+
 def every_start_lost_rank(starts: int, first: RankDeficient) -> RankDeficient:
     """The error of a solve whose every start lost rank; ``first`` is start 0's own.
 

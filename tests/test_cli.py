@@ -1,8 +1,10 @@
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -62,6 +64,12 @@ def scene_manifest(tmp_path, rng):
 def read(path):
     with open(path, "rb") as handle:
         return handle.read()
+
+
+def input_digest(*chunks):
+    """``report.json``'s ``inputs.digest``: sha256 over each label, NUL, data, NUL, in order."""
+    return "sha256:" + hashlib.sha256(b"".join(label.encode() + b"\0" + data + b"\0"
+                                               for label, data in chunks)).hexdigest()
 
 
 def test_module_entry_point_runs(tmp_path, camera_csv):
@@ -221,8 +229,10 @@ class TestOptimizeCommand:
             config("--optimizer", "ga", "--fixed-step", "0.5"))]
         assert steps == [(None, None), ("backtracking", None), ("fixed", 0.5)]
 
-    @pytest.mark.parametrize("flags", [["--max-iters", "abc"], ["--max-iterations", "5"], ["--step-rule", "fixed"]],
-                             ids=["bad value", "unknown flag", "removed step rule"])
+    @pytest.mark.parametrize("flags", [["--max-iters", "abc"], ["--max-iterations", "5"], ["--step-rule", "fixed"],
+                                       ["--max-iter", "5"], ["--fixed", "0.5"]],
+                             ids=["bad value", "unknown flag", "removed step rule", "abbreviated flag",
+                                  "abbreviated fixed step"])
     def test_usage_error_exits_1(self, tmp_path, camera_csv, capsys, flags):
         # Exit 2 means an unconverged solve; argparse's usage message is kept.
         argv = ["optimize", "--camera", camera_csv, "--optimizer", "ga", *flags, "--out", str(tmp_path / "out")]
@@ -276,6 +286,31 @@ class TestOptimizeCommand:
         report = json.loads(read(os.path.join(out, "report.json")))
         assert (report["solution"]["iterations"], report["solution"]["line_search_trials"]) == (12, 13)
         assert (report["solution"]["converged"], report["solution"]["stop"]) == (True, "converged")
+
+    def test_overflowing_fixed_step_prints_only_the_cli_warning(self, tmp_path, capsys):
+        # A step of 1e200 overflows the first trial's scoring; numpy must not
+        # warn about it ahead of the CLI's own overshoot warning.
+        camera = os.path.join(os.path.dirname(__file__), "..", "fixtures", "synthetic_camera.csv")
+        out = str(tmp_path / "out")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["optimize", "--camera", camera, "--optimizer", "ga", "--fixed-step", "1e200",
+                         "--out", out])
+        assert code == 2
+        assert capsys.readouterr().err == "warning: first fixed step overshot; stopped at iteration 0\n"
+        assert json.loads(read(os.path.join(out, "report.json")))["solution"]["stop"] == "overshot"
+
+    @pytest.mark.parametrize("cmf", ["cie1931", "file"])
+    def test_report_digest_covers_camera_and_cmf(self, tmp_path, camera_csv, cmf):
+        observer = tmp_path / "observer.csv"
+        observer.write_text(serialize_spectral_csv(
+            SpectralTable(DEFAULT_GRID.wavelengths(), ("x", "y", "z"), builtin_cmf().channels)))
+        choice = "cie1931" if cmf == "cie1931" else f"file:{observer}"
+        out = str(tmp_path / "out")
+        assert main(["optimize", "--camera", camera_csv, "--cmf", choice, "--out", out]) == 0
+        report = json.loads(read(os.path.join(out, "report.json")))
+        cmf_bytes = b"cie1931" if cmf == "cie1931" else read(observer)
+        assert report["inputs"]["digest"] == input_digest(("camera", read(camera_csv)), ("cmf", cmf_bytes))
 
     def test_fixed_step_is_read_only_under_the_fixed_rule(self, tmp_path, camera_csv, capsys):
         def run(optimizer, *flags):
@@ -470,6 +505,20 @@ class TestEvaluateCommand:
             "illuminants": str(tmp_path / "lights.csv"),
             "reflectances": str(tmp_path / "surfaces.csv"),
         }
+
+    @pytest.mark.parametrize("filtered", [False, True], ids=["baseline", "filtered"])
+    def test_report_digest_covers_every_input_file(self, tmp_path, camera_csv, scene_manifest, filtered):
+        chunks = [("camera", read(camera_csv)), ("cmf", b"cie1931"),
+                  ("illuminants", read(tmp_path / "lights.csv")), ("reflectances", read(tmp_path / "surfaces.csv"))]
+        argv = ["evaluate", "--camera", camera_csv, "--scenes", scene_manifest, "--out", str(tmp_path / "out")]
+        if filtered:
+            filter_dir = str(tmp_path / "opt")
+            assert main(["optimize", "--camera", camera_csv, "--out", filter_dir]) == 0
+            argv += ["--filter", os.path.join(filter_dir, "filter.csv")]
+            chunks.append(("filter", read(os.path.join(filter_dir, "filter.csv"))))
+        assert main(argv) == 0
+        report = json.loads(read(tmp_path / "out" / "report.json"))
+        assert report["inputs"]["digest"] == input_digest(*chunks)
 
     def test_manifest_cmf_file_resolves_against_the_manifest(self, tmp_path, camera_csv, scene_manifest, monkeypatch):
         (tmp_path / "observer.csv").write_text(serialize_spectral_csv(
@@ -728,6 +777,23 @@ class TestTraceCompareCommand:
         capsys.readouterr()
         assert main(argv + ["--filters-a", os.path.join(out_a, "iteration_filters.csv")]) == 1
         assert "perfect-diffuser white point has a non-positive component" in capsys.readouterr().err
+
+    def test_unused_malformed_inputs_do_not_fail(self, tmp_path, camera_csv, capsys):
+        # Without a filters file nothing is scored, so --camera and --scenes
+        # are not read at all.
+        out_a = str(tmp_path / "als")
+        assert main(["optimize", "--camera", camera_csv, "--optimizer", "als", "--out", out_a]) == 0
+        bad = tmp_path / "bad.csv"
+        bad.write_text("wavelength,r\n400,not a number\n")
+        trace = os.path.join(out_a, "trace.csv")
+        out = tmp_path / "cmp"
+        capsys.readouterr()
+        assert main(["trace-compare", trace, trace, "--camera", str(bad), "--scenes", str(bad),
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        plain = tmp_path / "plain"
+        assert main(["trace-compare", trace, trace, "--out", str(plain)]) == 0
+        assert read(out / "compare.csv") == read(plain / "compare.csv")
 
     @pytest.mark.parametrize("drop", ["trace row", "filter column"])
     def test_mismatched_filters_file_exits_1(self, tmp_path, camera_csv, scene_manifest, capsys, drop):

@@ -216,11 +216,14 @@ class TestManifest:
         with pytest.raises(ParseError, match="line 1"):
             parse_manifest("camera cam.csv")
 
-    def test_manifest_that_is_not_utf8_names_the_file(self, tmp_path):
-        path = tmp_path / "scenes.txt"
-        path.write_bytes(b"illuminants = \xff.csv\n")
+    @pytest.mark.parametrize("reader, data", [(read_manifest, b"illuminants = \xff.csv\n"),
+                                              (read_spectral_csv, b"wavelength,\xff\n400,1\n")],
+                             ids=["read_manifest", "read_spectral_csv"])
+    def test_file_that_is_not_utf8_names_the_file(self, tmp_path, reader, data):
+        path = tmp_path / "data.txt"
+        path.write_bytes(data)
         with pytest.raises(ParseError) as caught:
-            read_manifest(str(path))
+            reader(str(path))
         assert (caught.value.path, caught.value.line) == (str(path), None)
         assert str(caught.value).startswith(f"{path}: not valid UTF-8: ")
 
