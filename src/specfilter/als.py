@@ -29,7 +29,7 @@ from .errors import ConsistencyError
 from .solution import (MONOTONE_SLACK, ConvergenceTrace, FilterSolution, Polish, SolverConfig, Stop,
                        every_start_lost_rank, finish, lost_rank)
 from .spectra import OrthoBasis, SensorSet, orthonormalize, require_same_grid
-from .vora import Moments, basis_score, moment_score
+from .vora import Moments, _solve, basis_score, moment_score
 
 # Rows of QM with squared norm below this contribute nothing; their filter
 # entry is pinned to 0 for reproducibility.
@@ -216,14 +216,15 @@ def _extrapolate(taken: np.ndarray, images: np.ndarray, latest: int) -> np.ndarr
     is T(M_latest) - sum_j g_j (T(M_j) - T(M_latest)): Walker and Ni's
     differences of consecutive steps, recombined, so the steps may sit in any
     order.  The L x L normal equations of every row are solved as one stack,
-    ridged by ``ANDERSON_RIDGE`` times their trace.
+    ridged by ``ANDERSON_RIDGE`` times their trace, so none is singular and
+    ``vora._solve`` needs no singular-matrix guard.
     """
     residuals = images - taken
     steps = residuals - residuals[:, latest, None]
     gram = steps @ steps.swapaxes(-1, -2)
     ridge = ANDERSON_RIDGE * np.trace(gram, axis1=-2, axis2=-1) + np.finfo(float).tiny
     gram += ridge[:, None, None] * np.eye(gram.shape[-1])
-    gamma = np.linalg.solve(gram, steps @ residuals[:, latest, :, None])
+    gamma = _solve(gram, steps @ residuals[:, latest, :, None], signature="dd->d")
     mixed = images[:, latest] - (gamma.swapaxes(-1, -2) @ (images - images[:, latest, None]))[:, 0]
     return mixed.reshape(-1, 3, 3)
 

@@ -21,6 +21,7 @@ from .spectra import (
     SpectralCurve,
     WavelengthGrid,
     apply_filter,
+    frozen_array,
     full_rank,
     require_same_grid,
 )
@@ -33,8 +34,8 @@ class SceneSet:
 
     ``illuminants`` is L x n, one illuminant per row; ``reflectances`` is
     n x m, one reflectance per column as a spectral table holds them.  Both
-    are copied into read-only C-ordered float arrays; that layout fixes the
-    last bits of ``SceneEngine``'s products.
+    are ``frozen_array`` copies, whose C order fixes the last bits of
+    ``SceneEngine``'s products.
     """
 
     illuminants: np.ndarray
@@ -42,21 +43,11 @@ class SceneSet:
     grid: WavelengthGrid
 
     def __post_init__(self):
-        illuminants = np.array(self.illuminants, dtype=float, order="C")
-        reflectances = np.array(self.reflectances, dtype=float, order="C")
+        n = self.grid.count
+        illuminants = frozen_array(self, "illuminants", (None, n), "illuminants")
+        reflectances = frozen_array(self, "reflectances", (n, None), "reflectances")
         if not illuminants.size or not reflectances.size:
             raise ValueError("scene set needs at least one illuminant and one reflectance")
-        n = self.grid.count
-        if illuminants.shape[1:] != (n,) or reflectances.ndim != 2 or reflectances.shape[0] != n:
-            raise ShapeError(
-                f"scene set needs L x {n} illuminants and {n} x m reflectances, "
-                f"got {illuminants.shape} and {reflectances.shape}"
-            )
-        if not (np.isfinite(illuminants).all() and np.isfinite(reflectances).all()):
-            raise ValueError("scene spectra must be finite")
-        for name, values in (("illuminants", illuminants), ("reflectances", reflectances)):
-            values.setflags(write=False)
-            object.__setattr__(self, name, values)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ import numpy as np
 from .cie1931 import CIE_1931_2DEG_400_700_10NM
 from .colorimetry import SceneSet
 from .errors import ParseError, ShapeError
-from .spectra import DEFAULT_GRID, SensorSet, interp_columns
+from .spectra import DEFAULT_GRID, SensorSet, frozen_array, interp_columns
 
 
 @dataclass(frozen=True)
@@ -33,19 +33,9 @@ class SpectralTable:
     key_name: str = "wavelength"
 
     def __post_init__(self):
-        wavelengths = np.array(self.wavelengths, dtype=float)
-        columns = np.array(self.columns, dtype=float)
-        wavelengths.setflags(write=False)
-        columns.setflags(write=False)
-        if columns.ndim != 2 or columns.shape[0] != wavelengths.shape[0]:
-            raise ShapeError(f"column block {columns.shape} does not match {wavelengths.shape[0]} wavelengths")
-        if len(self.column_names) != columns.shape[1]:
-            raise ShapeError(
-                f"{len(self.column_names)} names for {columns.shape[1]} columns"
-            )
-        object.__setattr__(self, "wavelengths", wavelengths)
-        object.__setattr__(self, "columns", columns)
         object.__setattr__(self, "column_names", tuple(self.column_names))
+        rows = len(frozen_array(self, "wavelengths", (None,), "wavelengths"))
+        frozen_array(self, "columns", (rows, len(self.column_names)), "data columns")
 
     def resampled_columns(self) -> np.ndarray:
         """The data columns resampled onto ``DEFAULT_GRID``."""

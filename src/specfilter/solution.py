@@ -16,13 +16,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConsistencyError, RankDeficient, ShapeError
+from .errors import ConsistencyError, RankDeficient
 from .spectra import (
     CorrectionMatrix,
     OrthoBasis,
     SensorSet,
     SpectralCurve,
     WavelengthGrid,
+    frozen_array,
     require_same_grid,
 )
 from .vora import VoraScore, basis_score
@@ -132,8 +133,9 @@ class ConvergenceTrace:
     """Per-iteration optimizer history as T-row columns; row i is iteration i.
 
     ``vora_values`` and ``residuals`` hold T floats and ``filters`` is T x n,
-    row 0 being the initial filter.  All three are read-only copies, and the
-    Vora-Value column never decreases by more than ``MONOTONE_SLACK``.
+    row 0 being the initial filter.  All three are ``frozen_array`` copies, so
+    finite, and the Vora-Value column never decreases by more than
+    ``MONOTONE_SLACK``.
     """
 
     vora_values: np.ndarray
@@ -141,17 +143,12 @@ class ConvergenceTrace:
     filters: np.ndarray
 
     def __post_init__(self):
-        rows = []
-        for name in ("vora_values", "residuals", "filters"):
-            column = np.array(getattr(self, name), dtype=float)
-            column.setflags(write=False)
-            object.__setattr__(self, name, column)
-            rows.append(len(column))
-        if len(set(rows)) > 1:
-            raise ShapeError(f"trace columns have {rows[0]}, {rows[1]} and {rows[2]} rows")
-        if not rows[0]:
+        rows = len(frozen_array(self, "vora_values", (None,), "Vora-Value rows"))
+        frozen_array(self, "residuals", (rows,), "residual rows")
+        frozen_array(self, "filters", (rows, None), "filter rows")
+        if not rows:
             raise ValueError("a convergence trace needs at least the initial point")
-        require_monotone(range(rows[0]), self.vora_values)
+        require_monotone(range(rows), self.vora_values)
 
     def __len__(self) -> int:
         return len(self.vora_values)

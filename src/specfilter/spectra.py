@@ -3,8 +3,9 @@
 Everything here is a plain value object over float64 numpy arrays: a uniform
 wavelength grid, a single spectral curve on that grid, an n-by-3 sensor matrix,
 an orthonormalized basis of a sensor matrix, and a 3-by-3 correction matrix.
-Arrays are copied on construction and marked read-only, so instances are safe
-to share between threads.
+Every value type in the package holds its arrays through ``frozen_array``:
+C-ordered, read-only float64 copies, checked for shape and finiteness on
+construction, so instances are safe to share between threads.
 """
 
 from __future__ import annotations
@@ -21,9 +22,20 @@ from .errors import GridMismatch, OutOfRange, RankDeficient, ShapeError
 RANK_TOLERANCE = 1e-10
 
 
-def _readonly(values) -> np.ndarray:
-    arr = np.array(values, dtype=float)
+def frozen_array(owner, name: str, shape: tuple, what: str) -> np.ndarray:
+    """Replace field ``name`` of the frozen dataclass ``owner`` with a C-ordered, read-only float64 copy.
+
+    ``shape`` gives each axis's length, ``None`` for any length.  Another
+    shape raises ``ShapeError`` and a nan or inf ``ValueError``, both naming
+    the array as ``what``.  Returns the copy.
+    """
+    arr = np.array(getattr(owner, name), dtype=float, order="C")
+    if arr.ndim != len(shape) or any(want not in (None, got) for want, got in zip(shape, arr.shape)):
+        raise ShapeError(f"{what} must be {shape}, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{what} must be finite")
     arr.setflags(write=False)
+    object.__setattr__(owner, name, arr)
     return arr
 
 
@@ -62,14 +74,7 @@ class SpectralCurve:
     values: np.ndarray
 
     def __post_init__(self):
-        values = _readonly(self.values)
-        if values.ndim != 1 or values.shape[0] != self.grid.count:
-            raise ShapeError(
-                f"curve has {values.shape} values for a grid of {self.grid.count} samples"
-            )
-        if not np.all(np.isfinite(values)):
-            raise ValueError("curve values must be finite")
-        object.__setattr__(self, "values", values)
+        frozen_array(self, "values", (self.grid.count,), "curve values")
 
 
 @dataclass(frozen=True)
@@ -85,16 +90,9 @@ class SensorSet:
     channels: np.ndarray
 
     def __post_init__(self):
-        channels = _readonly(self.channels)
-        if channels.ndim != 2 or channels.shape != (self.grid.count, 3):
-            raise ShapeError(
-                f"sensor matrix must be {self.grid.count}x3, got {channels.shape}"
-            )
-        if not np.all(np.isfinite(channels)):
-            raise ValueError("sensor sensitivities must be finite")
+        channels = frozen_array(self, "channels", (self.grid.count, 3), "sensor matrix")
         if not full_rank(channels, channels.T @ channels):
             raise RankDeficient("sensor matrix is rank deficient (columns are numerically dependent)")
-        object.__setattr__(self, "channels", channels)
 
     def channel_peaks(self) -> np.ndarray:
         """Per-channel maximum, recorded for reporting; sensitivities are never rescaled."""
@@ -109,13 +107,9 @@ class OrthoBasis:
     basis: np.ndarray
 
     def __post_init__(self):
-        basis = _readonly(self.basis)
-        if basis.shape != (self.grid.count, 3):
-            raise ShapeError(f"basis must be {self.grid.count}x3, got {basis.shape}")
-        gram = basis.T @ basis
-        if np.max(np.abs(gram - np.eye(3))) > 1e-12:
+        basis = frozen_array(self, "basis", (self.grid.count, 3), "basis")
+        if np.max(np.abs(basis.T @ basis - np.eye(3))) > 1e-12:
             raise ValueError("basis columns are not orthonormal to 1e-12")
-        object.__setattr__(self, "basis", basis)
 
 
 @dataclass(frozen=True)
@@ -125,12 +119,7 @@ class CorrectionMatrix:
     m: np.ndarray
 
     def __post_init__(self):
-        m = _readonly(self.m)
-        if m.shape != (3, 3):
-            raise ShapeError(f"correction matrix must be 3x3, got {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("correction matrix entries must be finite")
-        object.__setattr__(self, "m", m)
+        frozen_array(self, "m", (3, 3), "correction matrix")
 
 
 def rank_ratio(matrix: np.ndarray) -> float:

@@ -10,14 +10,16 @@ which is what lets a least-squares solver maximize the metric.
 
 Every Vora-Value ends in one 3x3 tail, ``_score``: rank guard, identity
 substitution for a rank-deficient G, solve and score.  It calls the LAPACK
-gufunc behind ``np.linalg.solve`` directly: the same bits in under a third of
-the time (2.1 against 7.4 us per 3x3 solve on a 2-core host, single-threaded
-OpenBLAS).  The wrapper's errstate only turns a singular G into
-``LinAlgError``, and after the identity substitution no singular G reaches the
-solve.  Two routes form G and W for a filtered camera A = diag(f) Q.
-``basis_score`` forms A itself.  It serves gradient ascent, whose hot loop
-keeps its bits because its runs are chaotic in them (see README), and
-``vora_value``, every solver's start and ``solution.finish``.
+gufunc behind ``np.linalg.solve`` directly, as ``_solve``: the same bits in
+under a third of the time (2.1 against 7.4 us per 3x3 solve on a 2-core host,
+single-threaded OpenBLAS).  The wrapper's errstate only turns a singular
+matrix into ``LinAlgError``.  After the identity substitution no singular G
+reaches the solve, and ALS's Anderson step (``als._extrapolate``) calls
+``_solve`` too, on normal equations its ridge keeps nonsingular.  Two routes
+form G and W for a filtered camera A = diag(f) Q.  ``basis_score`` forms A
+itself.  It serves gradient ascent, whose hot loop keeps its bits because its
+runs are chaotic in them (see README), and ``vora_value``, every solver's
+start and ``solution.finish``.
 ``moment_score`` forms G = P^T (f o f) and W = R^T f from the n x 9 tables
 P = q (x) q and R = q (x) v of ``Moments``, built once per ALS solve.  It
 serves the ALS sweeps and polish, and forms A only for a matrix whose rank the
@@ -39,7 +41,8 @@ from .spectra import SensorSet, full_rank, orthonormalize, require_same_grid
 _CLAMP = 1e-12
 
 # The gufunc np.linalg.solve wraps, minus its singular-matrix errstate: _score
-# puts the identity in place of every G that full_rank does not certify.
+# puts the identity in place of every G that full_rank does not certify, and
+# als._extrapolate's ridge keeps its systems nonsingular.
 _solve = np.linalg._umath_linalg.solve
 
 

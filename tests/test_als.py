@@ -257,6 +257,15 @@ class TestTraceRebuild:
         assert extrapolated > 0
 
 
+def test_extrapolate_keeps_the_public_solves_bits(rng, monkeypatch):
+    # _extrapolate calls the LAPACK gufunc behind np.linalg.solve, as vora._score does.
+    taken, images = rng.standard_normal((2, 5, 4, 9))
+    taken[2] = images[2] = 1.0      # no residual at all: only the ridge keeps the system nonsingular
+    fast = als._extrapolate(taken, images, 1)
+    monkeypatch.setattr(als, "_solve", lambda gram, rhs, signature: np.linalg.solve(gram, rhs))
+    assert fast.tobytes() == als._extrapolate(taken, images, 1).tobytes()
+
+
 def refuse_every_extrapolation(monkeypatch, guard):
     """Patch the sweep so that each extrapolation fails ``guard``.
 

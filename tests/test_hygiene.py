@@ -100,3 +100,22 @@ def test_every_definition_is_read_in_the_package():
     unread = sorted(f"{module}: {name}" for module, tree in TREES.items() for name in _definitions(tree)
                     if name not in READ)
     assert not unread, f"definitions nothing in the package reads: {', '.join(unread)}"
+
+
+def _setflags_calls(node: ast.AST) -> list[ast.Call]:
+    return [call for call in ast.walk(node) if isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Attribute) and call.func.attr == "setflags"]
+
+
+def test_only_frozen_array_sets_array_flags():
+    # Every value type holds its arrays through spectra.frozen_array, so one
+    # rule decides their layout, flags and checks; a hand-written copy of it
+    # would drift.  cie1931's module-level table is data, not a field.
+    (frozen_array,) = [node for node in TREES["spectra.py"].body
+                       if isinstance(node, ast.FunctionDef) and node.name == "frozen_array"]
+    allowed = {id(call) for call in _setflags_calls(frozen_array)}
+    allowed |= {id(call) for node in TREES["cie1931.py"].body
+                if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) for call in _setflags_calls(node)}
+    stray = sorted(f"{module} line {call.lineno}" for module, tree in TREES.items()
+                   for call in _setflags_calls(tree) if id(call) not in allowed)
+    assert not stray, f".setflags( outside spectra.frozen_array: {', '.join(stray)}"

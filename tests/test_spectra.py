@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -5,11 +6,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from specfilter.colorimetry import SceneSet
 from specfilter.errors import GridMismatch, OutOfRange, RankDeficient, ShapeError
-from specfilter.ingest import builtin_cmf
+from specfilter.ingest import SpectralTable, builtin_cmf
+from specfilter.solution import ConvergenceTrace
 from specfilter.spectra import (
     DEFAULT_GRID,
     RANK_TOLERANCE,
+    CorrectionMatrix,
+    OrthoBasis,
     SensorSet,
     SpectralCurve,
     WavelengthGrid,
@@ -66,6 +71,67 @@ class TestSensorSet:
         column = np.linspace(0.1, 1.0, 31)
         with pytest.raises(RankDeficient):
             SensorSet(DEFAULT_GRID, np.stack([column, column, np.ones(31)], axis=1))
+
+
+N = DEFAULT_GRID.count
+
+# Every value type, as a constructor taking its arrays by field name, and valid arrays for it.
+VALUE_TYPES = {
+    "SpectralCurve": (lambda values: SpectralCurve(DEFAULT_GRID, values), {"values": np.full(N, 0.5)}),
+    "SensorSet": (lambda channels: SensorSet(DEFAULT_GRID, channels), {"channels": builtin_cmf().channels}),
+    "OrthoBasis": (lambda basis: OrthoBasis(DEFAULT_GRID, basis),
+                   {"basis": orthonormalize(builtin_cmf()).basis}),
+    "CorrectionMatrix": (CorrectionMatrix, {"m": np.eye(3)}),
+    "ConvergenceTrace": (ConvergenceTrace, {"vora_values": np.array([0.5, 0.6]),
+                                            "residuals": np.array([1.5, 1.2]), "filters": np.ones((2, N))}),
+    "SceneSet": (lambda illuminants, reflectances: SceneSet(illuminants, reflectances, DEFAULT_GRID),
+                 {"illuminants": np.ones((2, N)), "reflectances": np.full((N, 4), 0.5)}),
+    "SpectralTable": (lambda wavelengths, columns: SpectralTable(wavelengths, ("a", "b"), columns),
+                      {"wavelengths": DEFAULT_GRID.wavelengths(), "columns": np.ones((N, 2))}),
+}
+
+# Each array field of every value type: the name its errors give it and an array of the wrong shape.
+ARRAY_FIELDS = [
+    ("SpectralCurve", "values", "curve values", np.ones(N - 1)),
+    ("SensorSet", "channels", "sensor matrix", np.ones((N, 4))),
+    ("OrthoBasis", "basis", "basis", np.eye(N)[:, :3].T),
+    ("CorrectionMatrix", "m", "correction matrix", np.eye(3)[:2]),
+    ("ConvergenceTrace", "vora_values", "Vora-Value rows", np.array([[0.5], [0.6]])),
+    ("ConvergenceTrace", "residuals", "residual rows", np.array([1.5])),
+    ("ConvergenceTrace", "filters", "filter rows", np.ones((3, N))),
+    ("SceneSet", "illuminants", "illuminants", np.ones(N)),
+    ("SceneSet", "reflectances", "reflectances", np.ones((4, N))),
+    ("SpectralTable", "wavelengths", "wavelengths", DEFAULT_GRID.wavelengths()[:, None]),
+    ("SpectralTable", "columns", "data columns", np.ones((N, 3))),
+]
+FIELD_IDS = [f"{kind}.{field}" for kind, field, _, _ in ARRAY_FIELDS]
+
+
+def _build(kind: str, **arrays):
+    make, valid = VALUE_TYPES[kind]
+    return make(**{**valid, **arrays})
+
+
+class TestFrozenArrays:
+    """The one array rule every value type keeps through ``spectra.frozen_array``."""
+
+    @pytest.mark.parametrize("kind, field, what, wrong", ARRAY_FIELDS, ids=FIELD_IDS)
+    def test_holds_checked_read_only_c_ordered_copies(self, kind, field, what, wrong):
+        with pytest.raises(ShapeError, match=f"^{re.escape(what)} must be "):
+            _build(kind, **{field: wrong})
+        given = np.repeat(VALUE_TYPES[kind][1][field][..., None], 2, axis=-1)[..., 0]   # a strided view
+        held = getattr(_build(kind, **{field: given}), field)
+        assert held.dtype == np.float64 and held.flags.c_contiguous and not held.flags.writeable
+        assert not np.shares_memory(held, given)
+        assert np.array_equal(held, given)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("kind, field, what, wrong", ARRAY_FIELDS, ids=FIELD_IDS)
+    def test_rejects_nan_and_inf(self, kind, field, what, wrong, bad):
+        values = np.array(VALUE_TYPES[kind][1][field])
+        values.flat[-1] = bad
+        with pytest.raises(ValueError, match=f"^{re.escape(what)} must be finite$"):
+            _build(kind, **{field: values})
 
 
 class TestProjector:
