@@ -41,7 +41,7 @@ from .ingest import (
     read_spectral_csv,
     serialize_spectral_csv,
 )
-from .solution import ConvergenceTrace, FilterSolution, random_filter
+from .solution import ConvergenceTrace, FilterSolution
 from .spectra import (
     DEFAULT_GRID,
     CorrectionMatrix,
@@ -94,7 +94,6 @@ __all__ = [
     "orthonormalize",
     "parse_manifest",
     "parse_spectral_csv",
-    "random_filter",
     "read_manifest",
     "read_spectral_csv",
     "serialize_spectral_csv",

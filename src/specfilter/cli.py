@@ -96,12 +96,15 @@ def _write_run(out: str, payload: dict, *files) -> None:
     """Make ``out``, write each ``(name, format, *args)`` of ``files`` as
     ``format(*args)``, then ``report.json`` of ``payload``.
 
-    Each text is written as soon as it is formatted, so no two are held at once.
+    Each file is written as soon as it is formatted, so no two are held at
+    once.  The small report is strict JSON, formatted first: a nan or inf in
+    ``payload`` raises ``ValueError`` before ``out`` is made.
     """
+    report = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     os.makedirs(out, exist_ok=True)
     for name, fmt, *args in files:
         _write(os.path.join(out, name), fmt(*args))
-    _write(os.path.join(out, "report.json"), json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write(os.path.join(out, "report.json"), report)
 
 
 def cmd_optimize(args) -> int:
@@ -276,6 +279,10 @@ def _mean_delta_es(engine: SceneEngine, camera: SensorSet, filters: np.ndarray,
 
 
 def cmd_trace_compare(args) -> int:
+    # A label is a compare.csv cell: a comma or line break in it would split the row.
+    for flag, label in (("--label-a", args.label_a), ("--label-b", args.label_b)):
+        if "," in label or label.splitlines() != [label]:
+            raise SpecFilterError(f"{flag} must be non-empty and hold no comma or line break, got {label!r}")
     if args.filters_a or args.filters_b:
         missing = [flag for flag, value in (("--camera", args.camera), ("--scenes", args.scenes))
                    if not value]

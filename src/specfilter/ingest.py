@@ -75,21 +75,21 @@ def parse_spectral_csv(data: bytes | str) -> SpectralTable:
     row_lines: list[int] = []
     width = None
     for lineno, line in _lines(_decode(data)):
-        cells = [cell.strip() for cell in line.split(",")]
+        # float() strips the whitespace around a number itself.
+        cells = line.split(",")
         if width is None:
-            if len(cells) < 2:
+            width = len(cells)
+            if width < 2:
                 raise ParseError("need a wavelength column plus at least one data column", lineno)
             try:
-                float(cells[0])
+                float(cells[0].strip())
             except ValueError:
-                header = cells
-                width = len(cells)
+                header = [cell.strip() for cell in cells]
                 continue
-            width = len(cells)
         if len(cells) != width:
             raise ParseError(f"expected {width} cells, got {len(cells)}", lineno)
         try:
-            rows.append([float(cell) for cell in cells])
+            rows.append(list(map(float, cells)))
         except ValueError:
             raise ParseError(f"non-numeric cell in {line!r}", lineno) from None
         row_lines.append(lineno)
@@ -157,7 +157,8 @@ def parse_manifest(text: str, base_dir: str = ".") -> DatasetManifest:
     """Parse ``key = value`` manifest lines.
 
     Raises ``ParseError`` with the line number for a line without ``=``, a
-    key other than the four ``DatasetManifest`` fields, or a repeated key.
+    key other than the four ``DatasetManifest`` fields, a key without a
+    value, or a repeated key.
     A leading UTF-8 byte-order mark is ignored.
     """
     values: dict[str, str] = {}
@@ -169,6 +170,8 @@ def parse_manifest(text: str, base_dir: str = ".") -> DatasetManifest:
         key, value = key.strip().lower(), value.strip()
         if key not in _MANIFEST_KEYS:
             raise ParseError(f"unknown key {key!r} (expected one of {', '.join(_MANIFEST_KEYS)})", lineno)
+        if not value:
+            raise ParseError(f"key {key!r} has no value", lineno)
         if key in values:
             raise ParseError(f"key {key!r} repeats line {lines[key]}", lineno)
         values[key], lines[key] = value, lineno

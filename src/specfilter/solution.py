@@ -55,20 +55,15 @@ def _require_integer(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-def random_filter(grid: WavelengthGrid, rng: np.random.Generator) -> SpectralCurve:
-    """A random starting filter with entries uniform in (0, 1]."""
-    return SpectralCurve(grid, 1.0 - rng.random(grid.count))
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     """Stopping rule and starting point common to both solvers.
 
     ``initial_filter`` is an explicit curve or one of the names ``"ones"``
-    (neutral filter) and ``"random"`` (a seeded ``random_filter`` draw).
-    ``epsilon`` is the minimum Vora-Value increase per iteration; the
-    generous defaults make hitting ``max_iterations`` a signal, not a
-    nuisance.
+    (neutral filter) and ``"random"`` (a seeded random draw, see
+    ``start_stack``).  ``epsilon``, positive and finite, is the minimum
+    Vora-Value increase per iteration; the generous defaults make hitting
+    ``max_iterations`` a signal, not a nuisance.
     """
 
     epsilon: float = 1e-9
@@ -76,8 +71,8 @@ class SolverConfig:
     initial_filter: SpectralCurve | str = "ones"
 
     def __post_init__(self):
-        if isinstance(self.epsilon, bool) or not (self.epsilon > 0):
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if isinstance(self.epsilon, bool) or not 0 < self.epsilon < np.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon!r}")
         _require_integer("max_iterations", self.max_iterations)
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
@@ -87,26 +82,23 @@ class SolverConfig:
     def start_stack(self, grid: WavelengthGrid, starts: int, seed: int) -> np.ndarray:
         """The solvers' one start rule: a ``starts`` x n stack of starting filters.
 
-        Row 0 is ``initial_filter`` and every later row a ``random_filter``
-        draw, all from one ``default_rng(seed)``: under ``"random"`` row 0 is
-        its first draw and the later rows continue the same stream.
+        Row 0 is ``initial_filter`` and every later row a random filter,
+        1 - U[0, 1) per entry so in (0, 1], all drawn in one call of one
+        ``default_rng(seed)``: under ``"random"`` row 0 is its first draw and
+        the later rows continue the same stream.
         """
         _require_integer("starts", starts)
         if starts < 1:
             raise ValueError(f"need at least one start, got {starts}")
         if not _is_integer(seed) or seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-        rng = np.random.default_rng(seed)
-        stack = np.empty((starts, grid.count))
+        stack = np.ones((starts, grid.count))
         if isinstance(self.initial_filter, SpectralCurve):
             require_same_grid(self.initial_filter.grid, grid)
             stack[0] = self.initial_filter.values
-        elif self.initial_filter == "ones":
-            stack[0] = 1.0
-        else:
-            stack[0] = random_filter(grid, rng).values
-        for row in range(1, starts):
-            stack[row] = random_filter(grid, rng).values
+        # numpy fills a (k, n) draw row by row, so row i is the i-th of k draws of n.
+        first = 0 if self.initial_filter == "random" else 1
+        stack[first:] = 1.0 - np.random.default_rng(seed).random((starts - first, grid.count))
         return stack
 
 

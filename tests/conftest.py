@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from specfilter.gradient import _gradient_arrays
-from specfilter.spectra import DEFAULT_GRID, SensorSet, WavelengthGrid
+from specfilter.spectra import DEFAULT_GRID, SensorSet, SpectralCurve, WavelengthGrid
 from specfilter.vora import basis_score
 
 TOY_GRID = WavelengthGrid(400.0, 10.0, 4)
@@ -42,6 +42,11 @@ def solvable_toy_pair(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]
         vx, _ = np.linalg.qr(xm)
         if basis_score(np.ones(4), qm, vx)[1] <= 0.99:
             return qm, xm
+
+
+def random_filter(grid: WavelengthGrid, rng: np.random.Generator) -> SpectralCurve:
+    """A random filter with entries uniform in (0, 1]: one row of ``SolverConfig.start_stack``'s draw."""
+    return SpectralCurve(grid, 1.0 - rng.random(grid.count))
 
 
 def ga_gradient(f: np.ndarray, qc: np.ndarray, vb: np.ndarray) -> np.ndarray:

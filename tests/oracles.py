@@ -12,7 +12,9 @@ itself, which bounds the round-off of the package's moment route; and
 ``plain_als_sweep``, the paper's unaccelerated ALS loop on the package's own
 half-steps, which the accelerated loop must never do worse than; and
 ``plain_ga_ascend``, gradient ascent's loop as first written on the
-reference kernels, which pins the whole run's bits.
+reference kernels, which pins the whole run's bits; and
+``strip_every_cell_parse``, the CSV parser as first written, which strips
+every cell before converting it and pins the parser's tables and errors.
 """
 
 from fractions import Fraction
@@ -20,8 +22,9 @@ from fractions import Fraction
 import numpy as np
 
 from specfilter.als import _filter
-from specfilter.errors import RankDeficient, ShapeError
+from specfilter.errors import ParseError, RankDeficient, ShapeError
 from specfilter.gradient import INITIAL_STEP, MIN_STEP, SHRINK, SUFFICIENT_INCREASE
+from specfilter.ingest import SpectralTable, _decode, _lines
 from specfilter.solution import MONOTONE_SLACK, Stop
 from specfilter.spectra import RANK_TOLERANCE, apply_filter, orthonormalize, rank_ratio, require_same_grid
 from specfilter.vora import VoraScore, basis_score, moment_score, vora_value
@@ -306,3 +309,48 @@ def iterations_to_reach(values, target):
     """Index of the first trace entry at or above target, or a huge sentinel."""
     indices = np.nonzero(np.asarray(values) >= target)[0]
     return int(indices[0]) if indices.size else 10**9
+
+
+def strip_every_cell_parse(data):
+    """``parse_spectral_csv`` as first written: every cell is stripped, then converted on its own."""
+    header = None
+    rows = []
+    row_lines = []
+    width = None
+    for lineno, line in _lines(_decode(data)):
+        cells = [cell.strip() for cell in line.split(",")]
+        if width is None:
+            if len(cells) < 2:
+                raise ParseError("need a wavelength column plus at least one data column", lineno)
+            try:
+                float(cells[0])
+            except ValueError:
+                header = cells
+                width = len(cells)
+                continue
+            width = len(cells)
+        if len(cells) != width:
+            raise ParseError(f"expected {width} cells, got {len(cells)}", lineno)
+        try:
+            rows.append([float(cell) for cell in cells])
+        except ValueError:
+            raise ParseError(f"non-numeric cell in {line!r}", lineno) from None
+        row_lines.append(lineno)
+
+    if not rows:
+        raise ParseError("no data rows")
+    table = np.array(rows)
+    finite = np.isfinite(table).all(axis=1)
+    if not finite.all():
+        raise ParseError("non-finite cell (nan or inf)", row_lines[int(np.argmin(finite))])
+    keys = table[:, 0]
+    backward = np.flatnonzero(keys[1:] <= keys[:-1])
+    if backward.size:
+        i = int(backward[0]) + 1
+        raise ParseError(
+            f"first column must be strictly increasing; {keys[i]:g} follows {keys[i - 1]:g}",
+            row_lines[i],
+        )
+    if header is None:
+        header = ["wavelength"] + [f"col{j}" for j in range(1, width)]
+    return SpectralTable(keys, tuple(header[1:]), table[:, 1:], header[0])

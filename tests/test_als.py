@@ -19,7 +19,7 @@ from specfilter.als import (
 from specfilter.errors import ConsistencyError, RankDeficient, ShapeError
 from specfilter.gradient import GaConfig, optimize_ga
 from specfilter.ingest import builtin_cmf
-from specfilter.solution import MONOTONE_SLACK, ConvergenceTrace, Stop, random_filter
+from specfilter.solution import MONOTONE_SLACK, ConvergenceTrace, Stop
 from specfilter.spectra import (
     DEFAULT_GRID,
     SensorSet,
@@ -29,7 +29,7 @@ from specfilter.spectra import (
 )
 from specfilter.vora import Moments, basis_score, moment_score
 
-from conftest import TOY_GRID, bump_camera_matrix, solvable_toy_pair
+from conftest import TOY_GRID, bump_camera_matrix, random_filter, solvable_toy_pair
 from oracles import cofactor_inverse_3x3, exact_row_form_filter, plain_als_sweep, vora_by_projector
 from test_acceptance import make_toys
 

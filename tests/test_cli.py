@@ -331,6 +331,22 @@ class TestOptimizeCommand:
             assert capsys.readouterr().err == f"error: fixed_step must be positive and finite, got {float(step)!r}\n"
             assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("epsilon", ["inf", "nan", "0", "-1"])
+    def test_epsilon_must_be_positive_and_finite(self, tmp_path, camera_csv, capsys, epsilon):
+        # An infinite epsilon would stop after one iteration and write
+        # "epsilon": Infinity into report.json, which is not JSON.
+        out = tmp_path / "out"
+        assert main(["optimize", "--camera", camera_csv, "--epsilon", epsilon, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: epsilon must be positive and finite, got {float(epsilon)!r}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_report_refuses_non_finite_values(self, tmp_path, value):
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            specfilter.cli._write_run(str(out), {"timing_ms": value}, ("a.txt", str, "a"))
+        assert not out.exists()
+
     def test_missing_camera_exits_1(self, tmp_path):
         code = main(["optimize", "--camera", str(tmp_path / "nope.csv"), "--out", str(tmp_path)])
         assert code == 1
@@ -548,6 +564,19 @@ class TestEvaluateCommand:
         err = capsys.readouterr().err
         assert err == "error: sensor matrix is rank deficient (columns are numerically dependent)\n"
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("key", ["camera", "cmf", "illuminants", "reflectances"])
+    def test_manifest_key_without_value_exits_1(self, tmp_path, camera_csv, scene_manifest, capsys, key):
+        # An empty path would resolve to the manifest's directory and fail
+        # later as "Is a directory", naming neither the manifest nor the line.
+        values = {"illuminants": "lights.csv", "reflectances": "surfaces.csv", key: ""}
+        manifest = tmp_path / "empty_value.txt"
+        manifest.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+        line = list(values).index(key) + 1
+        out = tmp_path / "out"
+        assert main(["evaluate", "--camera", camera_csv, "--scenes", str(manifest), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {manifest}: line {line}: key {key!r} has no value\n"
+        assert not out.exists()
 
     def test_invalid_manifest_exits_1(self, tmp_path, camera_csv):
         bad = tmp_path / "bad.txt"
@@ -863,6 +892,19 @@ class TestTraceCompareCommand:
         missing = [flag for flag in ("--camera", "--scenes") if flag not in given]
         assert f"missing {' and '.join(missing)}" in err
         assert not (out / "compare.csv").exists()
+
+    @pytest.mark.parametrize("flag, label", [("--label-a", "x,y"), ("--label-b", ""), ("--label-a", "x\ny"),
+                                             ("--label-b", "x\r"), ("--label-a", "x\u2028y")],
+                             ids=["comma", "empty", "LF", "CR", "line separator"])
+    def test_label_that_would_split_a_row_exits_1(self, tmp_path, capsys, flag, label):
+        # A comma would write five cells under compare.csv's four-cell header.
+        trace = tmp_path / "trace.csv"
+        trace.write_text("iteration,vora_value,residual\n0,0.5,1.5\n")
+        out = tmp_path / "cmp"
+        assert main(["trace-compare", str(trace), str(trace), flag, label, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {flag} must be non-empty and hold no comma or line break, got {label!r}\n")
+        assert not out.exists()
 
     def test_malformed_trace_exits_1(self, tmp_path):
         bad = tmp_path / "bad.csv"

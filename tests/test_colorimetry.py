@@ -6,7 +6,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from specfilter.solution import random_filter
 from specfilter.cli import PAIR_BUDGET
 from specfilter.colorimetry import (
     DeltaEStats,
@@ -25,7 +24,7 @@ from specfilter.errors import (
 from specfilter.ingest import builtin_cmf, load_scene_set, load_sensor_set, read_manifest, read_spectral_csv
 from specfilter.spectra import DEFAULT_GRID, SensorSet, SpectralCurve, WavelengthGrid, apply_filter
 
-from conftest import bump_camera_matrix
+from conftest import bump_camera_matrix, random_filter
 
 
 def rendered(channels, illuminant, reflectances):

@@ -10,11 +10,10 @@ from specfilter.als import AlsConfig, optimize_als
 from specfilter.errors import RankDeficient
 from specfilter.gradient import GaConfig, _gradient_arrays, optimize_ga
 from specfilter.ingest import builtin_cmf
-from specfilter.solution import random_filter
 from specfilter.spectra import DEFAULT_GRID, SensorSet, SpectralCurve, apply_filter, orthonormalize
 from specfilter.vora import basis_score, vora_value
 
-from conftest import TOY_GRID, bump_camera_matrix, ga_gradient, solvable_toy_pair
+from conftest import TOY_GRID, bump_camera_matrix, ga_gradient, random_filter, solvable_toy_pair
 from oracles import central_difference_gradient, gradient_arrays_reference, plain_ga_ascend, vora_by_projector
 
 
@@ -268,7 +267,8 @@ class TestOptimizeGa:
 
     @pytest.mark.parametrize("config, field, value", [
         (AlsConfig, "epsilon", True), (GaConfig, "epsilon", True), (GaConfig, "fixed_step", True),
-        (GaConfig, "fixed_step", 0.0), (GaConfig, "fixed_step", np.inf), (GaConfig, "fixed_step", np.nan)])
+        (GaConfig, "fixed_step", 0.0), (GaConfig, "fixed_step", np.inf), (GaConfig, "fixed_step", np.nan),
+        (AlsConfig, "epsilon", np.inf), (GaConfig, "epsilon", np.inf), (AlsConfig, "epsilon", np.nan)])
     def test_step_parameters_name_their_field(self, config, field, value):
         # A bool is not a number here, and an infinite step cannot be taken.
         with pytest.raises(ValueError, match=f"^{field} must be positive"):

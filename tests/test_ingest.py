@@ -1,5 +1,6 @@
 import os
 import shutil
+import sys
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from specfilter.ingest import (
 from specfilter.spectra import DEFAULT_GRID, SensorSet, WavelengthGrid, interp_columns, orthonormalize
 from specfilter.vora import vora_value
 
+from oracles import strip_every_cell_parse
 
 
 def cmf_csv_text() -> str:
@@ -140,6 +142,73 @@ class TestRoundTripProperty:
         assert parsed.columns.tobytes() == table.columns.tobytes()
 
 
+# Every character str.strip() removes but U+001C-U+001F, split into those
+# that break a line and those that pad a cell.  splitlines() also breaks lines
+# at U+001C-U+001E, so they never reach a cell; U+001F is the one that float()
+# refuses (see test_unit_separator_in_a_cell_is_rejected).
+_SPACES = [c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace() and not "\x1c" <= c <= "\x1f"]
+_BREAKS = [c for c in _SPACES if len(f"a{c}b".splitlines()) == 2]
+_PADDING = [c for c in _SPACES if c not in _BREAKS]
+_BAD_CELLS = ("x", "", "1.2.3", "nan", "inf")
+
+
+@st.composite
+def padded_csv_files(draw):
+    """CSV text with padded cells: a header or none, comment and blank lines,
+    ragged rows and bad cells among ``repr``'d floats, lines ended by any
+    line break."""
+    # Mostly well-formed, so that many files parse: one cell in 20 is bad,
+    # one row in 10 is ragged and one key in 10 random, and half of the
+    # padding is empty.
+    pad = st.one_of(st.just(""), st.text(st.sampled_from(_PADDING), min_size=1, max_size=2))
+    padded = lambda cell: draw(pad) + cell + draw(pad)
+    value = st.integers(0, 19).flatmap(
+        lambda k: st.sampled_from(_BAD_CELLS) if k == 0 else _FINITE.map(repr))
+    width = draw(st.integers(2, 5))
+    lines = []
+    if draw(st.booleans()):
+        names = draw(st.lists(st.text("abcxyz_019", min_size=1, max_size=5), min_size=width, max_size=width))
+        lines.append(",".join(map(padded, names)))
+    for i in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["row", "row", "row", "comment", "blank"]))
+        if kind == "comment":
+            lines.append(padded("# note, 1"))
+        elif kind == "blank":
+            lines.append(draw(pad))
+        else:
+            cells = draw(st.integers(1, 6)) if draw(st.integers(0, 9)) == 0 else width
+            key = draw(value) if draw(st.integers(0, 9)) == 0 else repr(400.0 + 10 * i)
+            lines.append(",".join([padded(key)] + [padded(draw(value)) for _ in range(cells - 1)]))
+    return "".join(line + draw(st.sampled_from(_BREAKS)) for line in lines)
+
+
+def parse_outcome(parse, text):
+    """A parse's table as bytes and names, or its ``ParseError`` as text and line."""
+    try:
+        table = parse(text)
+    except ParseError as exc:
+        return str(exc), exc.line
+    return table.key_name, table.column_names, table.wavelengths.tobytes(), table.columns.tobytes()
+
+
+class TestOneConversionPerCell:
+    @settings(max_examples=400, deadline=None)
+    @given(text=padded_csv_files())
+    def test_matches_the_strip_every_cell_parser(self, text):
+        assert parse_outcome(parse_spectral_csv, text) == parse_outcome(strip_every_cell_parse, text)
+
+    def test_unit_separator_in_a_cell_is_rejected(self):
+        # str.strip() removes U+001F but float() refuses it, so a cell padded
+        # with it is rejected where the reference accepts it.  At either end of
+        # a line it is still stripped.
+        text = "wavelength,a\n400,1\n410,\x1f2\n"
+        assert strip_every_cell_parse(text).columns.tolist() == [[1.0], [2.0]]
+        with pytest.raises(ParseError) as caught:
+            parse_spectral_csv(text)
+        assert (caught.value.line, caught.value.reason) == (3, "non-numeric cell in '410,\\x1f2'")
+        assert parse_spectral_csv("\x1f400,1\x1f\n").columns.tolist() == [[1.0]]
+
+
 class TestLoadSensorSet:
     def test_five_nm_data_takes_every_second_row(self, rng):
         fine = WavelengthGrid(400.0, 5.0, 61)
@@ -211,6 +280,15 @@ class TestManifest:
         assert str(caught.value).startswith(f"{path}: line {line}: {reason}")
         if reason.startswith("unknown"):
             assert "camera, cmf, illuminants, reflectances" in caught.value.reason
+
+    @pytest.mark.parametrize("key", ["camera", "cmf", "illuminants", "reflectances"])
+    def test_key_without_value_rejected(self, tmp_path, key):
+        # An empty path would resolve to the manifest's own directory.
+        path = tmp_path / "scenes.txt"
+        path.write_text(f"# scenes\n{key} =  \n")
+        with pytest.raises(ParseError) as caught:
+            read_manifest(str(path))
+        assert str(caught.value) == f"{path}: line 2: key {key!r} has no value"
 
     def test_bad_line_rejected(self):
         with pytest.raises(ParseError, match="line 1"):
