@@ -35,6 +35,7 @@ from .ingest import (
     load_cmf,
     load_scene_set,
     load_sensor_set,
+    load_spectra,
     parse_manifest,
     parse_spectral_csv,
     read_manifest,
@@ -89,6 +90,7 @@ __all__ = [
     "load_cmf",
     "load_scene_set",
     "load_sensor_set",
+    "load_spectra",
     "optimize_als",
     "optimize_ga",
     "orthonormalize",

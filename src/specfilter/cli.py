@@ -22,10 +22,10 @@ from .als import AlsConfig, optimize_als
 from .colorimetry import EvaluationReport, SceneEngine, evaluate
 from .errors import RankDeficient, SpecFilterError
 from .gradient import GaConfig, optimize_ga
-from .ingest import (SpectralTable, load_cmf, load_scene_set, load_sensor_set, read_manifest,
-                     read_spectral_csv, serialize_spectral_csv)
+from .ingest import (SpectralTable, load_cmf, load_scene_set, load_sensor_set, load_spectra,
+                     read_manifest, read_spectral_csv, serialize_spectral_csv)
 from .solution import ConvergenceTrace, Stop, require_monotone
-from .spectra import DEFAULT_GRID, SensorSet, SpectralCurve
+from .spectra import SensorSet, SpectralCurve, apply_filter
 
 
 # The warning of each stop reason that leaves a solution unconverged (exit 2),
@@ -62,10 +62,6 @@ def _digest(camera: str, cmf: str, **files: str | None) -> str:
 def _file_bytes(path: str) -> bytes:
     with open(path, "rb") as handle:
         return handle.read()
-
-
-def _load_camera(path: str) -> SensorSet:
-    return load_sensor_set(read_spectral_csv(path))
 
 
 def _trace_csv(trace: ConvergenceTrace) -> str:
@@ -108,7 +104,7 @@ def _write_run(out: str, payload: dict, *files) -> None:
 
 
 def cmd_optimize(args) -> int:
-    camera = _load_camera(args.camera)
+    camera = load_sensor_set(args.camera)
     cmf = load_cmf(args.cmf)
 
     if args.fixed_step is not None and args.optimizer == "als":
@@ -178,26 +174,25 @@ def cmd_optimize(args) -> int:
     return 0
 
 
-def _load_filter(path: str) -> SpectralCurve:
-    table = read_spectral_csv(path)
-    if table.columns.shape[1] != 1:
-        raise SpecFilterError(f"filter file must have exactly one data column: {path}")
-    return SpectralCurve(DEFAULT_GRID, table.resampled_columns()[:, 0])
-
-
 def cmd_evaluate(args) -> int:
     manifest = read_manifest(args.scenes)
     camera_path = args.camera or manifest.camera
     if camera_path is None:
         raise SpecFilterError("no camera file given (flag --camera or manifest key 'camera')")
     cmf_choice = args.cmf or manifest.cmf
-    camera = _load_camera(camera_path)
+    camera = load_sensor_set(camera_path)
     cmf = load_cmf(cmf_choice)
     scenes = load_scene_set(manifest)
-    filter_curve = _load_filter(args.filter) if args.filter else None
+    effective = camera
+    if args.filter:
+        transmittance = SpectralCurve(camera.grid, load_spectra(args.filter, 1)[1][:, 0])
+        try:
+            effective = apply_filter(transmittance, camera)
+        except RankDeficient as exc:
+            raise RankDeficient(f"{args.filter}: {exc}") from None
 
     started = time.perf_counter()
-    report = evaluate(camera, filter_curve, cmf, scenes, correction_mode=args.correction)
+    report = evaluate(effective, None, cmf, scenes, correction_mode=args.correction)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
 
     payload = {
@@ -226,7 +221,7 @@ def cmd_evaluate(args) -> int:
         },
         "timing_ms": elapsed_ms,
     }
-    label = "filtered" if filter_curve is not None else "baseline"
+    label = "filtered" if args.filter else "baseline"
     _write_run(args.out, payload,
                ("evaluation.csv", _stats_row, report), ("evaluation.txt", _stats_table, label, report))
 
@@ -249,12 +244,6 @@ def _read_trace(path: str) -> list[tuple[int, float]]:
     iterations = [int(i) for i in table.wavelengths.tolist()]
     require_monotone(iterations, table.columns[:, 0], prefix=f"{path}: ")
     return list(zip(iterations, table.columns[:, 0].tolist()))
-
-
-def _read_iteration_filters(path: str) -> tuple[tuple[str, ...], np.ndarray]:
-    """Column names and one row per recorded iteration, resampled onto the working grid."""
-    table = read_spectral_csv(path)
-    return table.column_names, table.resampled_columns().T
 
 
 # Illuminant-reflectance pairs scored per SceneEngine.delta_e call: about 113
@@ -298,14 +287,15 @@ def cmd_trace_compare(args) -> int:
         # Read only to score: without a filters file, inputs the scoring would
         # reject do not fail the run.
         manifest = read_manifest(args.scenes)
-        camera = _load_camera(args.camera)
+        camera = load_sensor_set(args.camera)
         engine = SceneEngine(load_cmf(args.cmf or manifest.cmf), load_scene_set(manifest), args.correction)
 
     lines = ["iteration,method,vora_value,mean_delta_e"]
     for label, trace_path, rows, filters_path in traces:
         mean_des = [""] * len(rows)
         if filters_path:
-            names, iteration_filters = _read_iteration_filters(filters_path)
+            names, columns = load_spectra(filters_path)
+            iteration_filters = columns.T
             if len(iteration_filters) != len(rows):
                 raise SpecFilterError(
                     f"{filters_path} has {len(iteration_filters)} iteration filters "

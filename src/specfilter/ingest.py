@@ -4,9 +4,9 @@ The one canonical file format is a comma-separated table whose first column
 is wavelength in nm, one spectrum per remaining column.  A header row is
 optional (detected by a non-numeric first cell) and ``#`` lines are comments.
 Non-uniform wavelength spacing is accepted at parse time.  Every loader
-brings its data onto the working grid, ``DEFAULT_GRID`` (400-700 nm every
-10 nm), by linear interpolation; ``spectra.interp_columns`` resamples onto
-any other grid.
+takes a path and brings its data onto the working grid, ``DEFAULT_GRID``
+(400-700 nm every 10 nm), by linear interpolation; ``spectra.interp_columns``
+resamples onto any other grid.  Every error a loader raises names its file.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from .cie1931 import CIE_1931_2DEG_400_700_10NM
 from .colorimetry import SceneSet
-from .errors import ParseError, ShapeError
+from .errors import ParseError, ShapeError, SpecFilterError
 from .spectra import DEFAULT_GRID, SensorSet, frozen_array, interp_columns
 
 
@@ -36,10 +36,6 @@ class SpectralTable:
         object.__setattr__(self, "column_names", tuple(self.column_names))
         rows = len(frozen_array(self, "wavelengths", (None,), "wavelengths"))
         frozen_array(self, "columns", (rows, len(self.column_names)), "data columns")
-
-    def resampled_columns(self) -> np.ndarray:
-        """The data columns resampled onto ``DEFAULT_GRID``."""
-        return interp_columns(self.wavelengths, self.columns, DEFAULT_GRID)
 
 
 def _decode(data: bytes | str) -> str:
@@ -123,15 +119,6 @@ def serialize_spectral_csv(table: SpectralTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_sensor_set(table: SpectralTable) -> SensorSet:
-    """Resample a three-column table onto ``DEFAULT_GRID`` and validate it as a sensor set."""
-    if table.columns.shape[1] != 3:
-        raise ShapeError(
-            f"a sensor set needs exactly 3 data columns, got {table.columns.shape[1]}"
-        )
-    return SensorSet(DEFAULT_GRID, table.resampled_columns())
-
-
 def builtin_cmf() -> SensorSet:
     """The CIE 1931 2-degree standard observer on the default 400-700/10 nm grid."""
     return SensorSet(DEFAULT_GRID, CIE_1931_2DEG_400_700_10NM[:, 1:])
@@ -158,7 +145,7 @@ def parse_manifest(text: str, base_dir: str = ".") -> DatasetManifest:
 
     Raises ``ParseError`` with the line number for a line without ``=``, a
     key other than the four ``DatasetManifest`` fields, a key without a
-    value, or a repeated key.
+    value (``cmf = file:`` among them), or a repeated key.
     A leading UTF-8 byte-order mark is ignored.
     """
     values: dict[str, str] = {}
@@ -172,33 +159,45 @@ def parse_manifest(text: str, base_dir: str = ".") -> DatasetManifest:
             raise ParseError(f"unknown key {key!r} (expected one of {', '.join(_MANIFEST_KEYS)})", lineno)
         if not value:
             raise ParseError(f"key {key!r} has no value", lineno)
+        if key == "cmf" and value == "file:":
+            raise ParseError("key 'cmf' names no file after 'file:'", lineno)
         if key in values:
             raise ParseError(f"key {key!r} repeats line {lines[key]}", lineno)
         values[key], lines[key] = value, lineno
 
-    def resolve(key: str) -> str | None:
-        if key not in values:
-            return None
-        return os.path.normpath(os.path.join(base_dir, values[key]))
+    def resolve(value: str, prefix: str = "") -> str:
+        return prefix + os.path.normpath(os.path.join(base_dir, value[len(prefix):]))
 
-    cmf = values.get("cmf", "cie1931")
+    cmf = values.pop("cmf", "cie1931")
     if cmf.startswith("file:"):
-        cmf = "file:" + os.path.normpath(os.path.join(base_dir, cmf[len("file:"):]))
-    return DatasetManifest(
-        camera=resolve("camera"),
-        cmf=cmf,
-        illuminants=resolve("illuminants"),
-        reflectances=resolve("reflectances"),
-    )
+        cmf = resolve(cmf, "file:")
+    return DatasetManifest(cmf=cmf, **{key: resolve(value) for key, value in values.items()})
 
 
 def _read(path: str, parse):
-    """``parse`` of the bytes of file ``path``; its ``ParseError`` names the file."""
+    """``parse`` of the bytes of file ``path``; every ``SpecFilterError`` it raises names the file.
+
+    A ``ParseError`` becomes ``<path>: line N: <reason>``; any other keeps
+    its class and reads ``<path>: <message>``.
+    """
     try:
         with open(path, "rb") as handle:
             return parse(handle.read())
     except ParseError as exc:
         raise ParseError(exc.reason, exc.line, path) from None
+    except SpecFilterError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
+def _on_grid(data: bytes, width: int | None) -> tuple[tuple[str, ...], np.ndarray]:
+    """The column names of a spectral CSV and its columns resampled onto ``DEFAULT_GRID``.
+
+    With ``width`` given, another number of data columns raises ``ShapeError``.
+    """
+    table = parse_spectral_csv(data)
+    if width is not None and table.columns.shape[1] != width:
+        raise ShapeError(f"need exactly {width} data column(s), got {table.columns.shape[1]}")
+    return table.column_names, interp_columns(table.wavelengths, table.columns, DEFAULT_GRID)
 
 
 def read_manifest(path: str) -> DatasetManifest:
@@ -208,16 +207,33 @@ def read_manifest(path: str) -> DatasetManifest:
 
 
 def read_spectral_csv(path: str) -> SpectralTable:
-    """``parse_spectral_csv`` of a file; its ``ParseError`` names the file."""
+    """``parse_spectral_csv`` of a file, on its own wavelengths; its ``ParseError`` names the file."""
     return _read(path, parse_spectral_csv)
+
+
+def load_spectra(path: str, width: int | None = None) -> tuple[tuple[str, ...], np.ndarray]:
+    """The column names of spectral CSV ``path`` and its n-by-k columns on ``DEFAULT_GRID``.
+
+    With ``width`` given, a file with another number of data columns raises
+    ``ShapeError``.  Every error names the file.
+    """
+    return _read(path, lambda data: _on_grid(data, width))
+
+
+def load_sensor_set(path: str) -> SensorSet:
+    """The three-column spectral CSV ``path`` on ``DEFAULT_GRID``, validated as a sensor set.
+
+    Every error, a rank-deficient sensor matrix among them, names the file.
+    """
+    return _read(path, lambda data: SensorSet(DEFAULT_GRID, _on_grid(data, 3)[1]))
 
 
 def load_cmf(choice: str) -> SensorSet:
     """Resolve a CMF choice: ``cie1931`` or ``file:<path>`` to a spectral CSV."""
     if choice == "cie1931":
         return builtin_cmf()
-    if choice.startswith("file:"):
-        return load_sensor_set(read_spectral_csv(choice[len("file:"):]))
+    if choice.startswith("file:") and choice != "file:":
+        return load_sensor_set(choice[len("file:"):])
     raise ValueError(f"unknown CMF choice {choice!r} (use 'cie1931' or 'file:<path>')")
 
 
@@ -225,6 +241,6 @@ def load_scene_set(manifest: DatasetManifest) -> SceneSet:
     """Load the manifest's illuminant and reflectance collections onto ``DEFAULT_GRID``."""
     if manifest.illuminants is None or manifest.reflectances is None:
         raise ValueError("manifest must name both illuminants and reflectances files")
-    illuminants = read_spectral_csv(manifest.illuminants).resampled_columns().T
-    reflectances = read_spectral_csv(manifest.reflectances).resampled_columns()
+    illuminants = load_spectra(manifest.illuminants)[1].T
+    reflectances = load_spectra(manifest.reflectances)[1]
     return SceneSet(illuminants, reflectances, DEFAULT_GRID)

@@ -16,7 +16,7 @@ from specfilter.als import AlsConfig, _filter, optimize_als
 from specfilter.cli import main
 from specfilter.colorimetry import SceneSet, evaluate
 from specfilter.gradient import GaConfig, optimize_ga
-from specfilter.ingest import builtin_cmf, load_sensor_set, read_spectral_csv
+from specfilter.ingest import builtin_cmf, load_sensor_set, load_spectra
 from specfilter.spectra import (
     DEFAULT_GRID,
     SensorSet,
@@ -200,7 +200,7 @@ def test_c06_toy_scale_agreement_with_random_search_oracle():
 
 def load_canon() -> SensorSet:
     (path,) = require_dataset(CANON_FILE)
-    return load_sensor_set(read_spectral_csv(path))
+    return load_sensor_set(path)
 
 
 def test_c07_canon_vora_values_match_published_numbers():
@@ -225,8 +225,8 @@ def test_c07_canon_vora_values_match_published_numbers():
 
 def load_scenes() -> SceneSet:
     illuminants_path, reflectances_path = require_dataset(ILLUMINANTS_FILE, REFLECTANCES_FILE)
-    illuminants = read_spectral_csv(illuminants_path).resampled_columns().T
-    reflectances = read_spectral_csv(reflectances_path).resampled_columns()
+    illuminants = load_spectra(illuminants_path)[1].T
+    reflectances = load_spectra(reflectances_path)[1]
     return SceneSet(illuminants, reflectances, DEFAULT_GRID)
 
 

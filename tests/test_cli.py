@@ -192,7 +192,7 @@ class TestOptimizeCommand:
             assert main(["optimize", "--camera", camera_csv, *flags, "--out", out]) == 0
             return json.loads(read(os.path.join(out, "report.json")))["solution"]
 
-        camera = load_sensor_set(read_spectral_csv(camera_csv))
+        camera = load_sensor_set(camera_csv)
         als = solution("--optimizer", "als", "--starts", "4", "--seed", "2")
         library = optimize_als(camera, builtin_cmf(), starts=4, seed=2)
         assert (als["row_sweeps"], als["extrapolations"]) == (library.row_sweeps, library.extrapolations)
@@ -347,6 +347,12 @@ class TestOptimizeCommand:
             specfilter.cli._write_run(str(out), {"timing_ms": value}, ("a.txt", str, "a"))
         assert not out.exists()
 
+    def test_cmf_flag_without_a_path_exits_1(self, tmp_path, camera_csv, capsys):
+        out = tmp_path / "out"
+        assert main(["optimize", "--camera", camera_csv, "--cmf", "file:", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: unknown CMF choice 'file:' (use 'cie1931' or 'file:<path>')\n"
+        assert not out.exists()
+
     def test_missing_camera_exits_1(self, tmp_path):
         code = main(["optimize", "--camera", str(tmp_path / "nope.csv"), "--out", str(tmp_path)])
         assert code == 1
@@ -364,7 +370,7 @@ class TestOptimizeCommand:
         out = str(tmp_path / "out")
         optimizer = "als" if optimize is optimize_als else "ga"
         assert main(["optimize", "--camera", camera_csv, "--optimizer", optimizer, "--out", out]) == 0
-        solution = optimize(load_sensor_set(read_spectral_csv(camera_csv)), builtin_cmf())
+        solution = optimize(load_sensor_set(camera_csv), builtin_cmf())
         wavelengths = DEFAULT_GRID.wavelengths().tobytes()
 
         written = read_spectral_csv(os.path.join(out, "filter.csv"))
@@ -562,7 +568,7 @@ class TestEvaluateCommand:
                      "--filter", str(zero), "--out", out])
         assert code == 1
         err = capsys.readouterr().err
-        assert err == "error: sensor matrix is rank deficient (columns are numerically dependent)\n"
+        assert err == f"error: {zero}: sensor matrix is rank deficient (columns are numerically dependent)\n"
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize("key", ["camera", "cmf", "illuminants", "reflectances"])
@@ -578,10 +584,68 @@ class TestEvaluateCommand:
         assert capsys.readouterr().err == f"error: {manifest}: line {line}: key {key!r} has no value\n"
         assert not out.exists()
 
+    def test_manifest_cmf_without_a_path_exits_1(self, tmp_path, camera_csv, scene_manifest, capsys):
+        with open(scene_manifest, "a") as handle:
+            handle.write("cmf = file:\n")
+        out = tmp_path / "out"
+        assert main(["evaluate", "--camera", camera_csv, "--scenes", scene_manifest, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {scene_manifest}: line 3: key 'cmf' names no file after 'file:'\n"
+        assert not out.exists()
+
+    def test_no_camera_from_flag_or_manifest_exits_1(self, tmp_path, scene_manifest, capsys):
+        out = tmp_path / "out"
+        assert main(["evaluate", "--scenes", scene_manifest, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: no camera file given (flag --camera or manifest key 'camera')\n")
+        assert not out.exists()
+
     def test_invalid_manifest_exits_1(self, tmp_path, camera_csv):
         bad = tmp_path / "bad.txt"
         bad.write_text("no equals sign here")
         assert main(["evaluate", "--camera", camera_csv, "--scenes", str(bad), "--out", str(tmp_path)]) == 1
+
+
+SHORT_RANGE = "target grid 400.0..700.0 nm exceeds source range 420.0..700.0 nm"
+
+# Per case: the bad file's columns and first wavelength (one row per 10 nm),
+# the input it is read as, and the reason its error gives.
+BAD_INPUTS = {
+    "camera width": (np.ones((31, 4)), 400.0, "camera", "need exactly 3 data column(s), got 4"),
+    "camera rank": (np.ones((31, 3)), 400.0, "camera",
+                    "sensor matrix is rank deficient (columns are numerically dependent)"),
+    "camera range": (np.eye(29, 3), 420.0, "camera", SHORT_RANGE),
+    "cmf width": (np.ones((31, 4)), 400.0, "cmf", "need exactly 3 data column(s), got 4"),
+    "illuminants range": (np.ones((29, 3)), 420.0, "illuminants", SHORT_RANGE),
+    "reflectances range": (np.full((29, 12), 0.5), 420.0, "reflectances", SHORT_RANGE),
+    "filter width": (np.ones((31, 2)), 400.0, "filter", "need exactly 1 data column(s), got 2"),
+    "filters-a range": (np.ones((29, 1)), 420.0, "filters-a", SHORT_RANGE),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_input_that_cannot_be_loaded_is_named(tmp_path, camera_csv, scene_manifest, capsys, case):
+    block, start, role, reason = BAD_INPUTS[case]
+    names = tuple(f"c{j}" for j in range(block.shape[1]))
+    wavelengths = start + 10.0 * np.arange(len(block))
+    (tmp_path / "bad.csv").write_text(serialize_spectral_csv(SpectralTable(wavelengths, names, block)))
+    (tmp_path / "bad_scenes.txt").write_text(
+        f"illuminants = {'bad.csv' if role == 'illuminants' else 'lights.csv'}\n"
+        f"reflectances = {'bad.csv' if role == 'reflectances' else 'surfaces.csv'}\n")
+    (tmp_path / "trace.csv").write_text("iteration,vora_value,residual\n0,0.5,0.1\n")
+    bad, manifest, trace = (str(tmp_path / name) for name in ("bad.csv", "bad_scenes.txt", "trace.csv"))
+    argv = {
+        "camera": ["optimize", "--camera", bad],
+        "cmf": ["optimize", "--camera", camera_csv, "--cmf", f"file:{bad}"],
+        "illuminants": ["evaluate", "--camera", camera_csv, "--scenes", manifest],
+        "reflectances": ["evaluate", "--camera", camera_csv, "--scenes", manifest],
+        "filter": ["evaluate", "--camera", camera_csv, "--scenes", scene_manifest, "--filter", bad],
+        "filters-a": ["trace-compare", trace, trace, "--filters-a", bad,
+                      "--camera", camera_csv, "--scenes", scene_manifest],
+    }[role]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {bad}: {reason}\n"
+    assert not out.exists()
 
 
 class TestTraceCompareCommand:
@@ -690,7 +754,7 @@ class TestTraceCompareCommand:
             ]
         )
         assert code == 0
-        camera = load_sensor_set(read_spectral_csv(camera_csv))
+        camera = load_sensor_set(camera_csv)
         scenes = load_scene_set(read_manifest(scene_manifest))
         rows = [line.split(",") for line in read(os.path.join(out, "compare.csv")).decode().splitlines()[1:]]
         for optimizer in ("als", "ga"):

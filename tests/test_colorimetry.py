@@ -21,7 +21,7 @@ from specfilter.errors import (
     RankDeficient,
     ShapeError,
 )
-from specfilter.ingest import builtin_cmf, load_scene_set, load_sensor_set, read_manifest, read_spectral_csv
+from specfilter.ingest import builtin_cmf, load_scene_set, load_sensor_set, read_manifest
 from specfilter.spectra import DEFAULT_GRID, SensorSet, SpectralCurve, WavelengthGrid, apply_filter
 
 from conftest import bump_camera_matrix, random_filter
@@ -380,7 +380,7 @@ FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 def fixture_camera_and_scenes():
     manifest = read_manifest(os.path.join(FIXTURES, "scenes.txt"))
-    camera = load_sensor_set(read_spectral_csv(manifest.camera))
+    camera = load_sensor_set(manifest.camera)
     return camera, load_scene_set(manifest)
 
 

@@ -17,6 +17,19 @@ from conftest import TOY_GRID, bump_camera_matrix, ga_gradient, random_filter, s
 from oracles import central_difference_gradient, gradient_arrays_reference, plain_ga_ascend, vora_by_projector
 
 
+@pytest.mark.parametrize("solve, config", [(optimize_als, AlsConfig), (optimize_ga, GaConfig)],
+                         ids=["als", "ga"])
+def test_solution_without_a_positive_entry_keeps_its_sign(solve, config):
+    # finish scales a filter by its largest entry only when that is positive;
+    # otherwise by its largest magnitude, so an all-negative optimum stays
+    # negative with -1 as its most negative entry.
+    x = builtin_cmf()
+    start = SpectralCurve(DEFAULT_GRID, np.full(31, -1.0))
+    values = solve(x, x, config(initial_filter=start)).filter.values
+    assert values.max() < 0.0
+    assert values.min() == -1.0
+
+
 def objective(camera):
     x = builtin_cmf()
 

@@ -37,11 +37,13 @@ def cmf_csv_text() -> str:
 
 
 class TestParseSpectralCsv:
-    def test_four_column_file_is_sensor_convertible(self):
+    def test_four_column_file_is_sensor_convertible(self, tmp_path):
         table = parse_spectral_csv(cmf_csv_text())
         assert table.column_names == ("x_bar", "y_bar", "z_bar")
         assert table.columns.shape == (31, 3)
-        sensors = load_sensor_set(table)
+        path = tmp_path / "cmf.csv"
+        path.write_text(cmf_csv_text())
+        sensors = load_sensor_set(str(path))
         assert np.allclose(sensors.channels, builtin_cmf().channels)
 
     def test_headerless_file_gets_default_names(self):
@@ -210,33 +212,41 @@ class TestOneConversionPerCell:
 
 
 class TestLoadSensorSet:
-    def test_five_nm_data_takes_every_second_row(self, rng):
+    @staticmethod
+    def write(tmp_path, text: str) -> str:
+        path = tmp_path / "camera.csv"
+        path.write_text(text)
+        return str(path)
+
+    def test_five_nm_data_takes_every_second_row(self, rng, tmp_path):
         fine = WavelengthGrid(400.0, 5.0, 61)
         columns = rng.uniform(0.1, 1.0, size=(61, 3))
         lines = ["wavelength,r,g,b"]
         for wl, row in zip(fine.wavelengths(), columns):
             lines.append(f"{wl},{row[0]},{row[1]},{row[2]}")
-        table = parse_spectral_csv("\n".join(lines))
-        sensors = load_sensor_set(table)
+        sensors = load_sensor_set(self.write(tmp_path, "\n".join(lines)))
         assert np.allclose(sensors.channels, columns[::2], atol=1e-12)
 
-    def test_wrong_column_count_rejected(self):
-        table = parse_spectral_csv("400,1,2\n410,2,3\n420,3,4\n")
-        with pytest.raises(ShapeError):
-            load_sensor_set(table)
+    def test_wrong_column_count_rejected(self, tmp_path):
+        path = self.write(tmp_path, "400,1,2\n410,2,3\n420,3,4\n")
+        with pytest.raises(ShapeError) as caught:
+            load_sensor_set(path)
+        assert str(caught.value) == f"{path}: need exactly 3 data column(s), got 2"
 
-    def test_rank_deficiency_rejected(self):
+    def test_rank_deficiency_rejected(self, tmp_path):
         lines = ["wavelength,a,b,c"]
         for wl in DEFAULT_GRID.wavelengths():
             lines.append(f"{wl},1.0,1.0,0.5")
-        table = parse_spectral_csv("\n".join(lines))
-        with pytest.raises(RankDeficient):
-            load_sensor_set(table)
+        path = self.write(tmp_path, "\n".join(lines))
+        with pytest.raises(RankDeficient) as caught:
+            load_sensor_set(path)
+        assert str(caught.value).startswith(f"{path}: sensor matrix is rank deficient")
 
-    def test_out_of_range_target_rejected(self):
-        table = parse_spectral_csv("450,1,2,3\n460,2,3,4\n470,3,4,5\n")
-        with pytest.raises(OutOfRange):
-            load_sensor_set(table)
+    def test_out_of_range_target_rejected(self, tmp_path):
+        path = self.write(tmp_path, "450,1,2,3\n460,2,3,4\n470,3,4,5\n")
+        with pytest.raises(OutOfRange) as caught:
+            load_sensor_set(path)
+        assert str(caught.value).startswith(f"{path}: target grid 400.0..700.0 nm exceeds")
 
 
 class TestBuiltinCmf:
@@ -294,6 +304,14 @@ class TestManifest:
         with pytest.raises(ParseError, match="line 1"):
             parse_manifest("camera cam.csv")
 
+    def test_cmf_file_without_a_path_rejected(self, tmp_path):
+        # It would resolve to the manifest's own directory.
+        path = tmp_path / "scenes.txt"
+        path.write_text("illuminants = lights.csv\ncmf = file:  \n")
+        with pytest.raises(ParseError) as caught:
+            read_manifest(str(path))
+        assert str(caught.value) == f"{path}: line 2: key 'cmf' names no file after 'file:'"
+
     @pytest.mark.parametrize("reader, data", [(read_manifest, b"illuminants = \xff.csv\n"),
                                               (read_spectral_csv, b"wavelength,\xff\n400,1\n")],
                              ids=["read_manifest", "read_spectral_csv"])
@@ -338,7 +356,7 @@ class TestShippedFixtures:
 
     def test_fixture_dataset_loads_end_to_end(self):
         manifest = read_manifest(os.path.join(self.FIXTURES, "scenes.txt"))
-        camera = load_sensor_set(read_spectral_csv(manifest.camera))
+        camera = load_sensor_set(manifest.camera)
         scenes = load_scene_set(manifest)
         assert camera.channels.shape == (31, 3)
         assert len(scenes.illuminants) == 3
@@ -392,6 +410,11 @@ class TestLoadCmf:
     def test_unknown_choice_rejected(self):
         with pytest.raises(ValueError):
             load_cmf("cie2006")
+
+    def test_file_choice_without_a_path_rejected(self):
+        with pytest.raises(ValueError) as caught:
+            load_cmf("file:")
+        assert str(caught.value) == "unknown CMF choice 'file:' (use 'cie1931' or 'file:<path>')"
 
     def test_builtin_resampled_to_coarser_grid(self):
         coarse = WavelengthGrid(400.0, 20.0, 16)
