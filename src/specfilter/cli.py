@@ -22,7 +22,7 @@ from .als import AlsConfig, optimize_als
 from .colorimetry import EvaluationReport, SceneEngine, evaluate
 from .errors import RankDeficient, SpecFilterError
 from .gradient import GaConfig, optimize_ga
-from .ingest import (SpectralTable, load_cmf, load_scene_set, load_sensor_set, load_spectra,
+from .ingest import (CMF_CHOICES, SpectralTable, load_cmf, load_scene_set, load_sensor_set, load_spectra,
                      read_manifest, read_spectral_csv, serialize_spectral_csv)
 from .solution import ConvergenceTrace, Stop, require_monotone
 from .spectra import SensorSet, SpectralCurve, apply_filter
@@ -46,22 +46,15 @@ def _write(path: str, text: str) -> None:
         handle.write(text)
 
 
-def _digest(camera: str, cmf: str, **files: str | None) -> str:
-    """sha256 over labelled chunks: the camera file, the CMF (its file, or the
-    builtin's name), then each of ``files`` that is given, in order."""
-    cmf_data = _file_bytes(cmf[len("file:"):]) if cmf.startswith("file:") else cmf.encode("utf-8")
-    chunks = [("camera", _file_bytes(camera)), ("cmf", cmf_data)]
-    chunks += [(label, _file_bytes(path)) for label, path in files.items() if path]
-    h = hashlib.sha256()
-    for label, data in chunks:
-        for part in (label.encode("utf-8"), b"\x00", data, b"\x00"):
-            h.update(part)
-    return "sha256:" + h.hexdigest()
+def _digest(sha, *labels: str):
+    """A loader's ``record``: feeds ``sha`` each input the loader hands it as
+    label, NUL, data, NUL, labelled in turn by ``labels``."""
+    names = iter(labels)
 
-
-def _file_bytes(path: str) -> bytes:
-    with open(path, "rb") as handle:
-        return handle.read()
+    def record(data: bytes) -> None:
+        for part in (next(names).encode("utf-8"), b"\x00", data, b"\x00"):
+            sha.update(part)
+    return record
 
 
 def _trace_csv(trace: ConvergenceTrace) -> str:
@@ -104,8 +97,9 @@ def _write_run(out: str, payload: dict, *files) -> None:
 
 
 def cmd_optimize(args) -> int:
-    camera = load_sensor_set(args.camera)
-    cmf = load_cmf(args.cmf)
+    sha = hashlib.sha256()
+    camera = load_sensor_set(args.camera, _digest(sha, "camera"))
+    cmf = load_cmf(args.cmf, _digest(sha, "cmf"))
 
     if args.fixed_step is not None and args.optimizer == "als":
         print(f"warning: --fixed-step {args.fixed_step} is unused; it applies only to --optimizer ga",
@@ -124,7 +118,7 @@ def cmd_optimize(args) -> int:
     payload = {
         "command": "optimize",
         "optimizer": args.optimizer,
-        "inputs": {"camera": args.camera, "cmf": args.cmf, "digest": _digest(args.camera, args.cmf)},
+        "inputs": {"camera": args.camera, "cmf": args.cmf, "digest": "sha256:" + sha.hexdigest()},
         "config": {
             "epsilon": args.epsilon,
             "max_iterations": args.max_iters,
@@ -180,12 +174,14 @@ def cmd_evaluate(args) -> int:
     if camera_path is None:
         raise SpecFilterError("no camera file given (flag --camera or manifest key 'camera')")
     cmf_choice = args.cmf or manifest.cmf
-    camera = load_sensor_set(camera_path)
-    cmf = load_cmf(cmf_choice)
-    scenes = load_scene_set(manifest)
+    sha = hashlib.sha256()
+    camera = load_sensor_set(camera_path, _digest(sha, "camera"))
+    cmf = load_cmf(cmf_choice, _digest(sha, "cmf"))
+    scenes = load_scene_set(manifest, _digest(sha, "illuminants", "reflectances"))
     effective = camera
     if args.filter:
-        transmittance = SpectralCurve(camera.grid, load_spectra(args.filter, 1)[1][:, 0])
+        _, columns = load_spectra(args.filter, 1, _digest(sha, "filter"))
+        transmittance = SpectralCurve(camera.grid, columns[:, 0])
         try:
             effective = apply_filter(transmittance, camera)
         except RankDeficient as exc:
@@ -202,8 +198,7 @@ def cmd_evaluate(args) -> int:
             "cmf": cmf_choice,
             "scenes": args.scenes,
             "filter": args.filter,
-            "digest": _digest(camera_path, cmf_choice, illuminants=manifest.illuminants,
-                              reflectances=manifest.reflectances, filter=args.filter),
+            "digest": "sha256:" + sha.hexdigest(),
         },
         "camera_channel_peaks": [float(v) for v in camera.channel_peaks()],
         "evaluation": {
@@ -215,8 +210,8 @@ def cmd_evaluate(args) -> int:
             "provenance": {
                 "camera": camera_path,
                 "cmf": cmf_choice,
-                "illuminants": manifest.illuminants or "",
-                "reflectances": manifest.reflectances or "",
+                "illuminants": manifest.illuminants,
+                "reflectances": manifest.reflectances,
             },
         },
         "timing_ms": elapsed_ms,
@@ -295,10 +290,9 @@ def cmd_trace_compare(args) -> int:
         mean_des = [""] * len(rows)
         if filters_path:
             names, columns = load_spectra(filters_path)
-            iteration_filters = columns.T
-            if len(iteration_filters) != len(rows):
+            if len(names) != len(rows):
                 raise SpecFilterError(
-                    f"{filters_path} has {len(iteration_filters)} iteration filters "
+                    f"{filters_path} has {len(names)} iteration filters "
                     f"but {trace_path} has {len(rows)} trace rows"
                 )
             for name, (iteration, _) in zip(names, rows):
@@ -306,7 +300,7 @@ def cmd_trace_compare(args) -> int:
                     raise SpecFilterError(
                         f"{filters_path} column {name} does not match {trace_path} (expected iter{iteration})"
                     )
-            means = _mean_delta_es(engine, camera, iteration_filters, names, filters_path)
+            means = _mean_delta_es(engine, camera, columns.T, names, filters_path)
             mean_des = [_fmt(value) for value in means]
         for (iteration, vora), mean_de in zip(rows, mean_des):
             lines.append(f"{iteration},{label},{_fmt(vora)},{mean_de}")
@@ -327,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     opt = sub.add_parser("optimize", help="solve for the filter maximizing the Vora-Value", allow_abbrev=False)
     opt.add_argument("--camera", required=True, help="camera sensitivities CSV (wavelength,r,g,b)")
-    opt.add_argument("--cmf", default="cie1931", help="cie1931 or file:<path>")
+    opt.add_argument("--cmf", default="cie1931", help=CMF_CHOICES)
     opt.add_argument("--optimizer", choices=("als", "ga"), default="als")
     opt.add_argument("--epsilon", type=float, default=1e-9, help="minimum Vora-Value gain per iteration")
     opt.add_argument("--max-iters", type=int, default=10_000)
@@ -342,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev = sub.add_parser("evaluate", help="color-error statistics over a scene collection", allow_abbrev=False)
     ev.add_argument("--camera", help="camera CSV (falls back to the manifest's camera)")
     ev.add_argument("--filter", help="filter CSV from a prior optimize run")
-    ev.add_argument("--cmf", help="cie1931 or file:<path> (falls back to the manifest)")
+    ev.add_argument("--cmf", help=CMF_CHOICES + " (falls back to the manifest)")
     ev.add_argument("--scenes", required=True, help="dataset manifest file")
     ev.add_argument("--correction", choices=("per-illuminant", "global"), default="per-illuminant")
     ev.add_argument("--out", default=".", help="output directory")
@@ -357,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_parser.add_argument("--filters-a", help="iteration_filters.csv for trace A")
     cmp_parser.add_argument("--filters-b", help="iteration_filters.csv for trace B")
     cmp_parser.add_argument("--camera", help="camera CSV for per-iteration mean delta E")
-    cmp_parser.add_argument("--cmf", help="cie1931 or file:<path>")
+    cmp_parser.add_argument("--cmf", help=CMF_CHOICES)
     cmp_parser.add_argument("--scenes", help="dataset manifest for per-iteration mean delta E")
     cmp_parser.add_argument("--correction", choices=("per-illuminant", "global"), default="per-illuminant")
     cmp_parser.add_argument("--out", default=".", help="output directory")

@@ -7,6 +7,10 @@ Non-uniform wavelength spacing is accepted at parse time.  Every loader
 takes a path and brings its data onto the working grid, ``DEFAULT_GRID``
 (400-700 nm every 10 nm), by linear interpolation; ``spectra.interp_columns``
 resamples onto any other grid.  Every error a loader raises names its file.
+
+Each input is opened once, by ``_read``.  Every loader takes an optional
+``record``, called with the bytes of each file it parses (for the builtin
+CMF: its name), so a caller can hash exactly what was loaded.
 """
 
 from __future__ import annotations
@@ -124,17 +128,21 @@ def builtin_cmf() -> SensorSet:
     return SensorSet(DEFAULT_GRID, CIE_1931_2DEG_400_700_10NM[:, 1:])
 
 
-@dataclass(frozen=True)
+# The CMF choices load_cmf resolves: the builtin observer or a spectral CSV.
+CMF_CHOICES = "cie1931 or file:<path>"
+
+
+@dataclass(frozen=True, kw_only=True)
 class DatasetManifest:
     """Paths (resolved against the manifest's directory) naming a dataset.
 
-    ``cmf`` is ``cie1931`` or ``file:<path>``, its path resolved likewise.
+    ``cmf`` is one of ``CMF_CHOICES``, a file's path resolved likewise.
     """
 
     camera: str | None = None
     cmf: str = "cie1931"
-    illuminants: str | None = None
-    reflectances: str | None = None
+    illuminants: str
+    reflectances: str
 
 
 _MANIFEST_KEYS = ("camera", "cmf", "illuminants", "reflectances")
@@ -145,7 +153,8 @@ def parse_manifest(text: str, base_dir: str = ".") -> DatasetManifest:
 
     Raises ``ParseError`` with the line number for a line without ``=``, a
     key other than the four ``DatasetManifest`` fields, a key without a
-    value (``cmf = file:`` among them), or a repeated key.
+    value (``cmf = file:`` among them), or a repeated key, and without a line
+    number for a manifest that does not name both illuminants and reflectances.
     A leading UTF-8 byte-order mark is ignored.
     """
     values: dict[str, str] = {}
@@ -164,6 +173,8 @@ def parse_manifest(text: str, base_dir: str = ".") -> DatasetManifest:
         if key in values:
             raise ParseError(f"key {key!r} repeats line {lines[key]}", lineno)
         values[key], lines[key] = value, lineno
+    if "illuminants" not in values or "reflectances" not in values:
+        raise ParseError("manifest must name both illuminants and reflectances files")
 
     def resolve(value: str, prefix: str = "") -> str:
         return prefix + os.path.normpath(os.path.join(base_dir, value[len(prefix):]))
@@ -174,15 +185,22 @@ def parse_manifest(text: str, base_dir: str = ".") -> DatasetManifest:
     return DatasetManifest(cmf=cmf, **{key: resolve(value) for key, value in values.items()})
 
 
-def _read(path: str, parse):
+def _discard(data: bytes) -> None:
+    """The ``record`` of a caller that keeps no account of its inputs."""
+
+
+def _read(path: str, parse, record=_discard):
     """``parse`` of the bytes of file ``path``; every ``SpecFilterError`` it raises names the file.
 
     A ``ParseError`` becomes ``<path>: line N: <reason>``; any other keeps
-    its class and reads ``<path>: <message>``.
+    its class and reads ``<path>: <message>``.  This is the one place an
+    input is opened; the bytes it parses go to ``record`` first.
     """
     try:
         with open(path, "rb") as handle:
-            return parse(handle.read())
+            data = handle.read()
+        record(data)
+        return parse(data)
     except ParseError as exc:
         raise ParseError(exc.reason, exc.line, path) from None
     except SpecFilterError as exc:
@@ -211,36 +229,35 @@ def read_spectral_csv(path: str) -> SpectralTable:
     return _read(path, parse_spectral_csv)
 
 
-def load_spectra(path: str, width: int | None = None) -> tuple[tuple[str, ...], np.ndarray]:
+def load_spectra(path: str, width: int | None = None, record=_discard) -> tuple[tuple[str, ...], np.ndarray]:
     """The column names of spectral CSV ``path`` and its n-by-k columns on ``DEFAULT_GRID``.
 
     With ``width`` given, a file with another number of data columns raises
     ``ShapeError``.  Every error names the file.
     """
-    return _read(path, lambda data: _on_grid(data, width))
+    return _read(path, lambda data: _on_grid(data, width), record)
 
 
-def load_sensor_set(path: str) -> SensorSet:
+def load_sensor_set(path: str, record=_discard) -> SensorSet:
     """The three-column spectral CSV ``path`` on ``DEFAULT_GRID``, validated as a sensor set.
 
     Every error, a rank-deficient sensor matrix among them, names the file.
     """
-    return _read(path, lambda data: SensorSet(DEFAULT_GRID, _on_grid(data, 3)[1]))
+    return _read(path, lambda data: SensorSet(DEFAULT_GRID, _on_grid(data, 3)[1]), record)
 
 
-def load_cmf(choice: str) -> SensorSet:
-    """Resolve a CMF choice: ``cie1931`` or ``file:<path>`` to a spectral CSV."""
+def load_cmf(choice: str, record=_discard) -> SensorSet:
+    """Resolve a CMF choice (``CMF_CHOICES``) to a sensor set."""
     if choice == "cie1931":
+        record(choice.encode("utf-8"))
         return builtin_cmf()
     if choice.startswith("file:") and choice != "file:":
-        return load_sensor_set(choice[len("file:"):])
+        return load_sensor_set(choice[len("file:"):], record)
     raise ValueError(f"unknown CMF choice {choice!r} (use 'cie1931' or 'file:<path>')")
 
 
-def load_scene_set(manifest: DatasetManifest) -> SceneSet:
-    """Load the manifest's illuminant and reflectance collections onto ``DEFAULT_GRID``."""
-    if manifest.illuminants is None or manifest.reflectances is None:
-        raise ValueError("manifest must name both illuminants and reflectances files")
-    illuminants = load_spectra(manifest.illuminants)[1].T
-    reflectances = load_spectra(manifest.reflectances)[1]
+def load_scene_set(manifest: DatasetManifest, record=_discard) -> SceneSet:
+    """Load the manifest's illuminant and reflectance collections onto ``DEFAULT_GRID``, in that order."""
+    illuminants = load_spectra(manifest.illuminants, record=record)[1].T
+    reflectances = load_spectra(manifest.reflectances, record=record)[1]
     return SceneSet(illuminants, reflectances, DEFAULT_GRID)

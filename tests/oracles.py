@@ -15,6 +15,8 @@ half-steps, which the accelerated loop must never do worse than; and
 reference kernels, which pins the whole run's bits; and
 ``strip_every_cell_parse``, the CSV parser as first written, which strips
 every cell before converting it and pins the parser's tables and errors.
+``classic_luther_als`` is the method the paper improves on, not a reference
+for the package: it fits the colour matching functions themselves.
 """
 
 from fractions import Fraction
@@ -290,6 +292,26 @@ def random_search_best(camera, observer, rng, samples=100_000):
             if radius < 1e-7:
                 break
     return best_score, best
+
+
+def classic_luther_als(camera, observer, tolerance=1e-10, max_iterations=100_000):
+    """Classic Luther optimization by ALS: the filter f minimizing ||diag(f) Q M - X||_F over f and a 3x3 M.
+
+    Unlike the package's orthonormal Luther method, M is solved against the
+    colour matching functions X themselves, then f row by row.  From f = 1,
+    sweeps stop once one lowers the residual by less than ``tolerance`` times
+    its value.  Returns f scaled to peak 1, as the package reports its filters.
+    """
+    f = np.ones(len(camera))
+    residual = np.inf
+    for _ in range(max_iterations):
+        a = f[:, None] * camera
+        qm = camera @ np.linalg.solve(a.T @ a, a.T @ observer)
+        f = np.sum(qm * observer, axis=1) / np.sum(qm * qm, axis=1)
+        previous, residual = residual, float(np.sum((f[:, None] * qm - observer) ** 2))
+        if previous - residual < tolerance * previous:
+            break
+    return f / f.max()
 
 
 def central_difference_gradient(objective, f, h=1e-6):

@@ -36,6 +36,7 @@ from conftest import (
 )
 from oracles import (
     central_difference_gradient,
+    classic_luther_als,
     iterations_to_reach,
     plain_als_sweep,
     projector,
@@ -312,3 +313,35 @@ def test_c10_cli_outputs_are_byte_identical(tmp_path):
     assert first[0] == second[0]
     assert first[1] == second[1]
     report("ACCEPTANCE 10 PASS: repeated cmd_optimize runs produce byte-identical filter.csv and trace.csv")
+
+
+def test_c11_orthonormal_luther_finds_the_vora_filter_classic_luther_only_nears_it():
+    # The paper's two headline claims, per camera.  Classic Luther
+    # optimization (M fitted to X itself) only almost maximizes the
+    # Vora-Value, and ends on another filter.  The orthonormal Luther method
+    # (ALS) finds the same filter as maximizing the Vora-Value by gradient
+    # ascent.  GA needs a tight stop to show it: the Vora-Value is flat near
+    # the optimum and settles long before the filter does.  With GA's default
+    # stop (epsilon 1e-9, 10k cap), GA ended farther from ALS's filter than
+    # classic Luther on 3 of these 5 cameras, while within 1.1e-4 in Vora-Value.
+    started = time.perf_counter()
+    gen = np.random.default_rng(20242)
+    x = builtin_cmf()
+    rows = []
+    for _ in range(5):
+        q = SensorSet(DEFAULT_GRID, bump_camera_matrix(gen))
+        als = optimize_als(q, x)
+        ga = optimize_ga(q, x, GaConfig(epsilon=1e-13, max_iterations=100_000))
+        classic = classic_luther_als(q.channels, x.channels)
+        classic_score = float(vora_value(apply_filter(SpectralCurve(DEFAULT_GRID, classic), q), x))
+        ga_gap, ga_distance = abs(float(als.score - ga.score)), np.max(np.abs(ga.filter.values - als.filter.values))
+        classic_gap, classic_distance = float(als.score) - classic_score, np.max(np.abs(classic - als.filter.values))
+        assert ga.converged
+        assert ga_gap < 1e-7 and ga_distance < 1e-2
+        assert classic_gap > 1e-3 and classic_distance > 1e-2
+        rows.append(f"{classic_gap:.1e}/{ga_gap:.0e}, {classic_distance:.3f}/{ga_distance:.4f}")
+    elapsed = time.perf_counter() - started
+    report(
+        "ACCEPTANCE 11 PASS: on 5 cameras, (classic Luther / GA) Vora-Value gap and filter distance to ALS: "
+        f"{'; '.join(rows)}, {elapsed:.1f}s"
+    )

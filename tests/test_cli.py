@@ -312,6 +312,23 @@ class TestOptimizeCommand:
         cmf_bytes = b"cie1931" if cmf == "cie1931" else read(observer)
         assert report["inputs"]["digest"] == input_digest(("camera", read(camera_csv)), ("cmf", cmf_bytes))
 
+    def test_report_digest_is_of_the_bytes_solved_on(self, tmp_path, camera_csv, monkeypatch):
+        # The camera file changes while the solve runs; the digest must still
+        # name the bytes the camera was loaded from.
+        original = read(camera_csv)
+
+        def rewriting_solve(*args, **kwargs):
+            with open(camera_csv, "a") as handle:
+                handle.write("# rewritten during the solve\n")
+            return optimize_als(*args, **kwargs)
+
+        monkeypatch.setattr(specfilter.cli, "optimize_als", rewriting_solve)
+        out = str(tmp_path / "out")
+        assert main(["optimize", "--camera", camera_csv, "--out", out]) == 0
+        assert read(camera_csv) != original
+        report = json.loads(read(os.path.join(out, "report.json")))
+        assert report["inputs"]["digest"] == input_digest(("camera", original), ("cmf", b"cie1931"))
+
     def test_fixed_step_is_read_only_under_the_fixed_rule(self, tmp_path, camera_csv, capsys):
         def run(optimizer, *flags):
             out = str(tmp_path / "".join([optimizer, *flags]))
@@ -606,33 +623,41 @@ class TestEvaluateCommand:
 
 
 SHORT_RANGE = "target grid 400.0..700.0 nm exceeds source range 420.0..700.0 nm"
+HALF_MANIFEST = "manifest must name both illuminants and reflectances files"
 
-# Per case: the bad file's columns and first wavelength (one row per 10 nm),
-# the input it is read as, and the reason its error gives.
+
+def spectral_csv_text(block, start):
+    """A spectral CSV of ``block``'s columns, one row per 10 nm from ``start``."""
+    names = tuple(f"c{j}" for j in range(block.shape[1]))
+    return serialize_spectral_csv(SpectralTable(start + 10.0 * np.arange(len(block)), names, block))
+
+
+# Per case: the bad file's text, the input it is read as, and the reason its error gives.
 BAD_INPUTS = {
-    "camera width": (np.ones((31, 4)), 400.0, "camera", "need exactly 3 data column(s), got 4"),
-    "camera rank": (np.ones((31, 3)), 400.0, "camera",
+    "camera width": (spectral_csv_text(np.ones((31, 4)), 400.0), "camera", "need exactly 3 data column(s), got 4"),
+    "camera rank": (spectral_csv_text(np.ones((31, 3)), 400.0), "camera",
                     "sensor matrix is rank deficient (columns are numerically dependent)"),
-    "camera range": (np.eye(29, 3), 420.0, "camera", SHORT_RANGE),
-    "cmf width": (np.ones((31, 4)), 400.0, "cmf", "need exactly 3 data column(s), got 4"),
-    "illuminants range": (np.ones((29, 3)), 420.0, "illuminants", SHORT_RANGE),
-    "reflectances range": (np.full((29, 12), 0.5), 420.0, "reflectances", SHORT_RANGE),
-    "filter width": (np.ones((31, 2)), 400.0, "filter", "need exactly 1 data column(s), got 2"),
-    "filters-a range": (np.ones((29, 1)), 420.0, "filters-a", SHORT_RANGE),
+    "camera range": (spectral_csv_text(np.eye(29, 3), 420.0), "camera", SHORT_RANGE),
+    "cmf width": (spectral_csv_text(np.ones((31, 4)), 400.0), "cmf", "need exactly 3 data column(s), got 4"),
+    "illuminants range": (spectral_csv_text(np.ones((29, 3)), 420.0), "illuminants", SHORT_RANGE),
+    "reflectances range": (spectral_csv_text(np.full((29, 12), 0.5), 420.0), "reflectances", SHORT_RANGE),
+    "filter width": (spectral_csv_text(np.ones((31, 2)), 400.0), "filter", "need exactly 1 data column(s), got 2"),
+    "filters-a range": (spectral_csv_text(np.ones((29, 1)), 420.0), "filters-a", SHORT_RANGE),
+    "scenes without reflectances": ("illuminants = lights.csv\n", "scenes", HALF_MANIFEST),
+    "trace-compare scenes without illuminants": ("reflectances = surfaces.csv\n", "trace-compare scenes",
+                                                 HALF_MANIFEST),
 }
 
 
 @pytest.mark.parametrize("case", list(BAD_INPUTS))
 def test_input_that_cannot_be_loaded_is_named(tmp_path, camera_csv, scene_manifest, capsys, case):
-    block, start, role, reason = BAD_INPUTS[case]
-    names = tuple(f"c{j}" for j in range(block.shape[1]))
-    wavelengths = start + 10.0 * np.arange(len(block))
-    (tmp_path / "bad.csv").write_text(serialize_spectral_csv(SpectralTable(wavelengths, names, block)))
+    text, role, reason = BAD_INPUTS[case]
+    (tmp_path / "bad").write_text(text)
     (tmp_path / "bad_scenes.txt").write_text(
-        f"illuminants = {'bad.csv' if role == 'illuminants' else 'lights.csv'}\n"
-        f"reflectances = {'bad.csv' if role == 'reflectances' else 'surfaces.csv'}\n")
+        f"illuminants = {'bad' if role == 'illuminants' else 'lights.csv'}\n"
+        f"reflectances = {'bad' if role == 'reflectances' else 'surfaces.csv'}\n")
     (tmp_path / "trace.csv").write_text("iteration,vora_value,residual\n0,0.5,0.1\n")
-    bad, manifest, trace = (str(tmp_path / name) for name in ("bad.csv", "bad_scenes.txt", "trace.csv"))
+    bad, manifest, trace = (str(tmp_path / name) for name in ("bad", "bad_scenes.txt", "trace.csv"))
     argv = {
         "camera": ["optimize", "--camera", bad],
         "cmf": ["optimize", "--camera", camera_csv, "--cmf", f"file:{bad}"],
@@ -641,11 +666,54 @@ def test_input_that_cannot_be_loaded_is_named(tmp_path, camera_csv, scene_manife
         "filter": ["evaluate", "--camera", camera_csv, "--scenes", scene_manifest, "--filter", bad],
         "filters-a": ["trace-compare", trace, trace, "--filters-a", bad,
                       "--camera", camera_csv, "--scenes", scene_manifest],
+        "scenes": ["evaluate", "--camera", camera_csv, "--scenes", bad],
+        "trace-compare scenes": ["trace-compare", trace, trace, "--filters-a", trace,
+                                 "--camera", camera_csv, "--scenes", bad],
     }[role]
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {bad}: {reason}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("run", ["optimize", "optimize file cmf", "evaluate", "evaluate filter",
+                                 "trace-compare"])
+def test_each_input_is_opened_once(tmp_path, camera_csv, scene_manifest, monkeypatch, run):
+    observer = tmp_path / "observer.csv"
+    observer.write_text(serialize_spectral_csv(
+        SpectralTable(DEFAULT_GRID.wavelengths(), ("x", "y", "z"), builtin_cmf().channels)))
+    als, ga = str(tmp_path / "als"), str(tmp_path / "ga")
+    assert main(["optimize", "--camera", camera_csv, "--out", als]) == 0
+    assert main(["optimize", "--camera", camera_csv, "--optimizer", "ga", "--out", ga]) == 0
+    scenes = [scene_manifest, str(tmp_path / "lights.csv"), str(tmp_path / "surfaces.csv")]
+    argv, inputs = {
+        "optimize": (["optimize", "--camera", camera_csv], [camera_csv]),
+        "optimize file cmf": (["optimize", "--camera", camera_csv, "--cmf", f"file:{observer}"],
+                              [camera_csv, str(observer)]),
+        "evaluate": (["evaluate", "--camera", camera_csv, "--scenes", scene_manifest], [camera_csv, *scenes]),
+        "evaluate filter": (["evaluate", "--camera", camera_csv, "--scenes", scene_manifest,
+                             "--filter", os.path.join(als, "filter.csv")],
+                            [camera_csv, *scenes, os.path.join(als, "filter.csv")]),
+        "trace-compare": (["trace-compare", os.path.join(als, "trace.csv"), os.path.join(ga, "trace.csv"),
+                           "--filters-a", os.path.join(als, "iteration_filters.csv"),
+                           "--filters-b", os.path.join(ga, "iteration_filters.csv"),
+                           "--camera", camera_csv, "--scenes", scene_manifest],
+                          [os.path.join(als, "trace.csv"), os.path.join(ga, "trace.csv"),
+                           os.path.join(als, "iteration_filters.csv"), os.path.join(ga, "iteration_filters.csv"),
+                           camera_csv, *scenes]),
+    }[run]
+    opened = []
+    real_open = open
+
+    def spy(file, mode="r", *args, **kwargs):
+        if "r" in mode or "+" in mode:
+            opened.append(os.fspath(file))
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", spy)
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+    monkeypatch.undo()
+    assert {path: opened.count(path) for path in inputs} == dict.fromkeys(inputs, 1)
 
 
 class TestTraceCompareCommand:

@@ -4,7 +4,7 @@ A module may not import a name it never uses: a dead import hides which
 modules really depend on each other.  Modules that re-export names through
 ``__all__`` are exempt, and every name they export must resolve.  A
 function, class or method that nothing in the package reads is dead code,
-whatever the tests call.
+whatever the tests call.  Only ``ingest._read`` opens a file for reading.
 """
 
 import ast
@@ -119,3 +119,30 @@ def test_only_frozen_array_sets_array_flags():
     stray = sorted(f"{module} line {call.lineno}" for module, tree in TREES.items()
                    for call in _setflags_calls(tree) if id(call) not in allowed)
     assert not stray, f".setflags( outside spectra.frozen_array: {', '.join(stray)}"
+
+
+def _open_calls(node: ast.AST) -> list[ast.Call]:
+    """Every call of ``open`` under ``node``, as a builtin (``open(...)``) or an attribute (``io.open(...)``)."""
+    return [call for call in ast.walk(node) if isinstance(call, ast.Call)
+            and (getattr(call.func, "id", None) == "open" or getattr(call.func, "attr", None) == "open")]
+
+
+def _reads(call: ast.Call) -> bool:
+    """Whether an ``open`` call may read: its mode, "r" by default, holds "r" or "+", or is not a literal."""
+    modes = call.args[1:2] + [keyword.value for keyword in call.keywords if keyword.arg == "mode"]
+    if not modes:
+        return True
+    return not isinstance(modes[0], ast.Constant) or "r" in modes[0].value or "+" in modes[0].value
+
+
+def test_only_ingest_read_opens_a_file_for_reading():
+    # Each input is opened once, by ingest._read, which hands the bytes it
+    # parses to the caller's record: report.json's digest is of exactly
+    # those bytes.  A second reader would load or hash another copy.
+    (read,) = [node for node in TREES["ingest.py"].body
+               if isinstance(node, ast.FunctionDef) and node.name == "_read"]
+    assert [_reads(call) for call in _open_calls(read)] == [True]
+    allowed = {id(call) for call in _open_calls(read)}
+    readers = sorted(f"{module} line {call.lineno}" for module, tree in TREES.items()
+                     for call in _open_calls(tree) if id(call) not in allowed and _reads(call))
+    assert not readers, f"open( for reading outside ingest._read: {', '.join(readers)}"

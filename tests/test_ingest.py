@@ -345,10 +345,13 @@ class TestManifest:
         assert scenes.reflectances.shape[1] == 5
         assert np.allclose(scenes.illuminants.T, illum)
 
-    def test_scene_set_requires_both_collections(self):
-        manifest = parse_manifest("illuminants = lights.csv\n")
-        with pytest.raises(ValueError):
-            load_scene_set(manifest)
+    def test_scene_set_requires_both_collections(self, tmp_path):
+        # The manifest is checked when it is read, so the error names it.
+        path = tmp_path / "scenes.txt"
+        path.write_text("illuminants = lights.csv\n")
+        with pytest.raises(ParseError) as caught:
+            read_manifest(str(path))
+        assert str(caught.value) == f"{path}: manifest must name both illuminants and reflectances files"
 
 
 class TestShippedFixtures:
