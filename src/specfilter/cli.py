@@ -168,12 +168,21 @@ def cmd_optimize(args) -> int:
     return 0
 
 
-def cmd_evaluate(args) -> int:
+def _scene_inputs(args):
+    """The ``--scenes`` manifest, the camera path and the CMF choice of a scoring run.
+
+    Each of ``--camera`` and ``--cmf`` falls back to the manifest's key; a
+    camera named by neither is an input error.
+    """
     manifest = read_manifest(args.scenes)
     camera_path = args.camera or manifest.camera
     if camera_path is None:
         raise SpecFilterError("no camera file given (flag --camera or manifest key 'camera')")
-    cmf_choice = args.cmf or manifest.cmf
+    return manifest, camera_path, args.cmf or manifest.cmf
+
+
+def cmd_evaluate(args) -> int:
+    manifest, camera_path, cmf_choice = _scene_inputs(args)
     sha = hashlib.sha256()
     camera = load_sensor_set(camera_path, _digest(sha, "camera"))
     cmf = load_cmf(cmf_choice, _digest(sha, "cmf"))
@@ -188,7 +197,7 @@ def cmd_evaluate(args) -> int:
             raise RankDeficient(f"{args.filter}: {exc}") from None
 
     started = time.perf_counter()
-    report = evaluate(effective, None, cmf, scenes, correction_mode=args.correction)
+    report = evaluate(effective, cmf, scenes, correction_mode=args.correction)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
 
     payload = {
@@ -197,6 +206,8 @@ def cmd_evaluate(args) -> int:
             "camera": camera_path,
             "cmf": cmf_choice,
             "scenes": args.scenes,
+            "illuminants": manifest.illuminants,
+            "reflectances": manifest.reflectances,
             "filter": args.filter,
             "digest": "sha256:" + sha.hexdigest(),
         },
@@ -207,12 +218,6 @@ def cmd_evaluate(args) -> int:
             "pair_count": report.pair_count,
             "negative_xyz_count": report.negative_xyz_count,
             "correction_mode": report.correction_mode,
-            "provenance": {
-                "camera": camera_path,
-                "cmf": cmf_choice,
-                "illuminants": manifest.illuminants,
-                "reflectances": manifest.reflectances,
-            },
         },
         "timing_ms": elapsed_ms,
     }
@@ -267,13 +272,8 @@ def cmd_trace_compare(args) -> int:
     for flag, label in (("--label-a", args.label_a), ("--label-b", args.label_b)):
         if "," in label or label.splitlines() != [label]:
             raise SpecFilterError(f"{flag} must be non-empty and hold no comma or line break, got {label!r}")
-    if args.filters_a or args.filters_b:
-        missing = [flag for flag, value in (("--camera", args.camera), ("--scenes", args.scenes))
-                   if not value]
-        if missing:
-            raise SpecFilterError(
-                f"--filters-a/--filters-b need --camera and --scenes; missing {' and '.join(missing)}"
-            )
+    if (args.filters_a or args.filters_b) and not args.scenes:
+        raise SpecFilterError("--filters-a/--filters-b need --scenes")
     traces = [
         (args.label_a, args.trace_a, _read_trace(args.trace_a), args.filters_a),
         (args.label_b, args.trace_b, _read_trace(args.trace_b), args.filters_b),
@@ -281,9 +281,9 @@ def cmd_trace_compare(args) -> int:
     if args.filters_a or args.filters_b:
         # Read only to score: without a filters file, inputs the scoring would
         # reject do not fail the run.
-        manifest = read_manifest(args.scenes)
-        camera = load_sensor_set(args.camera)
-        engine = SceneEngine(load_cmf(args.cmf or manifest.cmf), load_scene_set(manifest), args.correction)
+        manifest, camera_path, cmf_choice = _scene_inputs(args)
+        camera = load_sensor_set(camera_path)
+        engine = SceneEngine(load_cmf(cmf_choice), load_scene_set(manifest), args.correction)
 
     lines = ["iteration,method,vora_value,mean_delta_e"]
     for label, trace_path, rows, filters_path in traces:
@@ -350,8 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_parser.add_argument("--label-b", default="b")
     cmp_parser.add_argument("--filters-a", help="iteration_filters.csv for trace A")
     cmp_parser.add_argument("--filters-b", help="iteration_filters.csv for trace B")
-    cmp_parser.add_argument("--camera", help="camera CSV for per-iteration mean delta E")
-    cmp_parser.add_argument("--cmf", help=CMF_CHOICES)
+    cmp_parser.add_argument("--camera", help="camera CSV (falls back to the manifest's camera)")
+    cmp_parser.add_argument("--cmf", help=CMF_CHOICES + " (falls back to the manifest)")
     cmp_parser.add_argument("--scenes", help="dataset manifest for per-iteration mean delta E")
     cmp_parser.add_argument("--correction", choices=("per-illuminant", "global"), default="per-illuminant")
     cmp_parser.add_argument("--out", default=".", help="output directory")
@@ -379,7 +379,3 @@ def main(argv: list[str] | None = None) -> int:
     except (SpecFilterError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -18,9 +18,7 @@ import numpy as np
 from .errors import InvalidWhitePoint, RankDeficient, ShapeError
 from .spectra import (
     SensorSet,
-    SpectralCurve,
     WavelengthGrid,
-    apply_filter,
     frozen_array,
     full_rank,
     require_same_grid,
@@ -84,7 +82,7 @@ class DeltaEStats:
 
 @dataclass(frozen=True)
 class EvaluationReport:
-    """Vora-Value plus color-error statistics for one camera/filter/scene combination."""
+    """Vora-Value plus color-error statistics of one camera over one scene set."""
 
     vora: VoraScore
     delta_e: DeltaEStats
@@ -193,29 +191,25 @@ class SceneEngine:
 
 def evaluate(
     camera: SensorSet,
-    filter: SpectralCurve | None,
     observer: SensorSet,
     scenes: SceneSet,
     correction_mode: str = "per-illuminant",
 ) -> EvaluationReport:
-    """Color-error statistics of a (possibly filtered) camera over a scene set.
+    """Color-error statistics of a camera over a scene set.
 
     For each illuminant: render camera responses and ground-truth XYZ for all
     reflectances, fit the correction matrix (per illuminant, or one global fit
     over all pairs when ``correction_mode="global"``), convert both sides to
     CIELAB against that illuminant's perfect-diffuser white point, and pool
-    the color differences.  A filter that leaves the camera rank deficient
-    is rejected first, by ``apply_filter``; a bad white point is reported
-    next, before any correction fit can fail.  Negative corrected XYZ
-    components pass through the linear Lab segment and are tallied in the
-    report.  Scoring many filters against one scene set is cheaper through
-    one ``SceneEngine``.
+    the color differences.  A bad white point is reported before any
+    correction fit can fail.  Negative corrected XYZ components pass through
+    the linear Lab segment and are tallied in the report.  Scoring many
+    cameras against one scene set is cheaper through one ``SceneEngine``.
     """
     require_same_grid(camera.grid, observer.grid, scenes.grid)
-    effective = camera if filter is None else apply_filter(filter, camera)
-    pooled, negative = SceneEngine(observer, scenes, correction_mode).delta_e(effective.channels)
+    pooled, negative = SceneEngine(observer, scenes, correction_mode).delta_e(camera.channels)
     return EvaluationReport(
-        vora=vora_value(effective, observer),
+        vora=vora_value(camera, observer),
         delta_e=DeltaEStats.from_samples(pooled),
         pair_count=int(pooled.size),
         negative_xyz_count=negative,

@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConsistencyError, RankDeficient
+from .errors import ConsistencyError
 from .spectra import SensorSet, full_rank, orthonormalize, require_same_grid
 
 # Round-off this small outside [0, 1] is clamped; anything larger is a bug.
@@ -61,12 +61,13 @@ class VoraScore(float):
 
 
 def vora_value(q: SensorSet, x: SensorSet) -> VoraScore:
-    """(1/3) trace(P{Q} P{X}) for two full-rank sensor sets on the same grid."""
+    """(1/3) trace(P{Q} P{X}) for two sensor sets on the same grid.
+
+    Every ``SensorSet`` is rank 3 by construction, and ``basis_score`` of the
+    unfiltered camera re-runs that same rank test, so its rank flag is not read.
+    """
     require_same_grid(q.grid, x.grid)
-    _, score, full = basis_score(np.ones(q.grid.count), q.channels, orthonormalize(x).basis)
-    if not full:
-        raise RankDeficient("sensor matrix is rank deficient (columns are numerically dependent)")
-    return VoraScore(score)
+    return VoraScore(basis_score(np.ones(q.grid.count), q.channels, orthonormalize(x).basis)[1])
 
 
 def basis_score(

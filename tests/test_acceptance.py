@@ -235,8 +235,8 @@ def test_c08_canon_delta_e_reproduction():
     camera = load_canon()
     scenes = load_scenes()
     x = builtin_cmf()
-    baseline = evaluate(camera, None, x, scenes)
-    filtered = evaluate(camera, optimize_als(camera, x).filter, x, scenes)
+    baseline = evaluate(camera, x, scenes)
+    filtered = evaluate(apply_filter(optimize_als(camera, x).filter, camera), x, scenes)
 
     ratio = filtered.delta_e.mean / baseline.delta_e.mean
     assert 0.15 <= ratio <= 0.45

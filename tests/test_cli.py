@@ -538,12 +538,15 @@ class TestEvaluateCommand:
         out = str(tmp_path / "out")
         assert main(["evaluate", "--camera", camera_csv, "--scenes", scene_manifest, "--out", out]) == 0
         report = json.loads(read(os.path.join(out, "report.json")))
-        assert report["evaluation"]["provenance"] == {
+        assert {key: value for key, value in report["inputs"].items() if key != "digest"} == {
             "camera": camera_csv,
             "cmf": "cie1931",
+            "scenes": scene_manifest,
             "illuminants": str(tmp_path / "lights.csv"),
             "reflectances": str(tmp_path / "surfaces.csv"),
+            "filter": None,
         }
+        assert "provenance" not in report["evaluation"]
 
     @pytest.mark.parametrize("filtered", [False, True], ids=["baseline", "filtered"])
     def test_report_digest_covers_every_input_file(self, tmp_path, camera_csv, scene_manifest, filtered):
@@ -558,6 +561,7 @@ class TestEvaluateCommand:
         assert main(argv) == 0
         report = json.loads(read(tmp_path / "out" / "report.json"))
         assert report["inputs"]["digest"] == input_digest(*chunks)
+        assert {label for label, _ in chunks} <= report["inputs"].keys()
 
     def test_manifest_cmf_file_resolves_against_the_manifest(self, tmp_path, camera_csv, scene_manifest, monkeypatch):
         (tmp_path / "observer.csv").write_text(serialize_spectral_csv(
@@ -570,7 +574,7 @@ class TestEvaluateCommand:
         out = str(tmp_path / "out")
         assert main(["evaluate", "--camera", camera_csv, "--scenes", scene_manifest, "--out", out]) == 0
         report = json.loads(read(os.path.join(out, "report.json")))
-        assert report["evaluation"]["provenance"]["cmf"] == f"file:{tmp_path / 'observer.csv'}"
+        assert report["inputs"]["cmf"] == f"file:{tmp_path / 'observer.csv'}"
         builtin = str(tmp_path / "builtin")
         assert main(["evaluate", "--camera", camera_csv, "--scenes", scene_manifest, "--cmf", "cie1931",
                      "--out", builtin]) == 0
@@ -777,6 +781,15 @@ class TestTraceCompareCommand:
         assert float(a_rows[-1][3]) <= float(a_rows[0][3])
         b_rows = [l.split(",") for l in lines[1:] if l.split(",")[1] == "b"]
         assert all(not r[3] for r in b_rows)
+        # A camera named only by the manifest scores the same, as in evaluate.
+        with open(scene_manifest, "a") as handle:
+            handle.write("camera = camera.csv\n")
+        from_manifest = str(tmp_path / "cmp_manifest")
+        argv = ["trace-compare", os.path.join(out_a, "trace.csv"), os.path.join(out_a, "trace.csv"),
+                "--filters-a", os.path.join(out_a, "iteration_filters.csv"), "--scenes", scene_manifest,
+                "--out", from_manifest]
+        assert main(argv) == 0
+        assert read(os.path.join(from_manifest, "compare.csv")) == read(os.path.join(out, "compare.csv"))
 
     def test_iteration_filters_resampled_once_per_file(self, tmp_path, camera_csv, scene_manifest, monkeypatch):
         out_a = str(tmp_path / "als")
@@ -830,7 +843,8 @@ class TestTraceCompareCommand:
             cells = [r[3] for r in rows if r[1] == optimizer]
             assert len(cells) == len(filters)
             for cell, values in zip(cells, filters):
-                report = evaluate(camera, SpectralCurve(DEFAULT_GRID, values), builtin_cmf(), scenes, mode)
+                report = evaluate(apply_filter(SpectralCurve(DEFAULT_GRID, values), camera),
+                                  builtin_cmf(), scenes, mode)
                 assert cell == repr(report.delta_e.mean)
 
     def scored_traces(self, tmp_path, camera_csv, scene_manifest):
@@ -1021,8 +1035,11 @@ class TestTraceCompareCommand:
         capsys.readouterr()
         assert main(argv + ["--out", str(out)]) == 1
         err = capsys.readouterr().err
-        missing = [flag for flag in ("--camera", "--scenes") if flag not in given]
-        assert f"missing {' and '.join(missing)}" in err
+        if "--scenes" in given:
+            # The fixture's manifest names no camera either.
+            assert err == "error: no camera file given (flag --camera or manifest key 'camera')\n"
+        else:
+            assert err == "error: --filters-a/--filters-b need --scenes\n"
         assert not (out / "compare.csv").exists()
 
     @pytest.mark.parametrize("flag, label", [("--label-a", "x,y"), ("--label-b", ""), ("--label-a", "x\ny"),

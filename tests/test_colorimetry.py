@@ -108,7 +108,7 @@ class TestSensorResponse:
         truth = rendered(x.channels, np.ones(31), reflectances)
         corrected = response @ fit_correction(response, truth)
         expected = np.linalg.norm(xyz_to_lab(corrected, white) - xyz_to_lab(truth, white), axis=1)
-        report = evaluate(SensorSet(DEFAULT_GRID, camera), None, x, scene_of([np.ones(31)], reflectances))
+        report = evaluate(SensorSet(DEFAULT_GRID, camera), x, scene_of([np.ones(31)], reflectances))
         assert_stats_match(report, expected)
 
     def test_zero_reflectance_gives_zero(self, rng):
@@ -118,8 +118,8 @@ class TestSensorResponse:
         camera = SensorSet(DEFAULT_GRID, bump_camera_matrix(rng))
         illuminant = rng.uniform(0.5, 2.0, 31)
         reflectances = [rng.uniform(0.0, 1.0, 31) for _ in range(6)]
-        base = evaluate(camera, None, x, scene_of([illuminant], reflectances))
-        with_black = evaluate(camera, None, x, scene_of([illuminant], reflectances + [np.zeros(31)]))
+        base = evaluate(camera, x, scene_of([illuminant], reflectances))
+        with_black = evaluate(camera, x, scene_of([illuminant], reflectances + [np.zeros(31)]))
         assert with_black.pair_count == 7
         assert with_black.delta_e.mean == pytest.approx(base.delta_e.mean * 6.0 / 7.0, rel=1e-9)
         assert with_black.delta_e.max == pytest.approx(base.delta_e.max, rel=1e-9)
@@ -131,8 +131,7 @@ class TestSensorResponse:
         illuminants = [rng.uniform(0.1, 2.0, 31), np.linspace(0.5, 1.5, 31)]
         reflectances = [rng.uniform(0.0, 1.0, 31) for _ in range(6)]
         report = evaluate(
-            SensorSet(DEFAULT_GRID, camera),
-            SpectralCurve(DEFAULT_GRID, f),
+            apply_filter(SpectralCurve(DEFAULT_GRID, f), SensorSet(DEFAULT_GRID, camera)),
             x,
             scene_of(illuminants, reflectances),
         )
@@ -143,7 +142,7 @@ class TestSensorResponse:
         other = WavelengthGrid(400.0, 5.0, 61)
         scene = scene_of([np.ones(61)], [np.ones(61)] * 4, grid=other)
         with pytest.raises(GridMismatch):
-            evaluate(x, None, x, scene)
+            evaluate(x, x, scene)
 
 
 class TestFitCorrection:
@@ -262,7 +261,7 @@ class TestDeltaE:
             [rng.uniform(0.5, 2.0, 31), rng.uniform(0.5, 2.0, 31)],
             [rng.uniform(0.0, 1.0, 31) for _ in range(3)],
         )
-        report = evaluate(camera, None, x, scene)
+        report = evaluate(camera, x, scene)
         assert report.pair_count == 6
         assert report.delta_e.max < 1e-9
 
@@ -272,7 +271,7 @@ class TestDeltaE:
         illuminants = [rng.uniform(0.5, 2.0, 31), rng.uniform(0.2, 1.0, 31) * np.linspace(0.5, 1.5, 31)]
         reflectances = [rng.uniform(0.0, 1.0, 31) for _ in range(7)]
         report = evaluate(
-            SensorSet(DEFAULT_GRID, camera), None, x, scene_of(illuminants, reflectances), correction_mode="global"
+            SensorSet(DEFAULT_GRID, camera), x, scene_of(illuminants, reflectances), correction_mode="global"
         )
         assert_stats_match(report, composed_delta_es(camera, x.channels, illuminants, reflectances, "global"))
 
@@ -319,7 +318,7 @@ class TestEvaluate:
             [rng.uniform(0.5, 2.0, 31)],
             [rng.uniform(0.0, 1.0, 31) for _ in range(10)],
         )
-        report = evaluate(x, None, x, scene)
+        report = evaluate(x, x, scene)
         assert report.delta_e.max < 1e-9
         assert float(report.vora) == 1.0
         assert report.pair_count == 10
@@ -332,7 +331,7 @@ class TestEvaluate:
             [rng.uniform(0.5, 2.0, 31)],
             [rng.uniform(0.0, 1.0, 31) for _ in range(12)],
         )
-        report = evaluate(camera, None, x, scene)
+        report = evaluate(camera, x, scene)
         assert report.delta_e.max < 1e-8
 
     def test_two_reflectances_cannot_fit_a_correction(self, rng):
@@ -343,7 +342,7 @@ class TestEvaluate:
             [rng.uniform(0.0, 1.0, 31) for _ in range(2)],
         )
         with pytest.raises(RankDeficient):
-            evaluate(camera, None, x, scene)
+            evaluate(camera, x, scene)
 
     def test_global_mode_pools_the_fit(self, rng):
         x = builtin_cmf()
@@ -352,8 +351,8 @@ class TestEvaluate:
         illuminant_a = rng.uniform(0.5, 2.0, 31)
         illuminant_b = rng.uniform(0.2, 1.0, 31) * np.linspace(0.5, 1.5, 31)
         scene = scene_of([illuminant_a, illuminant_b], reflectances)
-        per = evaluate(camera, None, x, scene, correction_mode="per-illuminant")
-        pooled = evaluate(camera, None, x, scene, correction_mode="global")
+        per = evaluate(camera, x, scene, correction_mode="per-illuminant")
+        pooled = evaluate(camera, x, scene, correction_mode="global")
         assert per.correction_mode == "per-illuminant"
         assert pooled.correction_mode == "global"
         # The per-illuminant fit can only do better on its own illuminant.
@@ -366,13 +365,13 @@ class TestEvaluate:
         x = builtin_cmf()
         scene = scene_of([np.ones(31), np.zeros(31)], [np.ones(31) * 0.5] * 4)
         with pytest.raises(InvalidWhitePoint):
-            evaluate(x, None, x, scene, correction_mode=mode)
+            evaluate(x, x, scene, correction_mode=mode)
 
     def test_unknown_mode_rejected(self, rng):
         x = builtin_cmf()
         scene = scene_of([np.ones(31)], [np.ones(31) * 0.5] * 4)
         with pytest.raises(ValueError):
-            evaluate(x, None, x, scene, correction_mode="weird")
+            evaluate(x, x, scene, correction_mode="weird")
 
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -436,9 +435,9 @@ class TestSceneEngine:
         for camera, scenes, filters in engine_cases(rng):
             engine = SceneEngine(x, scenes, mode)
             for f in filters:
-                report = evaluate(camera, f, x, scenes, correction_mode=mode)
-                channels = camera.channels if f is None else apply_filter(f, camera).channels
-                pooled, negative = engine.delta_e(channels)
+                effective = camera if f is None else apply_filter(f, camera)
+                report = evaluate(effective, x, scenes, correction_mode=mode)
+                pooled, negative = engine.delta_e(effective.channels)
                 assert DeltaEStats.from_samples(pooled) == report.delta_e
                 assert pooled.size == report.pair_count
                 assert negative == report.negative_xyz_count
@@ -570,7 +569,7 @@ class TestEvaluateAgainstHandComputation:
         camera = SensorSet(self.GRID, self.S)
         observer = SensorSet(self.GRID, self.X)
         scene = SceneSet(self.L[None], self.R.T, self.GRID)
-        report = evaluate(camera, None, observer, scene)
+        report = evaluate(camera, observer, scene)
         reference = self.reference_delta_es()
 
         assert report.pair_count == 4

@@ -136,8 +136,8 @@ class TestSingleRoute:
         x = builtin_cmf()
         f = SpectralCurve(DEFAULT_GRID, rng.uniform(0.2, 1.0, 31))
         scenes = SceneSet(np.ones((1, 31)), rng.uniform(0.0, 1.0, (8, 31)).T, DEFAULT_GRID)
-        report = evaluate(bump_camera, f, x, scenes)
         effective = apply_filter(f, bump_camera)
+        report = evaluate(effective, x, scenes)
         score = basis_score(np.ones(31), effective.channels, orthonormalize(x).basis)[1]
         assert float(report.vora) == float(VoraScore(score))
 
