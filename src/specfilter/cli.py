@@ -41,11 +41,6 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _write(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
-
-
 def _digest(sha, *labels: str):
     """A loader's ``record``: feeds ``sha`` each input the loader hands it as
     label, NUL, data, NUL, labelled in turn by ``labels``."""
@@ -91,9 +86,9 @@ def _write_run(out: str, payload: dict, *files) -> None:
     """
     report = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     os.makedirs(out, exist_ok=True)
-    for name, fmt, *args in files:
-        _write(os.path.join(out, name), fmt(*args))
-    _write(os.path.join(out, "report.json"), report)
+    for name, fmt, *args in (*files, ("report.json", str, report)):
+        with open(os.path.join(out, name), "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(fmt(*args))
 
 
 def cmd_optimize(args) -> int:
@@ -168,25 +163,28 @@ def cmd_optimize(args) -> int:
     return 0
 
 
-def _scene_inputs(args):
-    """The ``--scenes`` manifest, the camera path and the CMF choice of a scoring run.
+def _scene_inputs(args, sha):
+    """The camera, CMF and scene set of a scoring run, and their ``report.json`` ``inputs``.
 
-    Each of ``--camera`` and ``--cmf`` falls back to the manifest's key; a
-    camera named by neither is an input error.
+    The ``--scenes`` manifest is read first.  Each of ``--camera`` and
+    ``--cmf`` falls back to the manifest's key; a camera named by neither is
+    an input error.  Camera, CMF, illuminants and reflectances are then
+    loaded in that order, each fed to ``sha`` under its name.
     """
     manifest = read_manifest(args.scenes)
-    camera_path = args.camera or manifest.camera
-    if camera_path is None:
+    inputs = {"camera": args.camera or manifest.camera, "cmf": args.cmf or manifest.cmf, "scenes": args.scenes,
+              "illuminants": manifest.illuminants, "reflectances": manifest.reflectances}
+    if inputs["camera"] is None:
         raise SpecFilterError("no camera file given (flag --camera or manifest key 'camera')")
-    return manifest, camera_path, args.cmf or manifest.cmf
+    camera = load_sensor_set(inputs["camera"], _digest(sha, "camera"))
+    cmf = load_cmf(inputs["cmf"], _digest(sha, "cmf"))
+    scenes = load_scene_set(manifest, _digest(sha, "illuminants", "reflectances"))
+    return camera, cmf, scenes, inputs
 
 
 def cmd_evaluate(args) -> int:
-    manifest, camera_path, cmf_choice = _scene_inputs(args)
     sha = hashlib.sha256()
-    camera = load_sensor_set(camera_path, _digest(sha, "camera"))
-    cmf = load_cmf(cmf_choice, _digest(sha, "cmf"))
-    scenes = load_scene_set(manifest, _digest(sha, "illuminants", "reflectances"))
+    camera, cmf, scenes, inputs = _scene_inputs(args, sha)
     effective = camera
     if args.filter:
         _, columns = load_spectra(args.filter, 1, _digest(sha, "filter"))
@@ -202,15 +200,7 @@ def cmd_evaluate(args) -> int:
 
     payload = {
         "command": "evaluate",
-        "inputs": {
-            "camera": camera_path,
-            "cmf": cmf_choice,
-            "scenes": args.scenes,
-            "illuminants": manifest.illuminants,
-            "reflectances": manifest.reflectances,
-            "filter": args.filter,
-            "digest": "sha256:" + sha.hexdigest(),
-        },
+        "inputs": {**inputs, "filter": args.filter, "digest": "sha256:" + sha.hexdigest()},
         "camera_channel_peaks": [float(v) for v in camera.channel_peaks()],
         "evaluation": {
             "vora_value": float(report.vora),
@@ -229,13 +219,14 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _read_trace(path: str) -> list[tuple[int, float]]:
+def _read_trace(path: str, record) -> list[tuple[int, float]]:
     """(iteration, Vora-Value) rows of a trace CSV, held to ``ConvergenceTrace``'s rules.
 
     On top of the parser's checks, the header must be exactly
-    ``iteration,vora_value,residual`` and the iterations integers.
+    ``iteration,vora_value,residual`` and the iterations integers.  The
+    file's bytes go to ``record``.
     """
-    table = read_spectral_csv(path)
+    table = read_spectral_csv(path, record)
     if (table.key_name, table.column_names) != ("iteration", ("vora_value", "residual")):
         raise SpecFilterError(f"{path} is not a trace CSV (expected iteration,vora_value,residual)")
     fractional = table.wavelengths[table.wavelengths != np.floor(table.wavelengths)]
@@ -268,45 +259,56 @@ def _mean_delta_es(engine: SceneEngine, camera: SensorSet, filters: np.ndarray,
 
 
 def cmd_trace_compare(args) -> int:
-    # A label is a compare.csv cell: a comma or line break in it would split the row.
+    # A label is a compare.csv cell: a comma or line break in it would split
+    # the row, and equal labels would make the two traces' rows indistinguishable.
     for flag, label in (("--label-a", args.label_a), ("--label-b", args.label_b)):
         if "," in label or label.splitlines() != [label]:
             raise SpecFilterError(f"{flag} must be non-empty and hold no comma or line break, got {label!r}")
+    if args.label_a == args.label_b:
+        raise SpecFilterError(f"--label-a and --label-b must differ, both are {args.label_a!r}")
     if (args.filters_a or args.filters_b) and not args.scenes:
         raise SpecFilterError("--filters-a/--filters-b need --scenes")
+    sha = hashlib.sha256()
     traces = [
-        (args.label_a, args.trace_a, _read_trace(args.trace_a), args.filters_a),
-        (args.label_b, args.trace_b, _read_trace(args.trace_b), args.filters_b),
+        (args.label_a, args.trace_a, _read_trace(args.trace_a, _digest(sha, "trace_a")),
+         args.filters_a, _digest(sha, "filters_a")),
+        (args.label_b, args.trace_b, _read_trace(args.trace_b, _digest(sha, "trace_b")),
+         args.filters_b, _digest(sha, "filters_b")),
     ]
+    started = time.perf_counter()
+    scene_inputs = {}
     if args.filters_a or args.filters_b:
         # Read only to score: without a filters file, inputs the scoring would
         # reject do not fail the run.
-        manifest, camera_path, cmf_choice = _scene_inputs(args)
-        camera = load_sensor_set(camera_path)
-        engine = SceneEngine(load_cmf(cmf_choice), load_scene_set(manifest), args.correction)
+        camera, cmf, scenes, scene_inputs = _scene_inputs(args, sha)
+        engine = SceneEngine(cmf, scenes, args.correction)
 
     lines = ["iteration,method,vora_value,mean_delta_e"]
-    for label, trace_path, rows, filters_path in traces:
+    for label, trace_path, rows, filters_path, record in traces:
         mean_des = [""] * len(rows)
         if filters_path:
-            names, columns = load_spectra(filters_path)
+            names, columns = load_spectra(filters_path, record=record)
             if len(names) != len(rows):
-                raise SpecFilterError(
-                    f"{filters_path} has {len(names)} iteration filters "
-                    f"but {trace_path} has {len(rows)} trace rows"
-                )
+                raise SpecFilterError(f"{filters_path} has {len(names)} iteration filters "
+                                      f"but {trace_path} has {len(rows)} trace rows")
             for name, (iteration, _) in zip(names, rows):
                 if name != f"iter{iteration}":
-                    raise SpecFilterError(
-                        f"{filters_path} column {name} does not match {trace_path} (expected iter{iteration})"
-                    )
+                    raise SpecFilterError(f"{filters_path} column {name} does not match {trace_path} "
+                                          f"(expected iter{iteration})")
             means = _mean_delta_es(engine, camera, columns.T, names, filters_path)
             mean_des = [_fmt(value) for value in means]
         for (iteration, vora), mean_de in zip(rows, mean_des):
             lines.append(f"{iteration},{label},{_fmt(vora)},{mean_de}")
+    elapsed_ms = (time.perf_counter() - started) * 1000.0
 
-    os.makedirs(args.out, exist_ok=True)
-    _write(os.path.join(args.out, "compare.csv"), "\n".join(lines) + "\n")
+    payload = {
+        "command": "trace-compare",
+        "inputs": {"trace_a": args.trace_a, "trace_b": args.trace_b, "filters_a": args.filters_a,
+                   "filters_b": args.filters_b, **scene_inputs, "digest": "sha256:" + sha.hexdigest()},
+        "config": {"label_a": args.label_a, "label_b": args.label_b, "correction": args.correction},
+        "timing_ms": elapsed_ms,
+    }
+    _write_run(args.out, payload, ("compare.csv", str, "\n".join(lines) + "\n"))
     print(f"wrote {os.path.join(args.out, 'compare.csv')}")
     return 0
 

@@ -8,9 +8,10 @@ takes a path and brings its data onto the working grid, ``DEFAULT_GRID``
 (400-700 nm every 10 nm), by linear interpolation; ``spectra.interp_columns``
 resamples onto any other grid.  Every error a loader raises names its file.
 
-Each input is opened once, by ``_read``.  Every loader takes an optional
-``record``, called with the bytes of each file it parses (for the builtin
-CMF: its name), so a caller can hash exactly what was loaded.
+Each input is opened once, by ``_read``.  Every loader but ``read_manifest``,
+whose resolved paths a caller reports itself, takes an optional ``record``,
+called with the bytes of each file it parses (for the builtin CMF: its
+name), so a caller can hash exactly what was loaded.
 """
 
 from __future__ import annotations
@@ -224,9 +225,9 @@ def read_manifest(path: str) -> DatasetManifest:
     return _read(path, lambda data: parse_manifest(_decode(data), base_dir))
 
 
-def read_spectral_csv(path: str) -> SpectralTable:
+def read_spectral_csv(path: str, record=_discard) -> SpectralTable:
     """``parse_spectral_csv`` of a file, on its own wavelengths; its ``ParseError`` names the file."""
-    return _read(path, parse_spectral_csv)
+    return _read(path, parse_spectral_csv, record)
 
 
 def load_spectra(path: str, width: int | None = None, record=_discard) -> tuple[tuple[str, ...], np.ndarray]:

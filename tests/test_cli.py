@@ -791,6 +791,43 @@ class TestTraceCompareCommand:
         assert main(argv) == 0
         assert read(os.path.join(from_manifest, "compare.csv")) == read(os.path.join(out, "compare.csv"))
 
+    @pytest.mark.parametrize("scored", [True, False], ids=["scoring", "plain"])
+    def test_report_names_and_digests_its_inputs(self, tmp_path, camera_csv, scene_manifest, scored):
+        runs = {}
+        for optimizer in ("als", "ga"):
+            runs[optimizer] = str(tmp_path / optimizer)
+            argv = ["optimize", "--camera", camera_csv, "--optimizer", optimizer,
+                    "--max-iters", "40", "--out", runs[optimizer]]
+            assert main(argv) in (0, 2)
+        traces = [os.path.join(runs[optimizer], "trace.csv") for optimizer in ("als", "ga")]
+        out = tmp_path / "cmp"
+        argv = ["trace-compare", *traces, "--label-a", "als", "--label-b", "ga", "--out", str(out)]
+        inputs = {"trace_a": traces[0], "trace_b": traces[1], "filters_a": None, "filters_b": None}
+        chunks = [("trace_a", read(traces[0])), ("trace_b", read(traces[1]))]
+        correction = "per-illuminant"
+        if scored:
+            filters = [os.path.join(runs[optimizer], "iteration_filters.csv") for optimizer in ("als", "ga")]
+            correction = "global"
+            argv += ["--filters-a", filters[0], "--filters-b", filters[1], "--camera", camera_csv,
+                     "--scenes", scene_manifest, "--correction", correction]
+            lights, surfaces = str(tmp_path / "lights.csv"), str(tmp_path / "surfaces.csv")
+            inputs.update(filters_a=filters[0], filters_b=filters[1], camera=camera_csv, cmf="cie1931",
+                          scenes=scene_manifest, illuminants=lights, reflectances=surfaces)
+            # Load order: both traces, then the scene inputs, then each filters file.
+            chunks += [("camera", read(camera_csv)), ("cmf", b"cie1931"), ("illuminants", read(lights)),
+                       ("reflectances", read(surfaces)), ("filters_a", read(filters[0])),
+                       ("filters_b", read(filters[1]))]
+        assert main(argv) == 0
+        assert sorted(os.listdir(out)) == ["compare.csv", "report.json"]
+        report = json.loads(read(out / "report.json"))
+        assert report.keys() == {"command", "inputs", "config", "timing_ms"}
+        assert report["command"] == "trace-compare"
+        assert {key: value for key, value in report["inputs"].items() if key != "digest"} == inputs
+        assert report["inputs"]["digest"] == input_digest(*chunks)
+        assert {label for label, _ in chunks} <= report["inputs"].keys()
+        assert report["config"] == {"label_a": "als", "label_b": "ga", "correction": correction}
+        assert report["timing_ms"] >= 0
+
     def test_iteration_filters_resampled_once_per_file(self, tmp_path, camera_csv, scene_manifest, monkeypatch):
         out_a = str(tmp_path / "als")
         assert main(["optimize", "--camera", camera_csv, "--optimizer", "als", "--out", out_a]) == 0
@@ -1043,16 +1080,20 @@ class TestTraceCompareCommand:
         assert not (out / "compare.csv").exists()
 
     @pytest.mark.parametrize("flag, label", [("--label-a", "x,y"), ("--label-b", ""), ("--label-a", "x\ny"),
-                                             ("--label-b", "x\r"), ("--label-a", "x\u2028y")],
-                             ids=["comma", "empty", "LF", "CR", "line separator"])
+                                             ("--label-b", "x\r"), ("--label-a", "x\u2028y"), ("--label-b", "a")],
+                             ids=["comma", "empty", "LF", "CR", "line separator", "equal"])
     def test_label_that_would_split_a_row_exits_1(self, tmp_path, capsys, flag, label):
-        # A comma would write five cells under compare.csv's four-cell header.
-        trace = tmp_path / "trace.csv"
-        trace.write_text("iteration,vora_value,residual\n0,0.5,1.5\n")
+        # A comma would write five cells under compare.csv's four-cell header,
+        # and a --label-b equal to --label-a's default rows that cannot be
+        # told from trace A's.  Both fail before any file is read.
+        trace = tmp_path / "missing.csv"
         out = tmp_path / "cmp"
         assert main(["trace-compare", str(trace), str(trace), flag, label, "--out", str(out)]) == 1
-        assert capsys.readouterr().err == (
-            f"error: {flag} must be non-empty and hold no comma or line break, got {label!r}\n")
+        if label == "a":
+            assert capsys.readouterr().err == "error: --label-a and --label-b must differ, both are 'a'\n"
+        else:
+            assert capsys.readouterr().err == (
+                f"error: {flag} must be non-empty and hold no comma or line break, got {label!r}\n")
         assert not out.exists()
 
     def test_malformed_trace_exits_1(self, tmp_path):

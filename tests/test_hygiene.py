@@ -5,6 +5,7 @@ modules really depend on each other.  Modules that re-export names through
 ``__all__`` are exempt, and every name they export must resolve.  A
 function, class or method that nothing in the package reads is dead code,
 whatever the tests call.  Only ``ingest._read`` opens a file for reading.
+The benchmark's tracer finds no fewer of its patch points in the package.
 """
 
 import ast
@@ -146,3 +147,26 @@ def test_only_ingest_read_opens_a_file_for_reading():
     readers = sorted(f"{module} line {call.lineno}" for module, tree in TREES.items()
                      for call in _open_calls(tree) if id(call) not in allowed and _reads(call))
     assert not readers, f"open( for reading outside ingest._read: {', '.join(readers)}"
+
+
+# The patch points of perfbench/tracing.py that the package no longer has.
+# Each leaves its traced layer reading 0; the benchmark's own rework deletes
+# them (ROADMAP item 1), and until then the list may shrink but not grow.
+ORPHANED_PATCH_POINTS = {
+    "specfilter.cli.optimize_als_multistart", "specfilter.cli.optimize_ga_multistart",
+    "specfilter.als.vora_value", "specfilter.gradient.vora_value",
+    "specfilter.als.rank_ratio", "specfilter.gradient.rank_ratio", "specfilter.colorimetry.rank_ratio",
+}
+
+
+def test_benchmark_patch_points_are_not_orphaned_further():
+    # tracing.py wraps program functions under the names their callers look
+    # them up by, so a refactor that stops importing a wrapped name into
+    # specfilter.cli would silently zero a traced layer.  The module is
+    # compiled in memory, so nothing is written under perfbench/, and a
+    # Tracer patches nothing until install().
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    namespace = {"__name__": "tracing"}
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), namespace)
+    missing = set(namespace["Tracer"]().missing)
+    assert missing <= ORPHANED_PATCH_POINTS, f"newly orphaned patch points: {sorted(missing - ORPHANED_PATCH_POINTS)}"
