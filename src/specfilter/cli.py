@@ -296,7 +296,7 @@ def cmd_trace_compare(args) -> int:
                     raise SpecFilterError(f"{filters_path} column {name} does not match {trace_path} "
                                           f"(expected iter{iteration})")
             means = _mean_delta_es(engine, camera, columns.T, names, filters_path)
-            mean_des = [_fmt(value) for value in means]
+            mean_des = map(repr, means.tolist())
         for (iteration, vora), mean_de in zip(rows, mean_des):
             lines.append(f"{iteration},{label},{_fmt(vora)},{mean_de}")
     elapsed_ms = (time.perf_counter() - started) * 1000.0

@@ -134,8 +134,7 @@ def xyz_to_lab(xyz: np.ndarray, white: np.ndarray) -> np.ndarray:
     """CIE 1976 L*a*b* of XYZ rows (last axis of length 3) relative to a white point."""
     if np.any(white <= 0):
         raise InvalidWhitePoint("perfect-diffuser white point has a non-positive component")
-    ratios = xyz / white
-    fx, fy, fz = _lab_f(ratios[..., 0]), _lab_f(ratios[..., 1]), _lab_f(ratios[..., 2])
+    fx, fy, fz = np.moveaxis(_lab_f(xyz / white), -1, 0)
     return np.stack([116.0 * fy - 16.0, 500.0 * (fx - fy), 200.0 * (fy - fz)], axis=-1)
 
 

@@ -64,50 +64,79 @@ def _lines(text: str):
             yield lineno, line
 
 
-def parse_spectral_csv(data: bytes | str) -> SpectralTable:
-    """Parse a wavelength-first CSV into a validated table.
+def _convert_at_once(lines: list[str]) -> np.ndarray:
+    """Every data line's cells in one numpy conversion; ``ValueError`` for a cell or row numpy refuses."""
+    return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
 
-    Raises ``ParseError`` with the offending line number for ragged rows,
-    non-numeric or non-finite cells, a first column that is not strictly
-    increasing, or an empty table.  A leading UTF-8 byte-order mark is ignored.
+
+def _convert_by_line(numbered: list[tuple[int, str]], width: int) -> np.ndarray:
+    """Every data line's cells converted a line at a time by ``float()``.
+
+    Raises ``ParseError`` naming the first line that does not hold ``width``
+    cells or holds a cell ``float()`` refuses.
     """
-    header: list[str] | None = None
-    rows: list[list[float]] = []
-    row_lines: list[int] = []
-    width = None
-    for lineno, line in _lines(_decode(data)):
+    rows = []
+    for lineno, line in numbered:
         # float() strips the whitespace around a number itself.
         cells = line.split(",")
-        if width is None:
-            width = len(cells)
-            if width < 2:
-                raise ParseError("need a wavelength column plus at least one data column", lineno)
-            try:
-                float(cells[0].strip())
-            except ValueError:
-                header = [cell.strip() for cell in cells]
-                continue
         if len(cells) != width:
             raise ParseError(f"expected {width} cells, got {len(cells)}", lineno)
         try:
             rows.append(list(map(float, cells)))
         except ValueError:
             raise ParseError(f"non-numeric cell in {line!r}", lineno) from None
-        row_lines.append(lineno)
+    return np.array(rows)
 
-    if not rows:
+
+def parse_spectral_csv(data: bytes | str) -> SpectralTable:
+    """Parse a wavelength-first CSV into a validated table.
+
+    Raises ``ParseError`` with the offending line number for ragged rows,
+    non-numeric or non-finite cells, a first column that is not strictly
+    increasing, or an empty table.  A leading UTF-8 byte-order mark is ignored.
+
+    The data lines are converted in one numpy call.  ``float()`` reads each
+    cell the same way, but it also takes cells numpy refuses (``1_0``,
+    non-ASCII digits) and refuses U+001F beside a number, which numpy strips.
+    So a file numpy refuses, whose column count is not the first line's, or
+    that holds U+001F goes through ``_convert_by_line``, which accepts what
+    ``float()`` accepts and names the line of the first bad row.
+    """
+    text = _decode(data)
+    numbered = list(_lines(text))
+    header: list[str] | None = None
+    if numbered:
+        lineno, line = numbered[0]
+        cells = line.split(",")
+        width = len(cells)
+        if width < 2:
+            raise ParseError("need a wavelength column plus at least one data column", lineno)
+        try:
+            float(cells[0].strip())
+        except ValueError:
+            header = [cell.strip() for cell in cells]
+            del numbered[0]
+    if not numbered:
         raise ParseError("no data rows")
-    table = np.array(rows)
+    table = None
+    if "\x1f" not in text:
+        try:
+            table = _convert_at_once([line for _, line in numbered])
+        except ValueError:
+            pass
+    if table is None or table.shape[1] != width:
+        table = _convert_by_line(numbered, width)
+
     finite = np.isfinite(table).all(axis=1)
     if not finite.all():
-        raise ParseError("non-finite cell (nan or inf)", row_lines[int(np.argmin(finite))])
+        raise ParseError("non-finite cell (nan or inf)", numbered[int(np.argmin(finite))][0])
     keys = table[:, 0]
     backward = np.flatnonzero(keys[1:] <= keys[:-1])
     if backward.size:
         i = int(backward[0]) + 1
         raise ParseError(
             f"first column must be strictly increasing; {keys[i]:g} follows {keys[i - 1]:g}",
-            row_lines[i],
+            numbered[i][0],
         )
     if header is None:
         header = ["wavelength"] + [f"col{j}" for j in range(1, width)]

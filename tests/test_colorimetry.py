@@ -11,6 +11,7 @@ from specfilter.colorimetry import (
     DeltaEStats,
     SceneEngine,
     SceneSet,
+    _lab_f,
     evaluate,
     fit_correction,
     xyz_to_lab,
@@ -234,6 +235,16 @@ class TestXyzToLab:
         assert np.all(lab[:, 0] >= 0.0)
         for row in range(0, 200, 40):
             assert np.array_equal(lab[row], xyz_to_lab(xyz[row], white))
+
+    def test_stack_matches_each_component_converted_on_its_own(self, rng):
+        # xyz_to_lab applies _lab_f once to every ratio; elementwise, it must
+        # give the bits of one call per strided X, Y and Z slice.
+        white = np.array([0.95, 1.0, 1.09])
+        xyz = rng.uniform(-0.05, 1.5, size=(113, 3, 12, 3)) * rng.choice([1e-3, 1.0], size=(113, 3, 12, 3))
+        ratios = xyz / white
+        fx, fy, fz = (_lab_f(ratios[..., k]) for k in range(3))
+        want = np.stack([116.0 * fy - 16.0, 500.0 * (fx - fy), 200.0 * (fy - fz)], axis=-1)
+        assert xyz_to_lab(xyz, white).tobytes() == want.tobytes()
 
     def test_negative_components_use_linear_segment(self):
         white = np.ones(3)

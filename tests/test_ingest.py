@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from specfilter import ingest
 from specfilter.errors import OutOfRange, ParseError, RankDeficient, ShapeError
 from specfilter.ingest import (
     DatasetManifest,
@@ -152,20 +153,25 @@ _SPACES = [c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace() and not
 _BREAKS = [c for c in _SPACES if len(f"a{c}b".splitlines()) == 2]
 _PADDING = [c for c in _SPACES if c not in _BREAKS]
 _BAD_CELLS = ("x", "", "1.2.3", "nan", "inf")
+# Cells that send a file down the per-line route: float() reads the first
+# three (an underscore, Arabic-Indic and full-width digits) and numpy refuses
+# them; the last holds U+001F, mid-cell where both refuse it.
+_PER_LINE_CELLS = ("1_0", "\u0661\u0662.\u0665", "\uff11\uff12.\uff15", "1\x1f5")
 
 
 @st.composite
 def padded_csv_files(draw):
     """CSV text with padded cells: a header or none, comment and blank lines,
-    ragged rows and bad cells among ``repr``'d floats, lines ended by any
-    line break."""
-    # Mostly well-formed, so that many files parse: one cell in 20 is bad,
-    # one row in 10 is ragged and one key in 10 random, and half of the
-    # padding is empty.
+    ragged rows and bad or per-line cells among ``repr``'d floats, lines
+    ended by any line break."""
+    # Mostly well-formed, so that many files parse: one cell in 20 is bad and
+    # one in 40 a per-line cell, one row in 10 is ragged, one key in 10 random
+    # and one comment in 4 holds U+001F, and half of the padding is empty.
     pad = st.one_of(st.just(""), st.text(st.sampled_from(_PADDING), min_size=1, max_size=2))
     padded = lambda cell: draw(pad) + cell + draw(pad)
-    value = st.integers(0, 19).flatmap(
-        lambda k: st.sampled_from(_BAD_CELLS) if k == 0 else _FINITE.map(repr))
+    value = st.integers(0, 39).flatmap(
+        lambda k: st.sampled_from(_BAD_CELLS) if k < 2
+        else st.sampled_from(_PER_LINE_CELLS) if k == 2 else _FINITE.map(repr))
     width = draw(st.integers(2, 5))
     lines = []
     if draw(st.booleans()):
@@ -174,7 +180,7 @@ def padded_csv_files(draw):
     for i in range(draw(st.integers(0, 6))):
         kind = draw(st.sampled_from(["row", "row", "row", "comment", "blank"]))
         if kind == "comment":
-            lines.append(padded("# note, 1"))
+            lines.append(padded(draw(st.sampled_from(["# note, 1"] * 3 + ["# note,\x1f1"]))))
         elif kind == "blank":
             lines.append(draw(pad))
         else:
@@ -209,6 +215,81 @@ class TestOneConversionPerCell:
             parse_spectral_csv(text)
         assert (caught.value.line, caught.value.reason) == (3, "non-numeric cell in '410,\\x1f2'")
         assert parse_spectral_csv("\x1f400,1\x1f\n").columns.tolist() == [[1.0]]
+
+
+@st.composite
+def decimal_strings(draw):
+    """A number as a CSV cell may spell it: a ``repr``'d float (subnormals,
+    nan and inf among them), or a decimal with a sign or none, leading
+    zeros, more than 17 significant digits and an exponent or none."""
+    if draw(st.booleans()):
+        return repr(draw(st.floats()))
+    digits = st.text("0123456789", min_size=1, max_size=30)
+    text = draw(st.sampled_from(["", "+", "-"])) + "0" * draw(st.integers(0, 3)) + draw(digits)
+    if draw(st.booleans()):
+        text += "." + draw(digits)
+    if draw(st.booleans()):
+        text += draw(st.sampled_from("eE")) + draw(st.sampled_from(["", "+", "-"])) + str(draw(st.integers(0, 400)))
+    return text
+
+
+class TestConversionParity:
+    """``float()`` and numpy's one-call conversion read a cell to the same bits."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(cells=st.lists(st.one_of(decimal_strings(), st.sampled_from(
+        ["nan", "-nan", "NaN", "inf", "+inf", "-Infinity", "INF", "1e999", "-1e-999"])), min_size=1, max_size=4),
+        pads=st.lists(st.text(st.sampled_from(_PADDING), max_size=2), min_size=8, max_size=8))
+    def test_numpy_reads_every_cell_as_float_does(self, cells, pads):
+        padded = [pads[2 * j] + cell + pads[2 * j + 1] for j, cell in enumerate(cells)]
+        want = np.array([list(map(float, padded))])
+        assert ingest._convert_at_once([",".join(padded)]).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("cell", _PER_LINE_CELLS[:3])
+    def test_cells_only_float_reads_are_refused_by_numpy(self, cell):
+        # parse_spectral_csv relies on this: such a file falls back to float().
+        float(cell)
+        with pytest.raises(ValueError):
+            ingest._convert_at_once([f"400,{cell}"])
+
+    def test_numpy_strips_the_unit_separator_that_float_refuses(self):
+        # Why a file holding U+001F never takes the one-call route.
+        assert ingest._convert_at_once(["400,\x1f2"]).tolist() == [[400.0, 2.0]]
+        with pytest.raises(ValueError):
+            float("\x1f2")
+
+
+class TestConversionRoute:
+    """A well-formed file is converted in one numpy call, not line by line."""
+
+    @staticmethod
+    def refuse_by_line(monkeypatch):
+        def by_line(numbered, width):
+            raise AssertionError("converted line by line")
+        monkeypatch.setattr(ingest, "_convert_by_line", by_line)
+
+    def test_well_formed_files_skip_the_per_line_route(self, monkeypatch, rng):
+        with open(os.path.join(TestShippedFixtures.FIXTURES, "reflectances.csv"), "rb") as handle:
+            reflectances = handle.read()
+        names = tuple(f"iter{i}" for i in range(40))
+        filters = serialize_spectral_csv(SpectralTable(DEFAULT_GRID.wavelengths(), names, rng.uniform(size=(31, 40))))
+        want = [parse_outcome(strip_every_cell_parse, data) for data in (reflectances, filters)]
+        self.refuse_by_line(monkeypatch)
+        assert [parse_outcome(parse_spectral_csv, data) for data in (reflectances, filters)] == want
+
+    @pytest.mark.parametrize("text, line, reason", [
+        ("wavelength,a,b\n400,1,2\n410,3,4,5\n", 3, "expected 3 cells, got 4"),
+        ("wavelength,a,b\n400,1\n410,3\n", 2, "expected 3 cells, got 2"),
+        ("400,1\n410,x\n", 2, "non-numeric cell in '410,x'"),
+        ("400,1\n410,2 # note\n", 2, "non-numeric cell in '410,2 # note'"),
+    ], ids=["longer than the row before", "shorter than the header", "non-numeric", "mid-line comment"])
+    def test_bad_rows_are_located_by_the_per_line_route(self, monkeypatch, text, line, reason):
+        with pytest.raises(ParseError) as caught:
+            parse_spectral_csv(text)
+        assert (caught.value.line, caught.value.reason) == (line, reason)
+        self.refuse_by_line(monkeypatch)
+        with pytest.raises(AssertionError, match="converted line by line"):
+            parse_spectral_csv(text)
 
 
 class TestLoadSensorSet:
