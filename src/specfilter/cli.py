@@ -80,15 +80,19 @@ def _write_run(out: str, payload: dict, *files) -> None:
     """Make ``out``, write each ``(name, format, *args)`` of ``files`` as
     ``format(*args)``, then ``report.json`` of ``payload``.
 
-    Each file is written as soon as it is formatted, so no two are held at
-    once.  The small report is strict JSON, formatted first: a nan or inf in
-    ``payload`` raises ``ValueError`` before ``out`` is made.
+    ``format`` returns the file's text as one ``str`` or as an iterable of
+    chunks, each written as soon as it is formatted: no two files, and no
+    two chunks of a spectral table, are held at once.  The small report is
+    strict JSON, formatted first: a nan or inf in ``payload`` raises
+    ``ValueError`` before ``out`` is made.
     """
     report = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     os.makedirs(out, exist_ok=True)
     for name, fmt, *args in (*files, ("report.json", str, report)):
+        text = fmt(*args)
         with open(os.path.join(out, name), "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(fmt(*args))
+            # writelines of a str would write it a character at a time.
+            handle.writelines((text,) if isinstance(text, str) else text)
 
 
 def cmd_optimize(args) -> int:

@@ -66,10 +66,11 @@ class GaConfig(SolverConfig):
             raise ValueError(f"fixed_step must be positive and finite, got {self.fixed_step!r}")
 
 
-def _gradient_arrays(f: np.ndarray, qc: np.ndarray, vb: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Gradient of the Vora-Value at filter ``f``, given its full-rank ``basis_score`` transform ``m``."""
-    c = (vb - (f[:, None] * qc) @ m) @ m.T
-    return (2.0 / 3.0) * (qc * c).sum(axis=1)
+def _gradient_arrays(fq: np.ndarray, qc: np.ndarray, vb: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Gradient of the Vora-Value at the filtered camera ``fq`` = diag(f) Q, given its full-rank
+    ``basis_score`` transform ``m``."""
+    c = (vb - fq @ m) @ m.T
+    return (2.0 / 3.0) * np.add.reduce(qc * c, axis=1)
 
 
 def optimize_ga(
@@ -109,7 +110,8 @@ def _ascend(f: np.ndarray, q: SensorSet, v: OrthoBasis, config: GaConfig) -> Fil
     camera at full rank and passes the Armijo test.
     """
     qc, vb = q.channels, v.basis
-    m, score, full = basis_score(f, qc, vb)
+    fq = f[:, None] * qc
+    m, score, full = basis_score(f, qc, vb, fq)
     if not full:
         raise lost_rank(0)
     score = float(score)
@@ -124,11 +126,12 @@ def _ascend(f: np.ndarray, q: SensorSet, v: OrthoBasis, config: GaConfig) -> Fil
 
     stop, trials = Stop.CAPPED, 0
     for i in range(1, config.max_iterations + 1):
-        grad = _gradient_arrays(f, qc, vb, m)
+        grad = _gradient_arrays(fq, qc, vb, m)
         grad_norm_sq = float(grad @ grad)
         for step in steps:
             trial = f + step * grad
-            new_m, new_score, full = basis_score(trial, qc, vb)
+            trial_fq = trial[:, None] * qc
+            new_m, new_score, full = basis_score(trial, qc, vb, trial_fq)
             trials += 1
             if full and new_score >= score + armijo * step * grad_norm_sq:
                 break
@@ -144,7 +147,7 @@ def _ascend(f: np.ndarray, q: SensorSet, v: OrthoBasis, config: GaConfig) -> Fil
                 stop = Stop.OVERSHOT if i == 1 else Stop.CONVERGED
             break
 
-        f, m, new_score = trial, new_m, float(new_score)
+        f, fq, m, new_score = trial, trial_fq, new_m, float(new_score)
         scores.append(new_score)
         filters.append(f)
         delta = new_score - score

@@ -17,6 +17,7 @@ name), so a caller can hash exactly what was loaded.
 from __future__ import annotations
 
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,14 +144,18 @@ def parse_spectral_csv(data: bytes | str) -> SpectralTable:
     return SpectralTable(keys, tuple(header[1:]), table[:, 1:], header[0])
 
 
-def serialize_spectral_csv(table: SpectralTable) -> str:
-    """Render a table back to the canonical CSV; values round-trip bit-for-bit."""
+def serialize_spectral_csv(table: SpectralTable) -> Iterator[str]:
+    """Render a table as the canonical CSV, one line (``\\n`` included) per chunk, header first.
+
+    Values round-trip bit-for-bit.  Each row is formatted only when it is
+    asked for, so a writer holds one row's text at a time; ``"".join`` of
+    the chunks is the whole file.
+    """
     # tolist() gives Python floats, whose repr is the shortest round trip.
     # One row at a time: a 10k-column table as Python floats costs ~10 MB.
-    lines = [",".join((table.key_name,) + table.column_names)]
-    rows = zip(table.wavelengths.tolist(), table.columns)
-    lines += [",".join(map(repr, [wl] + row.tolist())) for wl, row in rows]
-    return "\n".join(lines) + "\n"
+    yield ",".join((table.key_name,) + table.column_names) + "\n"
+    for wl, row in zip(table.wavelengths.tolist(), table.columns):
+        yield ",".join(map(repr, [wl] + row.tolist())) + "\n"
 
 
 def builtin_cmf() -> SensorSet:

@@ -17,7 +17,8 @@ matrix into ``LinAlgError``.  After the identity substitution no singular G
 reaches the solve, and ALS's Anderson step (``als._extrapolate``) calls
 ``_solve`` too, on normal equations its ridge keeps nonsingular.  Two routes
 form G and W for a filtered camera A = diag(f) Q.  ``basis_score`` forms A
-itself.  It serves gradient ascent, whose hot loop keeps its bits because its
+itself, or takes the A gradient ascent formed for its trial and reuses for
+the gradient.  It serves gradient ascent, whose hot loop keeps its bits because its
 runs are chaotic in them (see README), and ``vora_value``, every solver's
 start and ``solution.finish``.
 ``moment_score`` forms G = P^T (f o f) and W = R^T f from the n x 9 tables
@@ -71,7 +72,7 @@ def vora_value(q: SensorSet, x: SensorSet) -> VoraScore:
 
 
 def basis_score(
-    f: np.ndarray, qc: np.ndarray, basis: np.ndarray
+    f: np.ndarray, qc: np.ndarray, basis: np.ndarray, camera: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(M, Vora-Value, full rank) of the filtered camera A = diag(f) Q against an orthonormal basis.
 
@@ -81,9 +82,11 @@ def basis_score(
     filter or a stack of them, one per row; results gain the same leading
     axis.  A rank-deficient A is solved against the identity instead of its
     Gram matrix, so its M and score are meaningless and only the rank flag
-    counts.
+    counts.  ``camera``, when given, is A as the caller formed it,
+    ``f[..., None] * qc``: gradient ascent forms each trial's A once, for
+    this score and for the gradient at the trial it accepts.
     """
-    fq = f[..., None] * qc
+    fq = f[..., None] * qc if camera is None else camera
     fq_t = fq.swapaxes(-1, -2)
     return _score(fq_t @ fq, fq_t @ basis, fq)
 

@@ -51,7 +51,7 @@ def random_filter(grid: WavelengthGrid, rng: np.random.Generator) -> SpectralCur
 
 def ga_gradient(f: np.ndarray, qc: np.ndarray, vb: np.ndarray) -> np.ndarray:
     """The Vora-Value gradient gradient ascent takes at a full-rank filter ``f``."""
-    return _gradient_arrays(f, qc, vb, basis_score(f, qc, vb)[0])
+    return _gradient_arrays(f[:, None] * qc, qc, vb, basis_score(f, qc, vb)[0])
 
 
 def bump_camera_matrix(rng: np.random.Generator, grid: WavelengthGrid = DEFAULT_GRID) -> np.ndarray:

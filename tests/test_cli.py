@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -303,8 +304,8 @@ class TestOptimizeCommand:
     @pytest.mark.parametrize("cmf", ["cie1931", "file"])
     def test_report_digest_covers_camera_and_cmf(self, tmp_path, camera_csv, cmf):
         observer = tmp_path / "observer.csv"
-        observer.write_text(serialize_spectral_csv(
-            SpectralTable(DEFAULT_GRID.wavelengths(), ("x", "y", "z"), builtin_cmf().channels)))
+        observer.write_text("".join(serialize_spectral_csv(
+            SpectralTable(DEFAULT_GRID.wavelengths(), ("x", "y", "z"), builtin_cmf().channels))))
         choice = "cie1931" if cmf == "cie1931" else f"file:{observer}"
         out = str(tmp_path / "out")
         assert main(["optimize", "--camera", camera_csv, "--cmf", choice, "--out", out]) == 0
@@ -564,8 +565,8 @@ class TestEvaluateCommand:
         assert {label for label, _ in chunks} <= report["inputs"].keys()
 
     def test_manifest_cmf_file_resolves_against_the_manifest(self, tmp_path, camera_csv, scene_manifest, monkeypatch):
-        (tmp_path / "observer.csv").write_text(serialize_spectral_csv(
-            SpectralTable(DEFAULT_GRID.wavelengths(), ("x", "y", "z"), builtin_cmf().channels)))
+        (tmp_path / "observer.csv").write_text("".join(serialize_spectral_csv(
+            SpectralTable(DEFAULT_GRID.wavelengths(), ("x", "y", "z"), builtin_cmf().channels))))
         with open(scene_manifest, "a") as handle:
             handle.write("cmf = file:observer.csv\n")
         elsewhere = tmp_path / "elsewhere"
@@ -582,8 +583,8 @@ class TestEvaluateCommand:
 
     def test_channel_zeroing_filter_exits_1(self, tmp_path, camera_csv, scene_manifest, capsys):
         zero = tmp_path / "zero.csv"
-        zero.write_text(serialize_spectral_csv(
-            SpectralTable(DEFAULT_GRID.wavelengths(), ("transmittance",), np.zeros((31, 1)))))
+        zero.write_text("".join(serialize_spectral_csv(
+            SpectralTable(DEFAULT_GRID.wavelengths(), ("transmittance",), np.zeros((31, 1))))))
         out = str(tmp_path / "out")
         code = main(["evaluate", "--camera", camera_csv, "--scenes", scene_manifest,
                      "--filter", str(zero), "--out", out])
@@ -633,7 +634,7 @@ HALF_MANIFEST = "manifest must name both illuminants and reflectances files"
 def spectral_csv_text(block, start):
     """A spectral CSV of ``block``'s columns, one row per 10 nm from ``start``."""
     names = tuple(f"c{j}" for j in range(block.shape[1]))
-    return serialize_spectral_csv(SpectralTable(start + 10.0 * np.arange(len(block)), names, block))
+    return "".join(serialize_spectral_csv(SpectralTable(start + 10.0 * np.arange(len(block)), names, block)))
 
 
 # Per case: the bad file's text, the input it is read as, and the reason its error gives.
@@ -684,8 +685,8 @@ def test_input_that_cannot_be_loaded_is_named(tmp_path, camera_csv, scene_manife
                                  "trace-compare"])
 def test_each_input_is_opened_once(tmp_path, camera_csv, scene_manifest, monkeypatch, run):
     observer = tmp_path / "observer.csv"
-    observer.write_text(serialize_spectral_csv(
-        SpectralTable(DEFAULT_GRID.wavelengths(), ("x", "y", "z"), builtin_cmf().channels)))
+    observer.write_text("".join(serialize_spectral_csv(
+        SpectralTable(DEFAULT_GRID.wavelengths(), ("x", "y", "z"), builtin_cmf().channels))))
     als, ga = str(tmp_path / "als"), str(tmp_path / "ga")
     assert main(["optimize", "--camera", camera_csv, "--out", als]) == 0
     assert main(["optimize", "--camera", camera_csv, "--optimizer", "ga", "--out", ga]) == 0
@@ -1204,6 +1205,58 @@ def test_iteration_filters_csv_equals_the_cell_by_cell_formatter():
         tuple(f"iter{i}" for i in range(len(extended.trace))),
         extended.trace.filters.T,
     )
-    text = serialize_spectral_csv(table)
+    text = "".join(serialize_spectral_csv(table))
     assert text == cell_by_cell_iteration_filters_csv(extended)
     assert ",-0.0," in text and ",5e-324," in text and ",1e+300," in text
+
+
+def whole_table_csv(table):
+    """``serialize_spectral_csv`` as first written: every line built, then joined into one string."""
+    lines = [",".join((table.key_name,) + table.column_names)]
+    for wl, row in zip(table.wavelengths, table.columns):
+        lines.append(",".join(repr(float(v)) for v in [wl, *row]))
+    return "\n".join(lines) + "\n"
+
+
+def parity_tables():
+    """Tables for the row-wise writer: one and 40 data columns, and an integer key as in ``trace.csv``."""
+    rng = np.random.default_rng(30)
+    odd = [-0.0, 0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e300, -1e300, 1.7976931348623157e308,
+           -1e-300, 0.1, -1 / 3, 123456789.125]
+    # Mantissas in (-2, 2) scaled by 2**-1070 (subnormal) to 2**1020.
+    wide = np.ldexp(rng.uniform(-2.0, 2.0, size=(31, 40)), rng.integers(-1070, 1020, size=(31, 40)))
+    wide[0, :len(odd)] = odd
+    iterations = np.arange(601.0)
+    trace = np.column_stack([np.linspace(0.5, 0.99, 601), 3.0 - 3.0 * np.linspace(0.5, 0.99, 601)])
+    return [
+        SpectralTable(DEFAULT_GRID.wavelengths(), ("transmittance",), np.resize(odd, 31)[:, None]),
+        SpectralTable(DEFAULT_GRID.wavelengths(), tuple(f"c{j}" for j in range(40)), wide),
+        SpectralTable(iterations, ("vora_value", "residual"), trace, "iteration"),
+    ]
+
+
+@pytest.mark.parametrize("table", parity_tables(), ids=["one column", "40 columns", "integer key"])
+def test_row_wise_writer_matches_the_whole_table_formatter(tmp_path, table):
+    chunks = list(serialize_spectral_csv(table))
+    assert len(chunks) == len(table.wavelengths) + 1
+    assert all(chunk.count("\n") == 1 and chunk.endswith("\n") for chunk in chunks)
+    assert "".join(chunks) == whole_table_csv(table)
+    specfilter.cli._write_run(str(tmp_path), {}, ("table.csv", serialize_spectral_csv, table))
+    assert read(tmp_path / "table.csv") == whole_table_csv(table).encode()
+
+
+def test_writing_a_10k_iteration_table_holds_one_row_at_a_time(tmp_path):
+    # The GA's 10k-iteration cap writes a 31 x 10,001 table, 5.9 MB of text;
+    # formatted as one string and encoded in one piece it peaked near 18 MB.
+    names = tuple(f"iter{i}" for i in range(10_001))
+    table = SpectralTable(DEFAULT_GRID.wavelengths(), names, np.random.default_rng(30).uniform(size=(31, 10_001)))
+    tracemalloc.start()
+    try:
+        specfilter.cli._write_run(str(tmp_path), {}, ("iteration_filters.csv", serialize_spectral_csv, table))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    written = read(tmp_path / "iteration_filters.csv")
+    assert len(written) > 5_500_000
+    assert peak < 4_000_000
+    assert written == "".join(serialize_spectral_csv(table)).encode()

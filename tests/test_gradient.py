@@ -74,7 +74,7 @@ class TestVoraGradient:
             f = rng.standard_normal(31)
             m = basis_score(f, qc, vb)[0]
             reference = gradient_arrays_reference(f, qc, vb, m)
-            assert _gradient_arrays(f, qc, vb, m).tobytes() == reference.tobytes()
+            assert _gradient_arrays(f[:, None] * qc, qc, vb, m).tobytes() == reference.tobytes()
 
 
 class TestOptimizeGa:
