@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ConsistencyError
 from .solution import (MONOTONE_SLACK, ConvergenceTrace, FilterSolution, Polish, SolverConfig, Stop,
-                       every_start_lost_rank, finish, lost_rank)
+                       Work, every_start_lost_rank, finish, lost_rank)
 from .spectra import OrthoBasis, SensorSet, orthonormalize, require_same_grid
 from .vora import Moments, _solve, basis_score, moment_score
 
@@ -238,8 +238,7 @@ def _solution(
     f, polish = trace.filters[-1], None
     if stop == Stop.CONVERGED:
         f, polish = _polish(f, moments)
-    return finish(f, q, v, trace, stop, polish=polish,
-                  row_sweeps=int(run.stop.sum()), extrapolations=int(run.extrapolations[row]))
+    return finish(f, q, v, trace, stop, Work(int(run.stop.sum()), int(run.extrapolations[row]), polish))
 
 
 def _trace(row: int, initial: np.ndarray, run: _Run, moments: Moments) -> ConvergenceTrace:

@@ -63,7 +63,7 @@ def _stats_row(report: EvaluationReport) -> str:
     s = report.delta_e
     return (
         "vora_value,mean,median,p95,p99,max\n"
-        f"{_fmt(report.vora)},{_fmt(s.mean)},{_fmt(s.median)},"
+        f"{_fmt(report.vora_value)},{_fmt(s.mean)},{_fmt(s.median)},"
         f"{_fmt(s.p95)},{_fmt(s.p99)},{_fmt(s.max)}\n"
     )
 
@@ -71,7 +71,7 @@ def _stats_row(report: EvaluationReport) -> str:
 def _stats_table(name: str, report: EvaluationReport) -> str:
     header = f"{'Method':<14}{'Vora-Value':>12}{'mean':>9}{'median':>9}{'95%':>9}{'99%':>9}{'max':>9}"
     s = report.delta_e
-    row = (f"{name:<14}{float(report.vora):>12.4f}{s.mean:>9.3f}{s.median:>9.3f}"
+    row = (f"{name:<14}{float(report.vora_value):>12.4f}{s.mean:>9.3f}{s.median:>9.3f}"
            f"{s.p95:>9.3f}{s.p99:>9.3f}{s.max:>9.3f}")
     return "\n".join([header, "-" * len(header), row]) + "\n"
 
@@ -134,10 +134,7 @@ def cmd_optimize(args) -> int:
             "iterations": solution.iterations,
             "converged": solution.converged,
             "stop": solution.stop.name.lower(),
-            "polish": dataclasses.asdict(solution.polish) if solution.polish else None,
-            "line_search_trials": solution.line_search_trials,
-            "row_sweeps": solution.row_sweeps,
-            "extrapolations": solution.extrapolations,
+            **dataclasses.asdict(solution.work),
             "correction_matrix": [[float(v) for v in row] for row in solution.correction.m],
         },
         "outputs": {
@@ -206,13 +203,7 @@ def cmd_evaluate(args) -> int:
         "command": "evaluate",
         "inputs": {**inputs, "filter": args.filter, "digest": "sha256:" + sha.hexdigest()},
         "camera_channel_peaks": [float(v) for v in camera.channel_peaks()],
-        "evaluation": {
-            "vora_value": float(report.vora),
-            "delta_e": dataclasses.asdict(report.delta_e),
-            "pair_count": report.pair_count,
-            "negative_xyz_count": report.negative_xyz_count,
-            "correction_mode": report.correction_mode,
-        },
+        "evaluation": dataclasses.asdict(report),
         "timing_ms": elapsed_ms,
     }
     label = "filtered" if args.filter else "baseline"

@@ -84,7 +84,7 @@ class DeltaEStats:
 class EvaluationReport:
     """Vora-Value plus color-error statistics of one camera over one scene set."""
 
-    vora: VoraScore
+    vora_value: VoraScore
     delta_e: DeltaEStats
     pair_count: int
     negative_xyz_count: int
@@ -208,7 +208,7 @@ def evaluate(
     require_same_grid(camera.grid, observer.grid, scenes.grid)
     pooled, negative = SceneEngine(observer, scenes, correction_mode).delta_e(camera.channels)
     return EvaluationReport(
-        vora=vora_value(camera, observer),
+        vora_value=vora_value(camera, observer),
         delta_e=DeltaEStats.from_samples(pooled),
         pair_count=int(pooled.size),
         negative_xyz_count=negative,

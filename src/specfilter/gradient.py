@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RankDeficient
-from .solution import (ConvergenceTrace, FilterSolution, SolverConfig, Stop, every_start_lost_rank, finish,
-                       lost_rank)
+from .solution import (ConvergenceTrace, FilterSolution, SolverConfig, Stop, Work, every_start_lost_rank,
+                       finish, lost_rank)
 from .spectra import OrthoBasis, SensorSet, orthonormalize, require_same_grid
 from .vora import basis_score
 
@@ -158,4 +158,4 @@ def _ascend(f: np.ndarray, q: SensorSet, v: OrthoBasis, config: GaConfig) -> Fil
 
     scores = np.array(scores)
     trace = ConvergenceTrace(scores, 3.0 - 3.0 * scores, filters)
-    return finish(f, q, v, trace, stop, line_search_trials=trials)
+    return finish(f, q, v, trace, stop, Work(line_search_trials=trials))

@@ -169,18 +169,29 @@ class Polish:
 
 
 @dataclass(frozen=True)
+class Work:
+    """The work a solve did; a count its solver does not keep is ``None``.
+
+    ALS keeps ``row_sweeps`` (sweeps summed over all starts) and
+    ``extrapolations`` (accelerated sweeps the winner recorded), and a
+    converged ALS run its ``polish``.  Gradient ascent keeps
+    ``line_search_trials``: how many trial filters it scored after the start.
+    """
+
+    row_sweeps: int | None = None
+    extrapolations: int | None = None
+    polish: Polish | None = None
+    line_search_trials: int | None = None
+
+
+@dataclass(frozen=True)
 class FilterSolution:
-    """An optimized filter, its least-squares correction partner and history.
+    """An optimized filter, its least-squares correction partner, history and work.
 
     The reported filter is rescaled so its maximum entry is 1, or its largest
     magnitude when no entry is positive (the correction matrix absorbs the
     scale, and the Vora-Value is unchanged).  ``stop`` says why the solver
-    stopped.  ``polish`` is set for converged ALS runs only, which are
-    polished to the fixed point after their last recorded sweep.
-    ``line_search_trials`` is set for gradient ascent only: how many trial
-    filters it scored after the start.  ``row_sweeps`` (sweeps summed over
-    all starts) and ``extrapolations`` (accelerated sweeps the winner
-    recorded) are set for ALS only.
+    stopped, and ``work`` what the solve cost, in its solver's own counts.
     """
 
     filter: SpectralCurve
@@ -188,10 +199,7 @@ class FilterSolution:
     score: VoraScore
     trace: ConvergenceTrace
     stop: Stop
-    polish: Polish | None = None
-    line_search_trials: int | None = None
-    row_sweeps: int | None = None
-    extrapolations: int | None = None
+    work: Work
 
     @property
     def iterations(self) -> int:
@@ -205,14 +213,13 @@ class FilterSolution:
 
 
 def finish(
-    f: np.ndarray, q: SensorSet, v: OrthoBasis, trace: ConvergenceTrace, stop: Stop, **work
+    f: np.ndarray, q: SensorSet, v: OrthoBasis, trace: ConvergenceTrace, stop: Stop, work: Work
 ) -> FilterSolution:
     """Package a solver's last filter iterate ``f`` as a ``FilterSolution``.
 
     ``v`` is the orthonormal observer basis the correction matrix maps onto;
     the reported score is the rescaled filter's ``basis_score`` against it.
-    ``work`` sets the solver's own fields: ``polish``, ``line_search_trials``,
-    ``row_sweeps`` and ``extrapolations``.
+    ``work`` is the solver's own ``Work`` record, kept as given.
     """
     peak = float(np.max(f))
     if peak <= 0.0:
@@ -227,5 +234,5 @@ def finish(
         score=VoraScore(score),
         trace=trace,
         stop=stop,
-        **work,
+        work=work,
     )

@@ -368,15 +368,15 @@ class TestAgainstPlainAls:
     def test_work_record_counts_the_run(self, bump_camera):
         x = builtin_cmf()
         single = optimize_als(bump_camera, x)
-        assert single.row_sweeps == single.iterations
-        assert 0 < single.extrapolations < single.iterations
+        assert single.work.row_sweeps == single.iterations
+        assert 0 < single.work.extrapolations < single.iterations
         config, v = AlsConfig(), orthonormalize(x)
         initial = config.start_stack(DEFAULT_GRID, 6, 4)
         run = _sweep(initial, Moments.of(bump_camera.channels, v.basis), config.epsilon, config.max_iterations)
         solution = optimize_als(bump_camera, x, config, starts=6, seed=4)
         winner = int(np.argmax(run.final))
-        assert solution.row_sweeps == int(run.stop.sum())
-        assert (solution.iterations, solution.extrapolations) == (run.stop[winner], run.extrapolations[winner])
+        assert solution.work.row_sweeps == int(run.stop.sum())
+        assert (solution.iterations, solution.work.extrapolations) == (run.stop[winner], run.extrapolations[winner])
 
 
 class TestOptimizeAls:

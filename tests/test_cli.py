@@ -14,7 +14,7 @@ import specfilter.als
 import specfilter.cli
 import specfilter.gradient
 import specfilter.ingest
-from specfilter.als import optimize_als
+from specfilter.als import AlsConfig, optimize_als
 from specfilter.cli import main
 from specfilter.colorimetry import evaluate
 from specfilter.gradient import GaConfig, optimize_ga
@@ -67,6 +67,13 @@ def read(path):
         return handle.read()
 
 
+def run_outputs(out, *names):
+    """The bytes of each named file a run wrote to ``out``, and its ``report.json`` less ``timing_ms``."""
+    report = json.loads(read(os.path.join(out, "report.json")))
+    del report["timing_ms"]
+    return [read(os.path.join(out, name)) for name in names], report
+
+
 def input_digest(*chunks):
     """``report.json``'s ``inputs.digest``: sha256 over each label, NUL, data, NUL, in order."""
     return "sha256:" + hashlib.sha256(b"".join(label.encode() + b"\0" + data + b"\0"
@@ -116,13 +123,14 @@ class TestOptimizeCommand:
         assert len(values) == report["solution"]["iterations"] + 1
 
     def test_deterministic_across_runs(self, tmp_path, camera_csv):
-        out_a = str(tmp_path / "a")
-        out_b = str(tmp_path / "b")
-        args = ["optimize", "--camera", camera_csv, "--optimizer", "ga", "--seed", "7"]
-        assert main(args + ["--out", out_a]) == 0
-        assert main(args + ["--out", out_b]) == 0
-        assert read(os.path.join(out_a, "filter.csv")) == read(os.path.join(out_b, "filter.csv"))
-        assert read(os.path.join(out_a, "trace.csv")) == read(os.path.join(out_b, "trace.csv"))
+        def run(optimizer, name):
+            out = str(tmp_path / optimizer / name)
+            assert main(["optimize", "--camera", camera_csv, "--optimizer", optimizer, "--seed", "7",
+                         "--starts", "3", "--out", out]) == 0
+            return run_outputs(out, "filter.csv", "trace.csv", "iteration_filters.csv")
+
+        for optimizer in ("als", "ga"):
+            assert run(optimizer, "a") == run(optimizer, "b")
 
     def test_ga_and_als_agree(self, tmp_path, camera_csv):
         out_als = str(tmp_path / "als")
@@ -187,31 +195,50 @@ class TestOptimizeCommand:
         assert (stationary["converged"], stationary["stop"], stationary["iterations"]) == (True, "stationary", 0)
         assert stationary["line_search_trials"] == len(calls) - 1 == 47
 
-    def test_report_records_the_als_work(self, tmp_path, camera_csv):
-        def solution(*flags):
-            out = str(tmp_path / "-".join(flags))
-            assert main(["optimize", "--camera", camera_csv, *flags, "--out", out]) == 0
-            return json.loads(read(os.path.join(out, "report.json")))["solution"]
+    @pytest.mark.parametrize("flags, solve, kwargs", [
+        (["--optimizer", "als"], optimize_als, {}),
+        (["--optimizer", "als", "--starts", "4", "--seed", "2"], optimize_als, dict(starts=4, seed=2)),
+        (["--optimizer", "als", "--max-iters", "2"], optimize_als, dict(config=AlsConfig(max_iterations=2))),
+        (["--optimizer", "ga"], optimize_ga, {}),
+        (["--optimizer", "ga", "--fixed-step", "0.1"], optimize_ga, dict(config=GaConfig(fixed_step=0.1))),
+    ], ids=["als", "als-4-starts", "als-capped", "ga", "ga-fixed-step"])
+    def test_report_writes_the_library_records_whole(self, tmp_path, camera_csv, scene_manifest,
+                                                     flags, solve, kwargs):
+        camera, cmf = load_sensor_set(camera_csv), builtin_cmf()
+        library = solve(camera, cmf, **kwargs)
+        out, evaluated = str(tmp_path / "optimize"), str(tmp_path / "evaluate")
+        assert main(["optimize", "--camera", camera_csv, *flags, "--out", out]) == (0 if library.converged else 2)
+        assert main(["evaluate", "--camera", camera_csv, "--scenes", scene_manifest,
+                     "--filter", os.path.join(out, "filter.csv"), "--out", evaluated]) == 0
+        solution = json.loads(read(os.path.join(out, "report.json")))["solution"]
+        evaluation = json.loads(read(os.path.join(evaluated, "report.json")))["evaluation"]
 
-        camera = load_sensor_set(camera_csv)
-        als = solution("--optimizer", "als", "--starts", "4", "--seed", "2")
-        library = optimize_als(camera, builtin_cmf(), starts=4, seed=2)
-        assert (als["row_sweeps"], als["extrapolations"]) == (library.row_sweeps, library.extrapolations)
-        assert als["row_sweeps"] >= als["iterations"] + 3
-        assert 0 < als["extrapolations"] < als["iterations"]
-        single = solution("--optimizer", "als")
-        assert single["row_sweeps"] == single["iterations"]
-        ga = solution("--optimizer", "ga")
-        assert (ga["row_sweeps"], ga["extrapolations"]) == (None, None)
+        work = dataclasses.asdict(library.work)
+        assert {key: solution[key] for key in work} == work
+        report = evaluate(apply_filter(library.filter, camera), cmf, load_scene_set(read_manifest(scene_manifest)))
+        assert evaluation == json.loads(json.dumps(dataclasses.asdict(report)))
+        # A key that moves, or a record that grows, must show up as an edit here.
+        assert set(solution) == {"vora_value", "initial_vora_value", "iterations", "converged", "stop",
+                                 "row_sweeps", "extrapolations", "polish", "line_search_trials",
+                                 "correction_matrix"}
+        assert set(evaluation) == {"vora_value", "delta_e", "pair_count", "negative_xyz_count", "correction_mode"}
+        assert set(evaluation["delta_e"]) == {"mean", "median", "p95", "p99", "max"}
+
+        if solve is optimize_ga:
+            assert (solution["row_sweeps"], solution["extrapolations"]) == (None, None)
+        elif "starts" in kwargs:
+            # The other three starts sweep too.
+            assert solution["row_sweeps"] >= solution["iterations"] + 3
+            assert 0 < solution["extrapolations"] < solution["iterations"]
+        else:
+            assert solution["row_sweeps"] == solution["iterations"]
 
     @pytest.mark.parametrize("flags", [["--optimizer", "als"]], ids=["als"])
     def test_an_unused_fixed_step_warns(self, tmp_path, camera_csv, capsys, flags):
         def run(name, *extra):
             out = str(tmp_path / name)
             code = main(["optimize", "--camera", camera_csv, *flags, *extra, "--out", out])
-            report = json.loads(read(os.path.join(out, "report.json")))
-            del report["timing_ms"]
-            files = [read(os.path.join(out, n)) for n in ("filter.csv", "trace.csv", "iteration_filters.csv")]
+            files, report = run_outputs(out, "filter.csv", "trace.csv", "iteration_filters.csv")
             return code, report, files, capsys.readouterr()
 
         code, report, files, streams = run("given", "--fixed-step", "0.5")
@@ -492,6 +519,14 @@ class TestOptimizeCommand:
 
 
 class TestEvaluateCommand:
+    def test_deterministic_across_runs(self, tmp_path, camera_csv, scene_manifest):
+        def run(name):
+            out = str(tmp_path / name)
+            assert main(["evaluate", "--camera", camera_csv, "--scenes", scene_manifest, "--out", out]) == 0
+            return run_outputs(out, "evaluation.csv", "evaluation.txt")
+
+        assert run("a") == run("b")
+
     def test_baseline_row_matches_library(self, tmp_path, camera_csv, scene_manifest):
         out = str(tmp_path / "out")
         code = main(

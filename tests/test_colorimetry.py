@@ -331,7 +331,7 @@ class TestEvaluate:
         )
         report = evaluate(x, x, scene)
         assert report.delta_e.max < 1e-9
-        assert float(report.vora) == 1.0
+        assert float(report.vora_value) == 1.0
         assert report.pair_count == 10
 
     def test_any_linear_transform_of_observer_is_exact(self, rng):

@@ -147,7 +147,7 @@ class TestOptimizeGa:
     def test_line_search_trials_counted(self, bump_camera, monkeypatch):
         x = builtin_cmf()
         capped = optimize_ga(bump_camera, x, GaConfig(fixed_step=0.1, max_iterations=5))
-        assert (capped.converged, capped.iterations, capped.line_search_trials) == (False, 5, 5)
+        assert (capped.converged, capped.iterations, capped.work.line_search_trials) == (False, 5, 5)
         calls = []
 
         def counted(*args):
@@ -159,10 +159,10 @@ class TestOptimizeGa:
         monkeypatch.setattr(specfilter.gradient, "INITIAL_STEP", 100.0)
         solution = optimize_ga(bump_camera, x)
         assert solution.converged
-        assert solution.line_search_trials > solution.iterations > 0
+        assert solution.work.line_search_trials > solution.iterations > 0
         # Every scoring call but the start's is a trial.
-        assert solution.line_search_trials == len(calls) - 1
-        assert optimize_als(bump_camera, x).line_search_trials is None
+        assert solution.work.line_search_trials == len(calls) - 1
+        assert optimize_als(bump_camera, x).work.line_search_trials is None
 
     @pytest.mark.parametrize("fixed_step", [None, 0.1])
     @pytest.mark.parametrize("camera", ["fixture", 7, 10])
@@ -180,7 +180,7 @@ class TestOptimizeGa:
             np.ones(31), q.channels, orthonormalize(x).basis, fixed_step, config.epsilon, config.max_iterations)
         assert solution.trace.filters.tobytes() == filters.tobytes()
         assert solution.trace.vora_values.tobytes() == scores.tobytes()
-        assert (solution.line_search_trials, solution.converged) == (trials, converged)
+        assert (solution.work.line_search_trials, solution.converged) == (trials, converged)
 
     def test_initial_rank_loss_reported(self):
         x = builtin_cmf()

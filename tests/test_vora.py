@@ -139,7 +139,7 @@ class TestSingleRoute:
         effective = apply_filter(f, bump_camera)
         report = evaluate(effective, x, scenes)
         score = basis_score(np.ones(31), effective.channels, orthonormalize(x).basis)[1]
-        assert float(report.vora) == float(VoraScore(score))
+        assert float(report.vora_value) == float(VoraScore(score))
 
 
 def _score_test_filter(rng: np.random.Generator, kind: str) -> np.ndarray:
