@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import time
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -52,47 +53,41 @@ def _digest(sha, *labels: str):
     return record
 
 
-def _trace_csv(trace: ConvergenceTrace) -> str:
-    lines = ["iteration,vora_value,residual"]
+def _trace_csv(trace: ConvergenceTrace) -> Iterator[str]:
+    yield "iteration,vora_value,residual\n"
     for i, (vora, residual) in enumerate(zip(trace.vora_values.tolist(), trace.residuals.tolist())):
-        lines.append(f"{i},{_fmt(vora)},{_fmt(residual)}")
-    return "\n".join(lines) + "\n"
+        yield f"{i},{_fmt(vora)},{_fmt(residual)}\n"
 
 
-def _stats_row(report: EvaluationReport) -> str:
+def _stats_row(report: EvaluationReport) -> list[str]:
     s = report.delta_e
-    return (
-        "vora_value,mean,median,p95,p99,max\n"
-        f"{_fmt(report.vora_value)},{_fmt(s.mean)},{_fmt(s.median)},"
-        f"{_fmt(s.p95)},{_fmt(s.p99)},{_fmt(s.max)}\n"
-    )
+    return ["vora_value,mean,median,p95,p99,max\n",
+            f"{_fmt(report.vora_value)},{_fmt(s.mean)},{_fmt(s.median)},"
+            f"{_fmt(s.p95)},{_fmt(s.p99)},{_fmt(s.max)}\n"]
 
 
-def _stats_table(name: str, report: EvaluationReport) -> str:
+def _stats_table(name: str, report: EvaluationReport) -> list[str]:
     header = f"{'Method':<14}{'Vora-Value':>12}{'mean':>9}{'median':>9}{'95%':>9}{'99%':>9}{'max':>9}"
     s = report.delta_e
     row = (f"{name:<14}{float(report.vora_value):>12.4f}{s.mean:>9.3f}{s.median:>9.3f}"
            f"{s.p95:>9.3f}{s.p99:>9.3f}{s.max:>9.3f}")
-    return "\n".join([header, "-" * len(header), row]) + "\n"
+    return [header + "\n", "-" * len(header) + "\n", row + "\n"]
 
 
 def _write_run(out: str, payload: dict, *files) -> None:
     """Make ``out``, write each ``(name, format, *args)`` of ``files`` as
-    ``format(*args)``, then ``report.json`` of ``payload``.
+    the lines of ``format(*args)``, then ``report.json`` of ``payload``.
 
-    ``format`` returns the file's text as one ``str`` or as an iterable of
-    chunks, each written as soon as it is formatted: no two files, and no
-    two chunks of a spectral table, are held at once.  The small report is
-    strict JSON, formatted first: a nan or inf in ``payload`` raises
+    Each line is written as soon as it is formatted: no two files, and no
+    two lines of a table, are held at once.  The small report is strict
+    JSON, formatted first: a nan or inf in ``payload`` raises
     ``ValueError`` before ``out`` is made.
     """
-    report = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    report = (json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n").splitlines(keepends=True)
     os.makedirs(out, exist_ok=True)
-    for name, fmt, *args in (*files, ("report.json", str, report)):
-        text = fmt(*args)
+    for name, fmt, *args in (*files, ("report.json", iter, report)):
         with open(os.path.join(out, name), "w", encoding="utf-8", newline="\n") as handle:
-            # writelines of a str would write it a character at a time.
-            handle.writelines((text,) if isinstance(text, str) else text)
+            handle.writelines(fmt(*args))
 
 
 def cmd_optimize(args) -> int:
@@ -114,6 +109,12 @@ def cmd_optimize(args) -> int:
     elapsed_ms = (time.perf_counter() - started) * 1000.0
 
     trace = solution.trace
+    wavelengths = solution.filter.grid.wavelengths()
+    files = (("filter.csv", serialize_spectral_csv,
+              SpectralTable(wavelengths, ("transmittance",), solution.filter.values[:, None])),
+             ("trace.csv", _trace_csv, trace),
+             ("iteration_filters.csv", serialize_spectral_csv,
+              SpectralTable(wavelengths, tuple(f"iter{i}" for i in range(len(trace))), trace.filters.T)))
     payload = {
         "command": "optimize",
         "optimizer": args.optimizer,
@@ -137,22 +138,10 @@ def cmd_optimize(args) -> int:
             **dataclasses.asdict(solution.work),
             "correction_matrix": [[float(v) for v in row] for row in solution.correction.m],
         },
-        "outputs": {
-            "filter": "filter.csv",
-            "trace": "trace.csv",
-            "iteration_filters": "iteration_filters.csv",
-        },
+        "outputs": {name.removesuffix(".csv"): name for name, *_ in files},
         "timing_ms": elapsed_ms,
     }
-    wavelengths = solution.filter.grid.wavelengths()
-    filter_table = SpectralTable(wavelengths, ("transmittance",), solution.filter.values[:, None])
-    iteration_filters = SpectralTable(
-        wavelengths, tuple(f"iter{i}" for i in range(len(trace))), trace.filters.T
-    )
-    _write_run(args.out, payload,
-               ("filter.csv", serialize_spectral_csv, filter_table),
-               ("trace.csv", _trace_csv, trace),
-               ("iteration_filters.csv", serialize_spectral_csv, iteration_filters))
+    _write_run(args.out, payload, *files)
 
     if not solution.converged:
         print("warning: " + UNCONVERGED_WARNINGS[solution.stop].format(args.max_iters), file=sys.stderr)
@@ -210,7 +199,7 @@ def cmd_evaluate(args) -> int:
     _write_run(args.out, payload,
                ("evaluation.csv", _stats_row, report), ("evaluation.txt", _stats_table, label, report))
 
-    print(_stats_table(label, report), end="")
+    print(*_stats_table(label, report), sep="", end="")
     return 0
 
 
@@ -253,47 +242,54 @@ def _mean_delta_es(engine: SceneEngine, camera: SensorSet, filters: np.ndarray,
     return np.concatenate(means)
 
 
+def _read_filters(path: str, trace_path: str, rows: list, record) -> tuple[np.ndarray, tuple[str, ...]]:
+    """The filters of iteration-filters file ``path`` as rows, and their column names.
+
+    The file must hold one column per row of trace ``trace_path``, in order,
+    the column of iteration k named ``iter<k>``.  Its bytes go to ``record``.
+    """
+    names, columns = load_spectra(path, record=record)
+    if len(names) != len(rows):
+        raise SpecFilterError(f"{path} has {len(names)} iteration filters but {trace_path} has {len(rows)} trace rows")
+    for name, (iteration, _) in zip(names, rows):
+        if name != f"iter{iteration}":
+            raise SpecFilterError(f"{path} column {name} does not match {trace_path} (expected iter{iteration})")
+    return columns.T, names
+
+
 def cmd_trace_compare(args) -> int:
-    # A label is a compare.csv cell: a comma or line break in it would split
-    # the row, and equal labels would make the two traces' rows indistinguishable.
+    # A label is a compare.csv cell: a comma, double quote or line break in
+    # it would split the row for a CSV reader, and equal labels would make
+    # the two traces' rows indistinguishable.
     for flag, label in (("--label-a", args.label_a), ("--label-b", args.label_b)):
-        if "," in label or label.splitlines() != [label]:
-            raise SpecFilterError(f"{flag} must be non-empty and hold no comma or line break, got {label!r}")
+        if "," in label or '"' in label or label.splitlines() != [label]:
+            raise SpecFilterError(
+                f"{flag} must be non-empty and hold no comma, double quote or line break, got {label!r}")
     if args.label_a == args.label_b:
         raise SpecFilterError(f"--label-a and --label-b must differ, both are {args.label_a!r}")
-    if (args.filters_a or args.filters_b) and not args.scenes:
+    scoring = bool(args.filters_a or args.filters_b)
+    if scoring and not args.scenes:
         raise SpecFilterError("--filters-a/--filters-b need --scenes")
     sha = hashlib.sha256()
-    traces = [
-        (args.label_a, args.trace_a, _read_trace(args.trace_a, _digest(sha, "trace_a")),
-         args.filters_a, _digest(sha, "filters_a")),
-        (args.label_b, args.trace_b, _read_trace(args.trace_b, _digest(sha, "trace_b")),
-         args.filters_b, _digest(sha, "filters_b")),
-    ]
-    started = time.perf_counter()
-    scene_inputs = {}
-    if args.filters_a or args.filters_b:
+    sides = (("a", args.label_a, args.trace_a, args.filters_a), ("b", args.label_b, args.trace_b, args.filters_b))
+    rows = [_read_trace(trace, _digest(sha, f"trace_{side}")) for side, _, trace, _ in sides]
+    scene_inputs, filters = {}, [None, None]
+    if scoring:
         # Read only to score: without a filters file, inputs the scoring would
         # reject do not fail the run.
         camera, cmf, scenes, scene_inputs = _scene_inputs(args, sha)
-        engine = SceneEngine(cmf, scenes, args.correction)
+        filters = [_read_filters(path, trace, trace_rows, _digest(sha, f"filters_{side}")) if path else None
+                   for (side, _, trace, path), trace_rows in zip(sides, rows)]
 
-    lines = ["iteration,method,vora_value,mean_delta_e"]
-    for label, trace_path, rows, filters_path, record in traces:
-        mean_des = [""] * len(rows)
-        if filters_path:
-            names, columns = load_spectra(filters_path, record=record)
-            if len(names) != len(rows):
-                raise SpecFilterError(f"{filters_path} has {len(names)} iteration filters "
-                                      f"but {trace_path} has {len(rows)} trace rows")
-            for name, (iteration, _) in zip(names, rows):
-                if name != f"iter{iteration}":
-                    raise SpecFilterError(f"{filters_path} column {name} does not match {trace_path} "
-                                          f"(expected iter{iteration})")
-            means = _mean_delta_es(engine, camera, columns.T, names, filters_path)
-            mean_des = map(repr, means.tolist())
-        for (iteration, vora), mean_de in zip(rows, mean_des):
-            lines.append(f"{iteration},{label},{_fmt(vora)},{mean_de}")
+    started = time.perf_counter()
+    engine = SceneEngine(cmf, scenes, args.correction) if scoring else None
+    lines = ["iteration,method,vora_value,mean_delta_e\n"]
+    for (_, label, _, path), trace_rows, loaded in zip(sides, rows, filters):
+        mean_des = [""] * len(trace_rows)
+        if loaded:
+            mean_des = map(repr, _mean_delta_es(engine, camera, *loaded, path).tolist())
+        lines += [f"{iteration},{label},{_fmt(vora)},{mean_de}\n"
+                  for (iteration, vora), mean_de in zip(trace_rows, mean_des)]
     elapsed_ms = (time.perf_counter() - started) * 1000.0
 
     payload = {
@@ -303,7 +299,7 @@ def cmd_trace_compare(args) -> int:
         "config": {"label_a": args.label_a, "label_b": args.label_b, "correction": args.correction},
         "timing_ms": elapsed_ms,
     }
-    _write_run(args.out, payload, ("compare.csv", str, "\n".join(lines) + "\n"))
+    _write_run(args.out, payload, ("compare.csv", iter, lines))
     print(f"wrote {os.path.join(args.out, 'compare.csv')}")
     return 0
 

@@ -167,6 +167,18 @@ def builtin_cmf() -> SensorSet:
 CMF_CHOICES = "cie1931 or file:<path>"
 
 
+def _cmf_file(choice: str) -> str | None:
+    """The path after ``file:`` of a CMF choice, or None for the builtin observer.
+
+    Raises ``ValueError`` for any other choice, ``file:`` with no path among them.
+    """
+    if choice == "cie1931":
+        return None
+    if choice.startswith("file:") and choice != "file:":
+        return choice[len("file:"):]
+    raise ValueError(f"unknown CMF choice {choice!r} (use 'cie1931' or 'file:<path>')")
+
+
 @dataclass(frozen=True, kw_only=True)
 class DatasetManifest:
     """Paths (resolved against the manifest's directory) naming a dataset.
@@ -188,10 +200,14 @@ def parse_manifest(text: str, base_dir: str = ".") -> DatasetManifest:
 
     Raises ``ParseError`` with the line number for a line without ``=``, a
     key other than the four ``DatasetManifest`` fields, a key without a
-    value (``cmf = file:`` among them), or a repeated key, and without a line
-    number for a manifest that does not name both illuminants and reflectances.
+    value, a ``cmf`` that ``load_cmf`` would not resolve (``cie1964``,
+    ``file:`` with no path), or a repeated key, and without a line number
+    for a manifest that does not name both illuminants and reflectances.
     A leading UTF-8 byte-order mark is ignored.
     """
+    def resolve(path: str) -> str:
+        return os.path.normpath(os.path.join(base_dir, path))
+
     values: dict[str, str] = {}
     lines: dict[str, int] = {}
     for lineno, line in _lines(text):
@@ -203,21 +219,20 @@ def parse_manifest(text: str, base_dir: str = ".") -> DatasetManifest:
             raise ParseError(f"unknown key {key!r} (expected one of {', '.join(_MANIFEST_KEYS)})", lineno)
         if not value:
             raise ParseError(f"key {key!r} has no value", lineno)
-        if key == "cmf" and value == "file:":
-            raise ParseError("key 'cmf' names no file after 'file:'", lineno)
+        if key == "cmf":
+            try:
+                path = _cmf_file(value)
+            except ValueError as exc:
+                raise ParseError(str(exc), lineno) from None
+            value = value if path is None else "file:" + resolve(path)
+        else:
+            value = resolve(value)
         if key in values:
             raise ParseError(f"key {key!r} repeats line {lines[key]}", lineno)
         values[key], lines[key] = value, lineno
     if "illuminants" not in values or "reflectances" not in values:
         raise ParseError("manifest must name both illuminants and reflectances files")
-
-    def resolve(value: str, prefix: str = "") -> str:
-        return prefix + os.path.normpath(os.path.join(base_dir, value[len(prefix):]))
-
-    cmf = values.pop("cmf", "cie1931")
-    if cmf.startswith("file:"):
-        cmf = resolve(cmf, "file:")
-    return DatasetManifest(cmf=cmf, **{key: resolve(value) for key, value in values.items()})
+    return DatasetManifest(**values)
 
 
 def _discard(data: bytes) -> None:
@@ -283,12 +298,11 @@ def load_sensor_set(path: str, record=_discard) -> SensorSet:
 
 def load_cmf(choice: str, record=_discard) -> SensorSet:
     """Resolve a CMF choice (``CMF_CHOICES``) to a sensor set."""
-    if choice == "cie1931":
+    path = _cmf_file(choice)
+    if path is None:
         record(choice.encode("utf-8"))
         return builtin_cmf()
-    if choice.startswith("file:") and choice != "file:":
-        return load_sensor_set(choice[len("file:"):], record)
-    raise ValueError(f"unknown CMF choice {choice!r} (use 'cie1931' or 'file:<path>')")
+    return load_sensor_set(path, record)
 
 
 def load_scene_set(manifest: DatasetManifest, record=_discard) -> SceneSet:

@@ -646,7 +646,8 @@ class TestEvaluateCommand:
             handle.write("cmf = file:\n")
         out = tmp_path / "out"
         assert main(["evaluate", "--camera", camera_csv, "--scenes", scene_manifest, "--out", str(out)]) == 1
-        assert capsys.readouterr().err == f"error: {scene_manifest}: line 3: key 'cmf' names no file after 'file:'\n"
+        assert capsys.readouterr().err == (
+            f"error: {scene_manifest}: line 3: unknown CMF choice 'file:' (use 'cie1931' or 'file:<path>')\n")
         assert not out.exists()
 
     def test_no_camera_from_flag_or_manifest_exits_1(self, tmp_path, scene_manifest, capsys):
@@ -684,6 +685,12 @@ BAD_INPUTS = {
     "filter width": (spectral_csv_text(np.ones((31, 2)), 400.0), "filter", "need exactly 1 data column(s), got 2"),
     "filters-a range": (spectral_csv_text(np.ones((29, 1)), 420.0), "filters-a", SHORT_RANGE),
     "scenes without reflectances": ("illuminants = lights.csv\n", "scenes", HALF_MANIFEST),
+    # A manifest cmf that load_cmf would refuse fails at parse time with its
+    # line, even when --cmf overrides it.
+    "scenes cmf unknown": ("illuminants = lights.csv\nreflectances = surfaces.csv\ncmf = cie1964\n", "scenes",
+                           "line 3: unknown CMF choice 'cie1964' (use 'cie1931' or 'file:<path>')"),
+    "scenes cmf upper-case file": ("cmf = FILE:observer.csv\nilluminants = lights.csv\n", "scenes with --cmf",
+                                   "line 1: unknown CMF choice 'FILE:observer.csv' (use 'cie1931' or 'file:<path>')"),
     "trace-compare scenes without illuminants": ("reflectances = surfaces.csv\n", "trace-compare scenes",
                                                  HALF_MANIFEST),
 }
@@ -707,6 +714,7 @@ def test_input_that_cannot_be_loaded_is_named(tmp_path, camera_csv, scene_manife
         "filters-a": ["trace-compare", trace, trace, "--filters-a", bad,
                       "--camera", camera_csv, "--scenes", scene_manifest],
         "scenes": ["evaluate", "--camera", camera_csv, "--scenes", bad],
+        "scenes with --cmf": ["evaluate", "--camera", camera_csv, "--cmf", "cie1931", "--scenes", bad],
         "trace-compare scenes": ["trace-compare", trace, trace, "--filters-a", trace,
                                  "--camera", camera_csv, "--scenes", bad],
     }[role]
@@ -934,6 +942,41 @@ class TestTraceCompareCommand:
                  "--camera", camera_csv, "--scenes", scene_manifest]
         return argv, rows
 
+    def test_deterministic_across_runs(self, tmp_path, camera_csv, scene_manifest):
+        argv, _ = self.scored_traces(tmp_path, camera_csv, scene_manifest)
+
+        def run(name):
+            out = str(tmp_path / name)
+            assert main(argv + ["--correction", "global", "--out", out]) == 0
+            return run_outputs(out, "compare.csv")
+
+        assert run("a") == run("b")
+
+    def test_every_input_is_opened_before_the_engine_is_built(self, tmp_path, camera_csv, scene_manifest,
+                                                              monkeypatch):
+        argv, _ = self.scored_traces(tmp_path, camera_csv, scene_manifest)
+        inputs = [str(tmp_path / run / name) for run in ("als", "ga") for name in ("trace.csv", "iteration_filters.csv")]
+        inputs += [camera_csv, scene_manifest, str(tmp_path / "lights.csv"), str(tmp_path / "surfaces.csv")]
+        events = []
+        real_open = open
+
+        def spy(file, mode="r", *args, **kwargs):
+            if "r" in mode or "+" in mode:
+                events.append(os.fspath(file))
+            return real_open(file, mode, *args, **kwargs)
+
+        class RecordingEngine(specfilter.cli.SceneEngine):
+            def __init__(self, *args, **kwargs):
+                events.append("SceneEngine")
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(specfilter.cli, "SceneEngine", RecordingEngine)
+        monkeypatch.setattr("builtins.open", spy)
+        assert main(argv + ["--out", str(tmp_path / "cmp")]) == 0
+        monkeypatch.undo()
+        assert events.count("SceneEngine") == 1
+        assert sorted(events[:events.index("SceneEngine")]) == sorted(inputs)
+
     @pytest.mark.parametrize("mode", ["per-illuminant", "global"])
     def test_compare_csv_independent_of_block_size(self, tmp_path, camera_csv, scene_manifest, monkeypatch, mode):
         argv, _ = self.scored_traces(tmp_path, camera_csv, scene_manifest)
@@ -1116,12 +1159,15 @@ class TestTraceCompareCommand:
         assert not (out / "compare.csv").exists()
 
     @pytest.mark.parametrize("flag, label", [("--label-a", "x,y"), ("--label-b", ""), ("--label-a", "x\ny"),
-                                             ("--label-b", "x\r"), ("--label-a", "x\u2028y"), ("--label-b", "a")],
-                             ids=["comma", "empty", "LF", "CR", "line separator", "equal"])
+                                             ("--label-b", "x\r"), ("--label-a", "x\u2028y"), ("--label-b", "a"),
+                                             ("--label-a", '"als')],
+                             ids=["comma", "empty", "LF", "CR", "line separator", "equal", "quote"])
     def test_label_that_would_split_a_row_exits_1(self, tmp_path, capsys, flag, label):
         # A comma would write five cells under compare.csv's four-cell header,
-        # and a --label-b equal to --label-a's default rows that cannot be
-        # told from trace A's.  Both fail before any file is read.
+        # an opening double quote would make a CSV reader join every later
+        # line into one cell, and a --label-b equal to --label-a's default
+        # rows that cannot be told from trace A's.  All fail before any file
+        # is read.
         trace = tmp_path / "missing.csv"
         out = tmp_path / "cmp"
         assert main(["trace-compare", str(trace), str(trace), flag, label, "--out", str(out)]) == 1
@@ -1129,7 +1175,7 @@ class TestTraceCompareCommand:
             assert capsys.readouterr().err == "error: --label-a and --label-b must differ, both are 'a'\n"
         else:
             assert capsys.readouterr().err == (
-                f"error: {flag} must be non-empty and hold no comma or line break, got {label!r}\n")
+                f"error: {flag} must be non-empty and hold no comma, double quote or line break, got {label!r}\n")
         assert not out.exists()
 
     def test_malformed_trace_exits_1(self, tmp_path):
@@ -1280,18 +1326,34 @@ def test_row_wise_writer_matches_the_whole_table_formatter(tmp_path, table):
     assert read(tmp_path / "table.csv") == whole_table_csv(table).encode()
 
 
-def test_writing_a_10k_iteration_table_holds_one_row_at_a_time(tmp_path):
+def ten_thousand_iteration_file(name):
+    """The formatter of output ``name`` of a 10,001-iteration run, its argument, and the file's text built whole."""
+    rng = np.random.default_rng(30)
+    if name == "iteration_filters.csv":
+        names = tuple(f"iter{i}" for i in range(10_001))
+        table = SpectralTable(DEFAULT_GRID.wavelengths(), names, rng.uniform(size=(31, 10_001)))
+        return serialize_spectral_csv, table, lambda: "".join(serialize_spectral_csv(table))
+    trace = ConvergenceTrace(np.sort(rng.uniform(size=10_001)), rng.uniform(size=10_001), np.ones((10_001, 31)))
+    rows = zip(trace.vora_values.tolist(), trace.residuals.tolist())
+    return specfilter.cli._trace_csv, trace, lambda: "iteration,vora_value,residual\n" + "".join(
+        f"{i},{vora!r},{residual!r}\n" for i, (vora, residual) in enumerate(rows))
+
+
+@pytest.mark.parametrize("name, size, bound", [("iteration_filters.csv", 5_500_000, 4_000_000),
+                                               ("trace.csv", 400_000, 1_000_000)],
+                         ids=["iteration_filters.csv", "trace.csv"])
+def test_writing_a_10k_iteration_table_holds_one_row_at_a_time(tmp_path, name, size, bound):
     # The GA's 10k-iteration cap writes a 31 x 10,001 table, 5.9 MB of text;
     # formatted as one string and encoded in one piece it peaked near 18 MB.
-    names = tuple(f"iter{i}" for i in range(10_001))
-    table = SpectralTable(DEFAULT_GRID.wavelengths(), names, np.random.default_rng(30).uniform(size=(31, 10_001)))
+    # Its 10,001-row trace.csv, formatted as one string, peaked at 1.5 MB.
+    fmt, arg, whole = ten_thousand_iteration_file(name)
     tracemalloc.start()
     try:
-        specfilter.cli._write_run(str(tmp_path), {}, ("iteration_filters.csv", serialize_spectral_csv, table))
+        specfilter.cli._write_run(str(tmp_path), {}, (name, fmt, arg))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    written = read(tmp_path / "iteration_filters.csv")
-    assert len(written) > 5_500_000
-    assert peak < 4_000_000
-    assert written == "".join(serialize_spectral_csv(table)).encode()
+    written = read(tmp_path / name)
+    assert len(written) > size
+    assert peak < bound
+    assert written == whole().encode()

@@ -392,7 +392,17 @@ class TestManifest:
         path.write_text("illuminants = lights.csv\ncmf = file:  \n")
         with pytest.raises(ParseError) as caught:
             read_manifest(str(path))
-        assert str(caught.value) == f"{path}: line 2: key 'cmf' names no file after 'file:'"
+        assert str(caught.value) == f"{path}: line 2: unknown CMF choice 'file:' (use 'cie1931' or 'file:<path>')"
+
+    @pytest.mark.parametrize("choice", ["cie1964", "FILE:x.csv"])
+    def test_cmf_is_held_to_the_rule_of_load_cmf(self, choice):
+        # Rejected at parse time with its line, with load_cmf's own reason.
+        with pytest.raises(ValueError) as refused:
+            load_cmf(choice)
+        with pytest.raises(ParseError) as caught:
+            parse_manifest(f"illuminants = lights.csv\n\ncmf = {choice}\nreflectances = surfaces.csv\n")
+        assert (caught.value.line, caught.value.reason) == (3, str(refused.value))
+        assert caught.value.reason == f"unknown CMF choice {choice!r} (use 'cie1931' or 'file:<path>')"
 
     @pytest.mark.parametrize("reader, data", [(read_manifest, b"illuminants = \xff.csv\n"),
                                               (read_spectral_csv, b"wavelength,\xff\n400,1\n")],
