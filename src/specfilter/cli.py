@@ -23,7 +23,7 @@ from .als import AlsConfig, optimize_als
 from .colorimetry import EvaluationReport, SceneEngine, evaluate
 from .errors import RankDeficient, SpecFilterError
 from .gradient import GaConfig, optimize_ga
-from .ingest import (CMF_CHOICES, SpectralTable, load_cmf, load_scene_set, load_sensor_set, load_spectra,
+from .ingest import (CMF_CHOICES, load_cmf, load_scene_set, load_sensor_set, load_spectra,
                      read_manifest, read_spectral_csv, serialize_spectral_csv)
 from .solution import ConvergenceTrace, Stop, require_monotone
 from .spectra import SensorSet, SpectralCurve, apply_filter
@@ -110,11 +110,10 @@ def cmd_optimize(args) -> int:
 
     trace = solution.trace
     wavelengths = solution.filter.grid.wavelengths()
-    files = (("filter.csv", serialize_spectral_csv,
-              SpectralTable(wavelengths, ("transmittance",), solution.filter.values[:, None])),
+    files = (("filter.csv", serialize_spectral_csv, wavelengths, ("transmittance",), solution.filter.values[:, None]),
              ("trace.csv", _trace_csv, trace),
              ("iteration_filters.csv", serialize_spectral_csv,
-              SpectralTable(wavelengths, tuple(f"iter{i}" for i in range(len(trace))), trace.filters.T)))
+              wavelengths, (f"iter{i}" for i in range(len(trace))), trace.filters.T))
     payload = {
         "command": "optimize",
         "optimizer": args.optimizer,

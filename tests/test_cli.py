@@ -19,7 +19,6 @@ from specfilter.cli import main
 from specfilter.colorimetry import evaluate
 from specfilter.gradient import GaConfig, optimize_ga
 from specfilter.ingest import (
-    SpectralTable,
     builtin_cmf,
     load_scene_set,
     load_sensor_set,
@@ -27,7 +26,7 @@ from specfilter.ingest import (
     read_spectral_csv,
     serialize_spectral_csv,
 )
-from specfilter.solution import ConvergenceTrace
+from specfilter.solution import ConvergenceTrace, Stop
 from specfilter.spectra import DEFAULT_GRID, SensorSet, SpectralCurve, apply_filter
 
 from conftest import bump_camera_matrix
@@ -332,7 +331,7 @@ class TestOptimizeCommand:
     def test_report_digest_covers_camera_and_cmf(self, tmp_path, camera_csv, cmf):
         observer = tmp_path / "observer.csv"
         observer.write_text("".join(serialize_spectral_csv(
-            SpectralTable(DEFAULT_GRID.wavelengths(), ("x", "y", "z"), builtin_cmf().channels))))
+            DEFAULT_GRID.wavelengths(), ("x", "y", "z"), builtin_cmf().channels)))
         choice = "cie1931" if cmf == "cie1931" else f"file:{observer}"
         out = str(tmp_path / "out")
         assert main(["optimize", "--camera", camera_csv, "--cmf", choice, "--out", out]) == 0
@@ -601,7 +600,7 @@ class TestEvaluateCommand:
 
     def test_manifest_cmf_file_resolves_against_the_manifest(self, tmp_path, camera_csv, scene_manifest, monkeypatch):
         (tmp_path / "observer.csv").write_text("".join(serialize_spectral_csv(
-            SpectralTable(DEFAULT_GRID.wavelengths(), ("x", "y", "z"), builtin_cmf().channels))))
+            DEFAULT_GRID.wavelengths(), ("x", "y", "z"), builtin_cmf().channels)))
         with open(scene_manifest, "a") as handle:
             handle.write("cmf = file:observer.csv\n")
         elsewhere = tmp_path / "elsewhere"
@@ -618,8 +617,8 @@ class TestEvaluateCommand:
 
     def test_channel_zeroing_filter_exits_1(self, tmp_path, camera_csv, scene_manifest, capsys):
         zero = tmp_path / "zero.csv"
-        zero.write_text("".join(serialize_spectral_csv(
-            SpectralTable(DEFAULT_GRID.wavelengths(), ("transmittance",), np.zeros((31, 1))))))
+        zero.write_text("".join(serialize_spectral_csv(DEFAULT_GRID.wavelengths(), ("transmittance",),
+                                                       np.zeros((31, 1)))))
         out = str(tmp_path / "out")
         code = main(["evaluate", "--camera", camera_csv, "--scenes", scene_manifest,
                      "--filter", str(zero), "--out", out])
@@ -670,7 +669,7 @@ HALF_MANIFEST = "manifest must name both illuminants and reflectances files"
 def spectral_csv_text(block, start):
     """A spectral CSV of ``block``'s columns, one row per 10 nm from ``start``."""
     names = tuple(f"c{j}" for j in range(block.shape[1]))
-    return "".join(serialize_spectral_csv(SpectralTable(start + 10.0 * np.arange(len(block)), names, block)))
+    return "".join(serialize_spectral_csv(start + 10.0 * np.arange(len(block)), names, block))
 
 
 # Per case: the bad file's text, the input it is read as, and the reason its error gives.
@@ -729,7 +728,7 @@ def test_input_that_cannot_be_loaded_is_named(tmp_path, camera_csv, scene_manife
 def test_each_input_is_opened_once(tmp_path, camera_csv, scene_manifest, monkeypatch, run):
     observer = tmp_path / "observer.csv"
     observer.write_text("".join(serialize_spectral_csv(
-        SpectralTable(DEFAULT_GRID.wavelengths(), ("x", "y", "z"), builtin_cmf().channels))))
+        DEFAULT_GRID.wavelengths(), ("x", "y", "z"), builtin_cmf().channels)))
     als, ga = str(tmp_path / "als"), str(tmp_path / "ga")
     assert main(["optimize", "--camera", camera_csv, "--out", als]) == 0
     assert main(["optimize", "--camera", camera_csv, "--optimizer", "ga", "--out", ga]) == 0
@@ -1269,7 +1268,7 @@ def cell_by_cell_iteration_filters_csv(solution):
     return "\n".join(lines) + "\n"
 
 
-def test_iteration_filters_csv_equals_the_cell_by_cell_formatter():
+def test_iteration_filters_csv_equals_the_cell_by_cell_formatter(tmp_path, camera_csv, monkeypatch):
     q = SensorSet(DEFAULT_GRID, bump_camera_matrix(np.random.default_rng(3)))
     solution = optimize_ga(q, builtin_cmf(), GaConfig(max_iterations=200))
     trace = solution.trace
@@ -1281,61 +1280,88 @@ def test_iteration_filters_csv_equals_the_cell_by_cell_formatter():
         np.concatenate([trace.filters, odd]),
     ))
     assert extended.iterations == solution.iterations + len(odd)
-    table = SpectralTable(
-        extended.filter.grid.wavelengths(),
-        tuple(f"iter{i}" for i in range(len(extended.trace))),
-        extended.trace.filters.T,
-    )
-    text = "".join(serialize_spectral_csv(table))
+    monkeypatch.setattr(specfilter.cli, "optimize_ga", lambda *args, **kwargs: extended)
+    out = tmp_path / "out"
+    code = main(["optimize", "--camera", camera_csv, "--optimizer", "ga", "--out", str(out)])
+    assert code == (0 if extended.converged else 2)
+    text = read(out / "iteration_filters.csv").decode()
     assert text == cell_by_cell_iteration_filters_csv(extended)
     assert ",-0.0," in text and ",5e-324," in text and ",1e+300," in text
 
 
-def whole_table_csv(table):
+def test_optimize_writes_a_10k_iteration_stack_without_copying_it(tmp_path, camera_csv, monkeypatch):
+    # The bound is one copy of the 10,001 x 31 filter stack, 2,480,248 B: a run
+    # that copies the stack to write it cannot stay under it.
+    rows = 10_001
+    q = SensorSet(DEFAULT_GRID, bump_camera_matrix(np.random.default_rng(3)))
+    solution = optimize_ga(q, builtin_cmf(), GaConfig(max_iterations=10))
+    capped = dataclasses.replace(solution, stop=Stop.CAPPED, trace=ConvergenceTrace(
+        np.full(rows, solution.trace.vora_values[-1]), np.full(rows, solution.trace.residuals[-1]),
+        np.random.default_rng(33).uniform(size=(rows, 31))))
+    monkeypatch.setattr(specfilter.cli, "optimize_ga", lambda *args, **kwargs: capped)
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        code = main(["optimize", "--camera", camera_csv, "--optimizer", "ga", "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    names = [f"iter{i}" for i in range(rows)]
+    assert read(out / "iteration_filters.csv") == whole_table_csv(
+        DEFAULT_GRID.wavelengths(), names, capped.trace.filters.T).encode()
+    assert peak < capped.trace.filters.nbytes
+
+
+def whole_table_csv(wavelengths, column_names, columns, key_name="wavelength"):
     """``serialize_spectral_csv`` as first written: every line built, then joined into one string."""
-    lines = [",".join((table.key_name,) + table.column_names)]
-    for wl, row in zip(table.wavelengths, table.columns):
+    lines = [",".join((key_name, *column_names))]
+    for wl, row in zip(wavelengths, columns):
         lines.append(",".join(repr(float(v)) for v in [wl, *row]))
     return "\n".join(lines) + "\n"
 
 
 def parity_tables():
-    """Tables for the row-wise writer: one and 40 data columns, and an integer key as in ``trace.csv``."""
+    """Arguments of the row-wise writer: one and 40 data columns, a read-only transposed
+    view as ``optimize`` passes a trace's filters, and an integer key as in ``trace.csv``."""
     rng = np.random.default_rng(30)
     odd = [-0.0, 0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e300, -1e300, 1.7976931348623157e308,
            -1e-300, 0.1, -1 / 3, 123456789.125]
     # Mantissas in (-2, 2) scaled by 2**-1070 (subnormal) to 2**1020.
     wide = np.ldexp(rng.uniform(-2.0, 2.0, size=(31, 40)), rng.integers(-1070, 1020, size=(31, 40)))
     wide[0, :len(odd)] = odd
+    stack = np.ascontiguousarray(wide.T)
+    stack.setflags(write=False)
     iterations = np.arange(601.0)
     trace = np.column_stack([np.linspace(0.5, 0.99, 601), 3.0 - 3.0 * np.linspace(0.5, 0.99, 601)])
     return [
-        SpectralTable(DEFAULT_GRID.wavelengths(), ("transmittance",), np.resize(odd, 31)[:, None]),
-        SpectralTable(DEFAULT_GRID.wavelengths(), tuple(f"c{j}" for j in range(40)), wide),
-        SpectralTable(iterations, ("vora_value", "residual"), trace, "iteration"),
+        (DEFAULT_GRID.wavelengths(), ("transmittance",), np.resize(odd, 31)[:, None]),
+        (DEFAULT_GRID.wavelengths(), tuple(f"c{j}" for j in range(40)), wide),
+        (DEFAULT_GRID.wavelengths(), tuple(f"iter{j}" for j in range(40)), stack.T),
+        (iterations, ("vora_value", "residual"), trace, "iteration"),
     ]
 
 
-@pytest.mark.parametrize("table", parity_tables(), ids=["one column", "40 columns", "integer key"])
+@pytest.mark.parametrize("table", parity_tables(), ids=["one column", "40 columns", "transposed view", "integer key"])
 def test_row_wise_writer_matches_the_whole_table_formatter(tmp_path, table):
-    chunks = list(serialize_spectral_csv(table))
-    assert len(chunks) == len(table.wavelengths) + 1
+    chunks = list(serialize_spectral_csv(*table))
+    assert len(chunks) == len(table[0]) + 1
     assert all(chunk.count("\n") == 1 and chunk.endswith("\n") for chunk in chunks)
-    assert "".join(chunks) == whole_table_csv(table)
-    specfilter.cli._write_run(str(tmp_path), {}, ("table.csv", serialize_spectral_csv, table))
-    assert read(tmp_path / "table.csv") == whole_table_csv(table).encode()
+    assert "".join(chunks) == whole_table_csv(*table)
+    specfilter.cli._write_run(str(tmp_path), {}, ("table.csv", serialize_spectral_csv, *table))
+    assert read(tmp_path / "table.csv") == whole_table_csv(*table).encode()
 
 
 def ten_thousand_iteration_file(name):
-    """The formatter of output ``name`` of a 10,001-iteration run, its argument, and the file's text built whole."""
+    """The formatter of output ``name`` of a 10,001-iteration run, its arguments, and the file's text built whole."""
     rng = np.random.default_rng(30)
+    trace = ConvergenceTrace(np.sort(rng.uniform(size=10_001)), rng.uniform(size=10_001),
+                             rng.uniform(size=(10_001, 31)))
     if name == "iteration_filters.csv":
-        names = tuple(f"iter{i}" for i in range(10_001))
-        table = SpectralTable(DEFAULT_GRID.wavelengths(), names, rng.uniform(size=(31, 10_001)))
-        return serialize_spectral_csv, table, lambda: "".join(serialize_spectral_csv(table))
-    trace = ConvergenceTrace(np.sort(rng.uniform(size=10_001)), rng.uniform(size=10_001), np.ones((10_001, 31)))
+        args = (DEFAULT_GRID.wavelengths(), tuple(f"iter{i}" for i in range(10_001)), trace.filters.T)
+        return serialize_spectral_csv, args, lambda: whole_table_csv(*args)
     rows = zip(trace.vora_values.tolist(), trace.residuals.tolist())
-    return specfilter.cli._trace_csv, trace, lambda: "iteration,vora_value,residual\n" + "".join(
+    return specfilter.cli._trace_csv, (trace,), lambda: "iteration,vora_value,residual\n" + "".join(
         f"{i},{vora!r},{residual!r}\n" for i, (vora, residual) in enumerate(rows))
 
 
@@ -1346,10 +1372,10 @@ def test_writing_a_10k_iteration_table_holds_one_row_at_a_time(tmp_path, name, s
     # The GA's 10k-iteration cap writes a 31 x 10,001 table, 5.9 MB of text;
     # formatted as one string and encoded in one piece it peaked near 18 MB.
     # Its 10,001-row trace.csv, formatted as one string, peaked at 1.5 MB.
-    fmt, arg, whole = ten_thousand_iteration_file(name)
+    fmt, args, whole = ten_thousand_iteration_file(name)
     tracemalloc.start()
     try:
-        specfilter.cli._write_run(str(tmp_path), {}, (name, fmt, arg))
+        specfilter.cli._write_run(str(tmp_path), {}, (name, fmt, *args))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -116,11 +116,16 @@ class TestParseSpectralCsv:
             ("a", "b", "c"),
             rng.uniform(0.0, 1.0, size=(31, 3)),
         )
-        text = "".join(serialize_spectral_csv(table))
+        text = "".join(serialize_spectral_csv(table.wavelengths, table.column_names, table.columns))
         parsed = parse_spectral_csv(text)
         assert parsed.column_names == table.column_names
         assert np.array_equal(parsed.wavelengths, table.wavelengths)
         assert np.array_equal(parsed.columns, table.columns)
+
+    @pytest.mark.parametrize("rows", [30, 32])
+    def test_writer_refuses_a_row_count_other_than_the_wavelengths(self, rng, rows):
+        with pytest.raises(ValueError, match="zip"):
+            "".join(serialize_spectral_csv(DEFAULT_GRID.wavelengths(), ("a", "b", "c"), rng.uniform(size=(rows, 3))))
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -139,7 +144,8 @@ class TestRoundTripProperty:
     @settings(max_examples=200, deadline=None)
     @given(table=finite_tables())
     def test_serialize_then_parse_is_bit_exact(self, table):
-        parsed = parse_spectral_csv("".join(serialize_spectral_csv(table)))
+        parsed = parse_spectral_csv("".join(serialize_spectral_csv(table.wavelengths, table.column_names,
+                                                                   table.columns)))
         assert parsed.column_names == table.column_names
         assert parsed.wavelengths.tobytes() == table.wavelengths.tobytes()
         assert parsed.columns.tobytes() == table.columns.tobytes()
@@ -272,8 +278,7 @@ class TestConversionRoute:
         with open(os.path.join(TestShippedFixtures.FIXTURES, "reflectances.csv"), "rb") as handle:
             reflectances = handle.read()
         names = tuple(f"iter{i}" for i in range(40))
-        filters = "".join(serialize_spectral_csv(
-            SpectralTable(DEFAULT_GRID.wavelengths(), names, rng.uniform(size=(31, 40)))))
+        filters = "".join(serialize_spectral_csv(DEFAULT_GRID.wavelengths(), names, rng.uniform(size=(31, 40))))
         want = [parse_outcome(strip_every_cell_parse, data) for data in (reflectances, filters)]
         self.refuse_by_line(monkeypatch)
         assert [parse_outcome(parse_spectral_csv, data) for data in (reflectances, filters)] == want

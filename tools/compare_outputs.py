@@ -2,12 +2,13 @@
 
 Run from the repository root: ``python tools/compare_outputs.py PARENT_SRC CHANGE_SRC``,
 where each argument is a tree's ``src`` directory (the one holding
-``specfilter/``).  Each tree runs the same seven commands on ``fixtures/``
+``specfilter/``).  Each tree runs the same eight commands on ``fixtures/``
 in a temporary directory of its own, with its ``src`` on ``PYTHONPATH``:
-``optimize`` (ALS with 4 starts, GA capped at 600 iterations), ``evaluate``
-(plain, and with the ALS filter under global correction) and ``trace-compare``
-of the two traces (unscored, with both filters files, and with the GA's only
-under global correction).
+``optimize`` (ALS with 4 starts, GA capped at 600 iterations, and GA to
+convergence, whose ``iteration_filters.csv`` is 2,385 columns wide),
+``evaluate`` (plain, and with the ALS filter under global correction) and
+``trace-compare`` of the ALS and capped GA traces (unscored, with both filters
+files, and with the GA's only under global correction).
 
 Every file a run writes is compared byte for byte, and so are its stdout,
 stderr and exit code, after each tree's temporary directory is replaced by
@@ -36,6 +37,7 @@ RUNS = {
     "als": ["optimize", "--camera", "{fixtures}/synthetic_camera.csv", "--optimizer", "als",
             "--starts", "4", "--seed", "2"],
     "ga": ["optimize", "--camera", "{fixtures}/synthetic_camera.csv", "--optimizer", "ga", "--max-iters", "600"],
+    "ga-uncapped": ["optimize", "--camera", "{fixtures}/synthetic_camera.csv", "--optimizer", "ga"],
     "evaluate": ["evaluate", "--scenes", "{fixtures}/scenes.txt"],
     "evaluate-filter": ["evaluate", "--scenes", "{fixtures}/scenes.txt", "--filter", "{run}/als/filter.csv",
                         "--correction", "global"],
@@ -50,7 +52,7 @@ RUNS = {
 
 
 def run_tree(src: str) -> dict[str, bytes]:
-    """Every output of the seven runs of the tree at ``src``, keyed ``<run>/<file>``, paths normalized."""
+    """Every output of the eight runs of the tree at ``src``, keyed ``<run>/<file>``, paths normalized."""
     outputs = {}
     env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
     with tempfile.TemporaryDirectory(prefix="compare-outputs-") as tmp:
