@@ -91,29 +91,42 @@ class EvaluationReport:
     correction_mode: str
 
 
-def fit_correction(responses: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Least-squares 3x3 map from m-by-3 camera responses to m-by-3 XYZ targets.
+def _checked_qr(responses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Thin QR factors (Q, R) of m-by-3 camera responses, or of a stack (..., m, 3) of them.
 
-    ``responses`` is one m-by-3 matrix or a stack (..., m, 3) of them;
-    ``targets`` broadcasts against it and the result gains the same leading
-    axes.  Each fit is a thin QR solve, which works at the responses' own
-    condition number where the normal equations would square it.  Needs at
-    least three pairs and every response matrix of full rank;
-    ``RankDeficient.index`` locates the first that is not.
+    The rank rule of every least-squares fit: at least three pairs, and
+    every matrix of full rank by ``full_rank`` with G read off the factors
+    as R^T R; ``RankDeficient.index`` locates the first matrix that is not.
+    QR works at the responses' own condition number where the normal
+    equations would square it.
     """
-    m = responses.shape[-2]
-    if m != targets.shape[-2]:
-        raise ShapeError(f"{m} responses vs {targets.shape[-2]} targets")
-    if m < 3:
+    q, r = np.linalg.qr(responses)
+    if responses.shape[-2] < 3:
         full = np.zeros(responses.shape[:-2], dtype=bool)
     else:
-        full = full_rank(responses, np.swapaxes(responses, -1, -2) @ responses)
+        # A C-ordered copy of R^T multiplies in under half the time of the view.
+        full = full_rank(responses, np.ascontiguousarray(np.swapaxes(r, -1, -2)) @ r)
     if not np.all(full):
         raise RankDeficient(
             "camera response matrix is rank deficient (need >= 3 independent pairs)",
             index=tuple(int(i) for i in np.argwhere(~full)[0]),
         )
-    q, r = np.linalg.qr(responses)
+    return q, r
+
+
+def fit_correction(responses: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Least-squares 3x3 map from m-by-3 camera responses to m-by-3 XYZ targets.
+
+    ``responses`` is one m-by-3 matrix or a stack (..., m, 3) of them;
+    ``targets`` broadcasts against it and the result gains the same leading
+    axes.  Each fit is the thin QR solve C = R^-1 Q^T T, under the rank rule
+    of ``_checked_qr``.  ``SceneEngine`` applies it under global correction;
+    per illuminant it takes the fitted values Q Q^T T without forming C.
+    """
+    m = responses.shape[-2]
+    if m != targets.shape[-2]:
+        raise ShapeError(f"{m} responses vs {targets.shape[-2]} targets")
+    q, r = _checked_qr(responses)
     return np.linalg.solve(r, np.swapaxes(q, -1, -2) @ targets)
 
 
@@ -124,10 +137,18 @@ _LAB_OFFSET = 4.0 / 29.0
 
 
 def _lab_f(t: np.ndarray) -> np.ndarray:
-    # The linear segment extends to negative arguments unchanged, which is the
-    # standard signed handling for out-of-gamut corrected values.
+    """CIE Lab companding f(t) of an array: the cube root above (6/29)^3, linear at and below it.
+
+    The cube root is taken once over the whole array and the linear segment
+    only where it applies, which gives the bits of ``np.where`` over both
+    branches.  The linear segment extends to negative arguments unchanged,
+    the standard signed handling for out-of-gamut corrected values.
+    """
     t = np.asarray(t, dtype=float)
-    return np.where(t > _LAB_THRESHOLD, np.cbrt(t), _LAB_SLOPE * t + _LAB_OFFSET)
+    f = np.cbrt(t, out=np.empty_like(t))
+    linear = t <= _LAB_THRESHOLD
+    f[linear] = _LAB_SLOPE * t[linear] + _LAB_OFFSET
+    return f
 
 
 def xyz_to_lab(xyz: np.ndarray, white: np.ndarray) -> np.ndarray:
@@ -146,7 +167,10 @@ class SceneEngine:
     illuminant's perfect-diffuser white point, which must be positive.
     ``delta_e`` then scores one camera, or a stack of them, against it; the
     stack costs L*n*m floats of memory and each camera ``pair_count`` = L*m
-    pairs.
+    pairs.  Per illuminant, a camera's corrected XYZ are the least-squares
+    fitted values Q Q^T T from the thin QR of its responses, so no
+    correction matrix is solved for or applied; under global correction
+    they are its responses times the one pooled ``fit_correction``.
     """
 
     def __init__(self, observer: SensorSet, scenes: SceneSet, correction_mode: str = "per-illuminant"):
@@ -169,7 +193,7 @@ class SceneEngine:
 
         ``channels`` may also be an (F, n, 3) stack of cameras; both results
         then gain a leading F axis, and each camera's results are bit for bit
-        those it gets alone.  One batched fit covers every camera (and every
+        those it gets alone.  One batched QR covers every camera (and every
         illuminant in per-illuminant mode); a rank-deficient one raises
         ``RankDeficient`` with ``index[0]`` its position in the stack.
         """
@@ -179,11 +203,12 @@ class SceneEngine:
         responses = self._signals_t @ channels[..., None, :, :]             # (F x) L x m x 3
         if self.correction_mode == "global":
             fit = fit_correction(responses.reshape(*lead, -1, 3), self._truths.reshape(-1, 3))
-            corrections = fit[..., None, :, :]
+            corrected = responses @ fit[..., None, :, :]
         else:
-            corrections = fit_correction(responses, self._truths)
-        corrected = responses @ corrections
-        errors = np.linalg.norm(xyz_to_lab(corrected, self._whites) - self._truth_lab, axis=-1)
+            q, _ = _checked_qr(responses)
+            corrected = q @ (np.swapaxes(q, -1, -2) @ self._truths)
+        d0, d1, d2 = np.moveaxis(xyz_to_lab(corrected, self._whites) - self._truth_lab, -1, 0)
+        errors = np.sqrt(d0 * d0 + d1 * d1 + d2 * d2)
         negative = np.sum(corrected < 0, axis=(-3, -2, -1))
         return errors.reshape(*lead, -1), negative if lead else int(negative)
 

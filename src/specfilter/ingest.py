@@ -159,11 +159,15 @@ def serialize_spectral_csv(wavelengths: np.ndarray, column_names: Iterable[str],
     traced (``tracemalloc``) peak of the whole ``optimize`` run that writes
     it is 1.16 MB (CPython 3.11, numpy 2.4).  A parsed ``SpectralTable`` is
     written by passing its four fields.  ``columns`` holds one row per
-    wavelength; ``ValueError`` is raised when either runs out first.
+    wavelength; ``ValueError`` is raised when either runs out first, and
+    before the header when the names do not number the columns.
     """
+    header = (key_name, *column_names)
+    if len(header) - 1 != columns.shape[1]:
+        raise ValueError(f"{len(header) - 1} column names for {columns.shape[1]} columns")
     # tolist() gives Python floats, whose repr is the shortest round trip.
     # One row at a time: a 10k-column table as Python floats costs ~10 MB.
-    yield ",".join((key_name, *column_names)) + "\n"
+    yield ",".join(header) + "\n"
     for wl, row in zip(wavelengths.tolist(), columns, strict=True):
         yield ",".join(map(repr, [wl] + row.tolist())) + "\n"
 

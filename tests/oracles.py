@@ -17,6 +17,8 @@ reference kernels, which pins the whole run's bits; and
 every cell before converting it and pins the parser's tables and errors.
 ``classic_luther_als`` is the method the paper improves on, not a reference
 for the package: it fits the colour matching functions themselves.
+``lstsq_delta_es`` scores a camera with an SVD least-squares solve and a
+CIELAB conversion of its own, a tolerance oracle for ``SceneEngine``.
 """
 
 from fractions import Fraction
@@ -312,6 +314,38 @@ def classic_luther_als(camera, observer, tolerance=1e-10, max_iterations=100_000
         if previous - residual < tolerance * previous:
             break
     return f / f.max()
+
+
+def _lab(xyz, white):
+    """CIELAB rows of XYZ rows, each branch of the companding function taken element by element."""
+    t = np.asarray(xyz, dtype=float) / white
+    cube = (6.0 / 29.0) ** 3
+    f = np.empty_like(t)
+    for index, value in np.ndenumerate(t):
+        f[index] = np.cbrt(value) if value > cube else value / (3.0 * (6.0 / 29.0) ** 2) + 4.0 / 29.0
+    return np.stack([116.0 * f[:, 1] - 16.0, 500.0 * (f[:, 0] - f[:, 1]), 200.0 * (f[:, 1] - f[:, 2])], axis=1)
+
+
+def lstsq_delta_es(camera, observer, illuminants, reflectances, correction_mode="per-illuminant"):
+    """Pooled per-pair Delta E*ab of an n-by-3 camera, illuminant by illuminant.
+
+    ``illuminants`` is L x n and ``reflectances`` n x m, as ``SceneSet``
+    holds them.  Each camera-to-XYZ correction is ``np.linalg.lstsq`` (an
+    SVD solve), per illuminant or over every pair at once under
+    ``correction_mode="global"``, and applied as a matrix.
+    """
+    rendered = []
+    for light in illuminants:
+        signal = reflectances * light[:, None]
+        rendered.append((signal.T @ camera, signal.T @ observer, observer.T @ light))
+    if correction_mode == "global":
+        pooled = np.linalg.lstsq(np.concatenate([r for r, _, _ in rendered]),
+                                 np.concatenate([x for _, x, _ in rendered]), rcond=None)[0]
+    out = []
+    for rgb, xyz, white in rendered:
+        fit = pooled if correction_mode == "global" else np.linalg.lstsq(rgb, xyz, rcond=None)[0]
+        out.append(np.sqrt(np.sum((_lab(rgb @ fit, white) - _lab(xyz, white)) ** 2, axis=1)))
+    return np.concatenate(out)
 
 
 def central_difference_gradient(objective, f, h=1e-6):

@@ -26,6 +26,7 @@ from specfilter.ingest import builtin_cmf, load_scene_set, load_sensor_set, read
 from specfilter.spectra import DEFAULT_GRID, SensorSet, SpectralCurve, WavelengthGrid, apply_filter
 
 from conftest import bump_camera_matrix, random_filter
+from oracles import lstsq_delta_es
 
 
 def rendered(channels, illuminant, reflectances):
@@ -246,6 +247,22 @@ class TestXyzToLab:
         want = np.stack([116.0 * fy - 16.0, 500.0 * (fx - fy), 200.0 * (fy - fz)], axis=-1)
         assert xyz_to_lab(xyz, white).tobytes() == want.tobytes()
 
+    def test_lab_f_and_slice_norm_keep_the_bits_of_where_and_norm(self, rng):
+        # Values on, just off and far from (6/29)^3, with negatives and zeros.
+        threshold = (6.0 / 29.0) ** 3
+        near = threshold + np.spacing(threshold) * np.arange(-3.0, 4.0)
+        t = np.concatenate([near, -near, [0.0, -0.0, threshold / 2, 1.0, 8.0, -2.0],
+                            rng.uniform(-0.02, 0.02, 500), rng.uniform(-1.0, 2.0, 500)])
+        want = np.where(t > threshold, np.cbrt(t), (841.0 / 108.0) * t + 4.0 / 29.0)
+        assert _lab_f(t).tobytes() == want.tobytes()
+        assert _lab_f(t.reshape(-1, 3, 2)).tobytes() == want.tobytes()
+        assert _lab_f(np.array(threshold)).tobytes() == want[3:4].tobytes()
+        white = np.array([0.95, 1.0, 1.09])
+        xyz = rng.uniform(-0.05, 1.5, size=(113, 3, 12, 3)) * rng.choice([1e-3, 1.0], size=(113, 3, 12, 3))
+        d0, d1, d2 = np.moveaxis(xyz_to_lab(xyz, white) - xyz_to_lab(xyz[::-1], white), -1, 0)
+        norm = np.linalg.norm(xyz_to_lab(xyz, white) - xyz_to_lab(xyz[::-1], white), axis=-1)
+        assert np.sqrt(d0 * d0 + d1 * d1 + d2 * d2).tobytes() == norm.tobytes()
+
     def test_negative_components_use_linear_segment(self):
         white = np.ones(3)
         lab = xyz_to_lab(np.array([-0.01, 0.5, 0.5]), white)
@@ -395,7 +412,12 @@ def fixture_camera_and_scenes():
 
 
 def loop_delta_es(channels, observer, scenes, correction_mode):
-    """Per-pair Delta E and negative-XYZ count, one illuminant at a time with its own products."""
+    """Per-pair Delta E and negative-XYZ count, one illuminant at a time with its own products.
+
+    Per illuminant, the corrected XYZ are the least-squares fitted values
+    Q Q^T T from the thin QR of that illuminant's responses; under global
+    correction, the responses times one pooled ``fit_correction``.
+    """
     reflectances = scenes.reflectances
     rendered_scenes = []
     for light in scenes.illuminants:
@@ -409,8 +431,11 @@ def loop_delta_es(channels, observer, scenes, correction_mode):
         )
     errors, negative = [], 0
     for responses, truths, white in rendered_scenes:
-        m = pooled if correction_mode == "global" else fit_correction(responses, truths)
-        corrected = responses @ m
+        if correction_mode == "global":
+            corrected = responses @ pooled
+        else:
+            q = np.linalg.qr(responses)[0]
+            corrected = q @ (q.T @ truths)
         negative += int(np.sum(corrected < 0))
         errors.append(np.linalg.norm(xyz_to_lab(corrected, white) - xyz_to_lab(truths, white), axis=1))
     return np.concatenate(errors), negative
@@ -440,6 +465,16 @@ class TestSceneEngine:
                 want, want_negative = loop_delta_es(channels, x, scenes, mode)
                 assert pooled.tobytes() == want.tobytes()
                 assert negative == want_negative
+
+    def test_agrees_with_the_lstsq_oracle(self, rng, mode):
+        x = builtin_cmf()
+        for camera, scenes, filters in engine_cases(rng):
+            engine = SceneEngine(x, scenes, mode)
+            for f in filters:
+                channels = camera.channels if f is None else apply_filter(f, camera).channels
+                want = lstsq_delta_es(channels, x.channels, scenes.illuminants, scenes.reflectances, mode)
+                got = engine.delta_e(channels)[0]
+                assert np.max(np.abs(got - want)) <= 1e-9 * np.max(want)
 
     def test_statistics_equal_evaluate_bit_for_bit(self, rng, mode):
         x = builtin_cmf()

@@ -127,6 +127,15 @@ class TestParseSpectralCsv:
         with pytest.raises(ValueError, match="zip"):
             "".join(serialize_spectral_csv(DEFAULT_GRID.wavelengths(), ("a", "b", "c"), rng.uniform(size=(rows, 3))))
 
+    @pytest.mark.parametrize("names", [("a", "b"), ("a", "b", "c", "d"), iter(("a", "b"))],
+                             ids=["too few", "too many", "generator"])
+    def test_writer_refuses_names_that_do_not_number_the_columns(self, names):
+        # Without the check, two names over three columns wrote a 3-cell
+        # header over 4-cell rows, which the parser then refused.
+        lines = serialize_spectral_csv(DEFAULT_GRID.wavelengths(), names, np.ones((31, 3)))
+        with pytest.raises(ValueError, match=r"^\d column names for 3 columns$"):
+            next(lines)
+
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 

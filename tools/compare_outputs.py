@@ -14,7 +14,10 @@ Every file a run writes is compared byte for byte, and so are its stdout,
 stderr and exit code, after each tree's temporary directory is replaced by
 ``<run>``.  ``report.json`` is compared as JSON less ``timing_ms``, the one
 key that differs between identical runs.  The result is a Markdown list of
-what differs, for a CI job summary.  It uses only the standard library and
+what differs, for a CI job summary.  A CSV or ``report.json`` that differs
+only in its numbers is given with the count of numbers that differ and the
+largest relative difference among them, so a change that moves values in
+their last bits reads as such.  It uses only the standard library and
 exits 0 whether or not outputs differ, since a change may move them on
 purpose; it exits 2 on a usage error.
 """
@@ -24,6 +27,7 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tempfile
@@ -77,6 +81,38 @@ def run_tree(src: str) -> dict[str, bytes]:
     return outputs
 
 
+# A decimal number as repr and json write them: optional sign, digits, fraction, exponent.
+NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+
+
+def numeric_difference(parent: bytes, change: bytes) -> tuple[int, float] | None:
+    """(numbers that differ, their largest relative difference) between two texts alike but for numbers.
+
+    Each text is cut at its numbers; None when the text between them differs
+    or one text holds more numbers.  Relative differences are taken against
+    the larger magnitude of the two, so 0 against any other number is 1.
+    """
+    old, new = parent.decode(), change.decode()
+    if NUMBER.split(old) != NUMBER.split(new):
+        return None
+    count, largest = 0, 0.0
+    for a, b in zip(map(float, NUMBER.findall(old)), map(float, NUMBER.findall(new))):
+        if a != b:
+            count += 1
+            largest = max(largest, abs(a - b) / max(abs(a), abs(b)))
+    return count, largest
+
+
+def describe(name: str, parent: bytes | None, change: bytes | None) -> str:
+    """One Markdown list item for an output that differs."""
+    numbers = None
+    if parent is not None and change is not None and name.endswith((".csv", "/report.json")):
+        numbers = numeric_difference(parent, change)
+    if numbers is None:
+        return f"- `{name}`"
+    return f"- `{name}`: {numbers[0]} numbers differ, by at most {numbers[1]:.2g} relative"
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2 or not all(os.path.isfile(os.path.join(src, "specfilter", "cli.py")) for src in argv):
         print(__doc__.split("\n\n")[1], file=sys.stderr)
@@ -89,7 +125,7 @@ def main(argv: list[str]) -> int:
     print(f"{len(RUNS)} runs on `fixtures/`, `{argv[0]}` against `{argv[1]}`: "
           + (f"{len(differ)} of {len(names)} outputs differ.\n" if differ else f"all {len(names)} outputs identical."))
     for name in differ:
-        print(f"- `{name}`")
+        print(describe(name, parent.get(name), change.get(name)))
     return 0
 
 
