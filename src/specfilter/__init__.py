@@ -14,7 +14,6 @@ from .colorimetry import (
     SceneEngine,
     SceneSet,
     evaluate,
-    fit_correction,
     xyz_to_lab,
 )
 from .errors import (
@@ -86,7 +85,6 @@ __all__ = [
     "apply_filter",
     "builtin_cmf",
     "evaluate",
-    "fit_correction",
     "load_cmf",
     "load_scene_set",
     "load_sensor_set",

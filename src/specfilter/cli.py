@@ -20,7 +20,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from .als import AlsConfig, optimize_als
-from .colorimetry import EvaluationReport, SceneEngine, evaluate
+from .colorimetry import CORRECTION_MODES, EvaluationReport, SceneEngine, evaluate
 from .errors import RankDeficient, SpecFilterError
 from .gradient import GaConfig, optimize_ga
 from .ingest import (CMF_CHOICES, load_cmf, load_scene_set, load_sensor_set, load_spectra,
@@ -330,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--filter", help="filter CSV from a prior optimize run")
     ev.add_argument("--cmf", help=CMF_CHOICES + " (falls back to the manifest)")
     ev.add_argument("--scenes", required=True, help="dataset manifest file")
-    ev.add_argument("--correction", choices=("per-illuminant", "global"), default="per-illuminant")
+    ev.add_argument("--correction", choices=CORRECTION_MODES, default="per-illuminant")
     ev.add_argument("--out", default=".", help="output directory")
     ev.set_defaults(func=cmd_evaluate)
 
@@ -345,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_parser.add_argument("--camera", help="camera CSV (falls back to the manifest's camera)")
     cmp_parser.add_argument("--cmf", help=CMF_CHOICES + " (falls back to the manifest)")
     cmp_parser.add_argument("--scenes", help="dataset manifest for per-iteration mean delta E")
-    cmp_parser.add_argument("--correction", choices=("per-illuminant", "global"), default="per-illuminant")
+    cmp_parser.add_argument("--correction", choices=CORRECTION_MODES, default="per-illuminant")
     cmp_parser.add_argument("--out", default=".", help="output directory")
     cmp_parser.set_defaults(func=cmd_trace_compare)
     return parser

@@ -2,9 +2,12 @@
 
 The harness mirrors the usual filter-evaluation protocol: for every illuminant
 in a scene collection, render camera responses and ground-truth XYZ for every
-reflectance, fit a linear correction from camera space to XYZ, convert both
-sides to CIELAB against the perfect-reflecting-diffuser white point, and pool
-the per-pair color differences into summary statistics.  ``SceneEngine``
+reflectance, correct the responses to their least-squares fit of the XYZ
+(per illuminant, or pooled over every illuminant under global correction),
+convert both sides to CIELAB against the perfect-reflecting-diffuser white
+point, and pool the per-pair color differences into summary statistics.
+Both correction modes run one arithmetic, ``_fitted``; they differ only in
+which pairs each fit pools.  ``SceneEngine``
 holds the filter-independent half (signals, truths, white points, truth Lab)
 so that scoring many filters against one scene set renders it once.
 """
@@ -24,6 +27,9 @@ from .spectra import (
     require_same_grid,
 )
 from .vora import VoraScore, vora_value
+
+# Per illuminant, each illuminant's pairs get their own fit; global pools all.
+CORRECTION_MODES = ("per-illuminant", "global")
 
 
 @dataclass(frozen=True)
@@ -91,14 +97,17 @@ class EvaluationReport:
     correction_mode: str
 
 
-def _checked_qr(responses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Thin QR factors (Q, R) of m-by-3 camera responses, or of a stack (..., m, 3) of them.
+def _fitted(responses: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Least-squares fitted values of XYZ ``targets`` on m-by-3 camera responses or a stack of them.
 
-    The rank rule of every least-squares fit: at least three pairs, and
-    every matrix of full rank by ``full_rank`` with G read off the factors
-    as R^T R; ``RankDeficient.index`` locates the first matrix that is not.
-    QR works at the responses' own condition number where the normal
-    equations would square it.
+    The fit C = argmin |A C - T| is never formed: its fitted values A C are
+    Q Q^T T, from the thin QR A = Q R, which works at the responses' own
+    condition number where the normal equations would square it.  A stack
+    (..., m, 3) of responses fits each matrix on its own, and ``targets``
+    broadcasts against it.  The rank rule of every fit: at least three
+    pairs, and every matrix of full rank by ``full_rank`` with G read off
+    the factors as R^T R; ``RankDeficient.index`` locates the first matrix
+    that is not.
     """
     q, r = np.linalg.qr(responses)
     if responses.shape[-2] < 3:
@@ -111,23 +120,7 @@ def _checked_qr(responses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             "camera response matrix is rank deficient (need >= 3 independent pairs)",
             index=tuple(int(i) for i in np.argwhere(~full)[0]),
         )
-    return q, r
-
-
-def fit_correction(responses: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Least-squares 3x3 map from m-by-3 camera responses to m-by-3 XYZ targets.
-
-    ``responses`` is one m-by-3 matrix or a stack (..., m, 3) of them;
-    ``targets`` broadcasts against it and the result gains the same leading
-    axes.  Each fit is the thin QR solve C = R^-1 Q^T T, under the rank rule
-    of ``_checked_qr``.  ``SceneEngine`` applies it under global correction;
-    per illuminant it takes the fitted values Q Q^T T without forming C.
-    """
-    m = responses.shape[-2]
-    if m != targets.shape[-2]:
-        raise ShapeError(f"{m} responses vs {targets.shape[-2]} targets")
-    q, r = _checked_qr(responses)
-    return np.linalg.solve(r, np.swapaxes(q, -1, -2) @ targets)
+    return q @ (np.swapaxes(q, -1, -2) @ targets)
 
 
 # CIE 1976 L*a*b* companding constants: cube root above (6/29)^3, linear below.
@@ -167,26 +160,29 @@ class SceneEngine:
     illuminant's perfect-diffuser white point, which must be positive.
     ``delta_e`` then scores one camera, or a stack of them, against it; the
     stack costs L*n*m floats of memory and each camera ``pair_count`` = L*m
-    pairs.  Per illuminant, a camera's corrected XYZ are the least-squares
-    fitted values Q Q^T T from the thin QR of its responses, so no
-    correction matrix is solved for or applied; under global correction
-    they are its responses times the one pooled ``fit_correction``.
+    pairs.  A camera's corrected XYZ are the least-squares fitted values
+    Q Q^T T from the thin QR of its responses (``_fitted``), so no
+    correction matrix is solved for or applied.  The mode sets only the
+    shape the truths are held in, and so which pairs one fit pools: L x m x 3
+    fits each illuminant on its own, (L*m) x 3 under global correction fits
+    every pair at once.
     """
 
     def __init__(self, observer: SensorSet, scenes: SceneSet, correction_mode: str = "per-illuminant"):
-        if correction_mode not in ("per-illuminant", "global"):
-            raise ValueError(f"unknown correction mode {correction_mode!r}")
+        if correction_mode not in CORRECTION_MODES:
+            raise ValueError(f"unknown correction mode {correction_mode!r}, expected one of {CORRECTION_MODES}")
         require_same_grid(observer.grid, scenes.grid)
         self.grid = scenes.grid
         self.correction_mode = correction_mode
         signals = scenes.illuminants[:, :, None] * scenes.reflectances      # L x n x m
         self._signals_t = signals.transpose(0, 2, 1)                         # L x m x n
-        self._truths = self._signals_t @ observer.channels                   # L x m x 3
-        self.pair_count = self._truths.shape[0] * self._truths.shape[1]
+        truths = self._signals_t @ observer.channels                         # L x m x 3
+        self.pair_count = truths.shape[0] * truths.shape[1]
         # Each white point from its own contiguous row: one product over the
         # whole illuminant stack would change the last bits.
         self._whites = np.stack([observer.channels.T @ light for light in scenes.illuminants])[:, None, :]
-        self._truth_lab = xyz_to_lab(self._truths, self._whites)
+        self._truth_lab = xyz_to_lab(truths, self._whites)
+        self._truths = truths.reshape(-1, 3) if correction_mode == "global" else truths
 
     def delta_e(self, channels: np.ndarray) -> tuple[np.ndarray, int | np.ndarray]:
         """Pooled per-pair Delta E of an n-by-3 camera and its count of negative corrected XYZ.
@@ -195,18 +191,15 @@ class SceneEngine:
         then gain a leading F axis, and each camera's results are bit for bit
         those it gets alone.  One batched QR covers every camera (and every
         illuminant in per-illuminant mode); a rank-deficient one raises
-        ``RankDeficient`` with ``index[0]`` its position in the stack.
+        ``RankDeficient`` with ``index[0]`` its position in the stack.  The
+        responses are viewed in the truths' shape for the fit, and the
+        fitted values back in theirs.
         """
         if channels.ndim not in (2, 3) or channels.shape[-2:] != (self.grid.count, 3):
             raise ShapeError(f"camera must be {self.grid.count}x3 or a stack of them, got {channels.shape}")
         lead = channels.shape[:-2]
         responses = self._signals_t @ channels[..., None, :, :]             # (F x) L x m x 3
-        if self.correction_mode == "global":
-            fit = fit_correction(responses.reshape(*lead, -1, 3), self._truths.reshape(-1, 3))
-            corrected = responses @ fit[..., None, :, :]
-        else:
-            q, _ = _checked_qr(responses)
-            corrected = q @ (np.swapaxes(q, -1, -2) @ self._truths)
+        corrected = _fitted(responses.reshape(*lead, *self._truths.shape), self._truths).reshape(responses.shape)
         d0, d1, d2 = np.moveaxis(xyz_to_lab(corrected, self._whites) - self._truth_lab, -1, 0)
         errors = np.sqrt(d0 * d0 + d1 * d1 + d2 * d2)
         negative = np.sum(corrected < 0, axis=(-3, -2, -1))
@@ -222,8 +215,9 @@ def evaluate(
     """Color-error statistics of a camera over a scene set.
 
     For each illuminant: render camera responses and ground-truth XYZ for all
-    reflectances, fit the correction matrix (per illuminant, or one global fit
-    over all pairs when ``correction_mode="global"``), convert both sides to
+    reflectances, correct the responses to their least-squares fitted values
+    (per illuminant, or one global fit over all pairs when
+    ``correction_mode="global"``), convert both sides to
     CIELAB against that illuminant's perfect-diffuser white point, and pool
     the color differences.  A bad white point is reported before any
     correction fit can fail.  Negative corrected XYZ components pass through

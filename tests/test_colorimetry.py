@@ -11,9 +11,9 @@ from specfilter.colorimetry import (
     DeltaEStats,
     SceneEngine,
     SceneSet,
+    _fitted,
     _lab_f,
     evaluate,
-    fit_correction,
     xyz_to_lab,
 )
 from specfilter.errors import (
@@ -40,14 +40,14 @@ def rendered(channels, illuminant, reflectances):
 
 
 def composed_delta_es(camera, observer, illuminants, reflectances, correction_mode="per-illuminant"):
-    """Per-pair Delta E from directly summed responses and the public array functions."""
+    """Per-pair Delta E from directly summed responses, ``np.linalg.lstsq`` fits and ``xyz_to_lab``."""
     responses = [rendered(camera, light, reflectances) for light in illuminants]
     truths = [rendered(observer, light, reflectances) for light in illuminants]
     if correction_mode == "global":
-        pooled = fit_correction(np.concatenate(responses), np.concatenate(truths))
+        pooled = np.linalg.lstsq(np.concatenate(responses), np.concatenate(truths), rcond=None)[0]
     errors = []
     for light, response, truth in zip(illuminants, responses, truths):
-        m = pooled if correction_mode == "global" else fit_correction(response, truth)
+        m = pooled if correction_mode == "global" else np.linalg.lstsq(response, truth, rcond=None)[0]
         white = rendered(observer, light, [np.ones(len(light))])[0]
         difference = xyz_to_lab(response @ m, white) - xyz_to_lab(truth, white)
         errors.append(np.sqrt(np.sum(difference**2, axis=1)))
@@ -108,7 +108,7 @@ class TestSensorResponse:
         white = x.channels.sum(axis=0)
         response = rendered(camera, np.ones(31), reflectances)
         truth = rendered(x.channels, np.ones(31), reflectances)
-        corrected = response @ fit_correction(response, truth)
+        corrected = response @ np.linalg.lstsq(response, truth, rcond=None)[0]
         expected = np.linalg.norm(xyz_to_lab(corrected, white) - xyz_to_lab(truth, white), axis=1)
         report = evaluate(SensorSet(DEFAULT_GRID, camera), x, scene_of([np.ones(31)], reflectances))
         assert_stats_match(report, expected)
@@ -148,67 +148,62 @@ class TestSensorResponse:
 
 
 class TestFitCorrection:
+    """The least-squares correction as ``_fitted`` applies it: fitted values, no matrix."""
+
     def test_identity_when_already_matching(self, rng):
         responses = rng.uniform(0.1, 1.0, size=(8, 3))
-        m = fit_correction(responses, responses.copy())
-        assert np.max(np.abs(m - np.eye(3))) < 1e-10
+        assert np.max(np.abs(_fitted(responses, responses.copy()) - responses)) < 1e-10
 
     def test_recovers_exact_linear_relation(self, rng):
         a = np.array([[0.9, 0.1, 0.0], [0.2, 1.1, 0.1], [0.0, 0.3, 0.8]])
         raw = rng.uniform(0.1, 1.0, size=(10, 3))
-        m = fit_correction(raw, raw @ a)
-        assert np.max(np.abs(m - a)) < 1e-9
+        assert np.max(np.abs(_fitted(raw, raw @ a) - raw @ a)) < 1e-9
 
     def test_beats_random_perturbations(self, rng):
         raw = rng.uniform(0.1, 1.0, size=(20, 3))
         noisy = raw @ np.array([[1.0, 0.2, 0.0], [0.1, 0.9, 0.1], [0.0, 0.1, 1.1]])
         noisy = noisy + 0.01 * rng.standard_normal(noisy.shape)
-        m = fit_correction(raw, noisy)
-        best = float(np.sum((raw @ m - noisy) ** 2))
+        fitted = _fitted(raw, noisy)
+        best = float(np.sum((fitted - noisy) ** 2))
         for _ in range(100):
-            perturbed = m + rng.uniform(-1e-3, 1e-3, size=(3, 3))
-            assert best < float(np.sum((raw @ perturbed - noisy) ** 2))
+            perturbed = fitted + raw @ rng.uniform(-1e-3, 1e-3, size=(3, 3))
+            assert best < float(np.sum((perturbed - noisy) ** 2))
 
     def test_residual_orthogonal_to_responses(self, rng):
         raw = rng.uniform(0.1, 1.0, size=(25, 3))
         targets = raw @ np.eye(3) + 0.05 * rng.standard_normal((25, 3))
-        m = fit_correction(raw, targets)
-        assert np.max(np.abs(raw.T @ (raw @ m - targets))) < 1e-8
+        assert np.max(np.abs(raw.T @ (_fitted(raw, targets) - targets))) < 1e-8
 
     def test_two_pairs_rejected(self):
         pairs = np.array([[1.0, 0.5, 0.2], [0.2, 0.8, 0.4]])
         with pytest.raises(RankDeficient):
-            fit_correction(pairs, pairs.copy())
-
-    def test_row_count_mismatch_rejected(self, rng):
-        with pytest.raises(ShapeError):
-            fit_correction(rng.uniform(0.1, 1.0, size=(5, 3)), rng.uniform(0.1, 1.0, size=(4, 3)))
+            _fitted(pairs, pairs.copy())
 
     def test_stack_equals_per_matrix_fits_bit_for_bit(self, rng):
         responses = rng.uniform(0.1, 1.0, size=(4, 3, 12, 3))
         targets = rng.uniform(0.1, 1.0, size=(3, 12, 3))
-        stacked = fit_correction(responses, targets)
-        assert stacked.shape == (4, 3, 3, 3)
+        stacked = _fitted(responses, targets)
+        assert stacked.shape == (4, 3, 12, 3)
         for f in range(4):
             for light in range(3):
-                single = fit_correction(responses[f, light], targets[light])
+                single = _fitted(responses[f, light], targets[light])
                 assert stacked[f, light].tobytes() == single.tobytes()
 
     def test_agrees_with_lstsq_on_well_conditioned_responses(self, rng):
         for _ in range(50):
             raw = rng.uniform(0.1, 1.0, size=(12, 3))
             targets = rng.uniform(0.1, 1.0, size=(12, 3))
-            want = np.linalg.lstsq(raw, targets, rcond=None)[0]
-            assert np.max(np.abs(fit_correction(raw, targets) - want)) <= 1e-12 * np.max(np.abs(want))
+            want = raw @ np.linalg.lstsq(raw, targets, rcond=None)[0]
+            assert np.max(np.abs(_fitted(raw, targets) - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_deficient_matrix_of_a_stack_is_located(self, rng):
         responses = rng.uniform(0.1, 1.0, size=(3, 2, 6, 3))
         responses[2, 1, :, 0] = responses[2, 1, :, 1]
         with pytest.raises(RankDeficient, match="camera response matrix is rank deficient") as raised:
-            fit_correction(responses, responses.copy())
+            _fitted(responses, responses.copy())
         assert raised.value.index == (2, 1)
         with pytest.raises(RankDeficient) as raised:
-            fit_correction(responses[2, 1], responses[2, 1])
+            _fitted(responses[2, 1], responses[2, 1])
         assert raised.value.index == ()
 
 
@@ -414,9 +409,9 @@ def fixture_camera_and_scenes():
 def loop_delta_es(channels, observer, scenes, correction_mode):
     """Per-pair Delta E and negative-XYZ count, one illuminant at a time with its own products.
 
-    Per illuminant, the corrected XYZ are the least-squares fitted values
-    Q Q^T T from the thin QR of that illuminant's responses; under global
-    correction, the responses times one pooled ``fit_correction``.
+    The corrected XYZ are the least-squares fitted values Q Q^T T from the
+    thin QR of each illuminant's responses; under global correction, from
+    one QR of every illuminant's responses stacked, split per illuminant.
     """
     reflectances = scenes.reflectances
     rendered_scenes = []
@@ -424,18 +419,18 @@ def loop_delta_es(channels, observer, scenes, correction_mode):
         signal = light[:, None] * reflectances
         white = observer.channels.T @ light
         rendered_scenes.append((signal.T @ channels, signal.T @ observer.channels, white))
+
+    def projected(responses, truths):
+        q = np.linalg.qr(responses)[0]
+        return q @ (q.T @ truths)
+
     if correction_mode == "global":
-        pooled = fit_correction(
-            np.concatenate([r for r, _, _ in rendered_scenes]),
-            np.concatenate([t for _, t, _ in rendered_scenes]),
-        )
+        responses, truths, _ = (np.concatenate(parts) for parts in zip(*rendered_scenes))
+        fitted = np.split(projected(responses, truths), len(rendered_scenes))
+    else:
+        fitted = [projected(responses, truths) for responses, truths, _ in rendered_scenes]
     errors, negative = [], 0
-    for responses, truths, white in rendered_scenes:
-        if correction_mode == "global":
-            corrected = responses @ pooled
-        else:
-            q = np.linalg.qr(responses)[0]
-            corrected = q @ (q.T @ truths)
+    for corrected, (_, truths, white) in zip(fitted, rendered_scenes):
         negative += int(np.sum(corrected < 0))
         errors.append(np.linalg.norm(xyz_to_lab(corrected, white) - xyz_to_lab(truths, white), axis=1))
     return np.concatenate(errors), negative
@@ -529,6 +524,20 @@ class TestSceneEngine:
         scene = scene_of([np.ones(4)], [np.ones(4) * 0.5] * 4, grid)
         with pytest.raises(GridMismatch):
             SceneEngine(builtin_cmf(), scene, mode)
+
+
+def test_one_illuminant_pools_nothing(rng):
+    # With one illuminant the global fit pools the per-illuminant pairs and
+    # no others, so the modes give the same bits, alone and in a stack.
+    camera, scenes = fixture_camera_and_scenes()
+    scene = SceneSet(scenes.illuminants[:1], scenes.reflectances, DEFAULT_GRID)
+    per = SceneEngine(builtin_cmf(), scene, "per-illuminant")
+    pooled = SceneEngine(builtin_cmf(), scene, "global")
+    cameras = np.stack([random_filter(DEFAULT_GRID, rng).values[:, None] * camera.channels for _ in range(5)])
+    for channels in (camera.channels, cameras):
+        (want, want_negative), (got, got_negative) = per.delta_e(channels), pooled.delta_e(channels)
+        assert got.tobytes() == want.tobytes()
+        assert np.array_equal(got_negative, want_negative)
 
 
 def test_scene_engine_rejects_unknown_mode():
